@@ -49,19 +49,20 @@ def _require(cond, msg):
 
 
 def _generic_exponent(name, p):
+    """The tagged exponent, built once and shared by every mean it enters."""
     px = p if isinstance(p, PExponent) else PExponent.from_value(p)
     _require(px.kind is ExponentKind.GENERIC,
              f"{name} must stay at least {P_SNAP} away from 0 and -1, got {px.value}")
-    return px.value
+    return px
 
 
 def _quad_degeneracy(quad):
     return (quad.a - quad.d) / (quad.a + quad.d)
 
 
-def _ln_lp_ratio(quad, p):
-    return (math.log(p_logarithmic_mean(quad.a, quad.b, p))
-            - math.log(p_logarithmic_mean(quad.c, quad.d, p)))
+def _ln_lp_ratio(quad, px):
+    return (math.log(p_logarithmic_mean(quad.a, quad.b, px))
+            - math.log(p_logarithmic_mean(quad.c, quad.d, px)))
 
 
 def slack_eq4(quad: OrderedQuad, p, q):
@@ -72,10 +73,11 @@ def slack_eq4(quad: OrderedQuad, p, q):
     nonnegative with equality iff p = q.
     """
     quad.require_strict()
-    p = _generic_exponent("p", p)
-    q = _generic_exponent("q", q)
-    lhs = math.exp(p * _ln_lp_ratio(quad, p))
-    tq = math.exp(q * _ln_lp_ratio(quad, q))
+    px = _generic_exponent("p", p)
+    qx = _generic_exponent("q", q)
+    p, q = px.value, qx.value
+    lhs = math.exp(p * _ln_lp_ratio(quad, px))
+    tq = math.exp(q * _ln_lp_ratio(quad, qx))
     rhs = tq * (1.0 + ((p - q) / (q + 1.0)) * ln_identric_ratio_pow(quad, q + 1.0))
     return build_report(
         "EQ4", {**quad.as_dict(), "p": p, "q": q}, ("tangent",), (lhs - rhs,),
@@ -199,9 +201,10 @@ def slack_eq13(quad: OrderedQuad, p, q):
     ad = bc or p = q.
     """
     quad.require_strict()
-    p = _generic_exponent("p", p)
-    q = _generic_exponent("q", q)
-    raw = (p * _ln_lp_ratio(quad, p) - q * _ln_lp_ratio(quad, q)
+    px = _generic_exponent("p", p)
+    qx = _generic_exponent("q", q)
+    p, q = px.value, qx.value
+    raw = (p * _ln_lp_ratio(quad, px) - q * _ln_lp_ratio(quad, qx)
            - ((p - q) / (q + 1.0)) * ln_identric_ratio_pow(quad, q + 1.0))
     (slack,) = _orient(quad.disc_class, (raw,))
     return build_report(
@@ -287,29 +290,33 @@ def _check_n(n):
     return int(n)
 
 
-def _sequence_report(id, n, picks, links, domain):
+def _sequence_report(id, n, picks, links, domain, row=None):
+    """Report at n; ``row`` is the seven link values at n when already computed
+    (a sweep evaluates a whole chunk of n in one sequence_link_values call)."""
     n = _check_n(n)
-    values = sequence_link_values(float(n))
-    slacks = tuple(float(values[i]) for i in picks)
+    if row is None:
+        row = sequence_link_values(float(n))
+    slacks = tuple(float(row[i]) for i in picks)
     # comparand scale is O(1/n): the rearranged slacks compare terms that size
     return build_report(
         id, {"n": n}, links, slacks, domain=domain, scale=3.0 / n,
         on_equality_manifold=n >= SEQ_EQUALITY_N)
 
 
-def sequence_eq15(n):
+def sequence_eq15(n, row=None):
     """(n+2)/(n+1) < 1 + ln sqrt((n+2)/n) < ln(1+1/n)/ln(1+1/(n+1))."""
-    return _sequence_report("EQ15", n, (0, 1), SEQUENCE_LINK_NAMES[0:2], "additive")
+    return _sequence_report("EQ15", n, (0, 1), SEQUENCE_LINK_NAMES[0:2], "additive", row)
 
 
-def sequence_eq16(n):
+def sequence_eq16(n, row=None):
     """ln sqrt((n+2)/n) / ln I-ratio < ln(1+1/n)/ln(1+1/(n+1))."""
-    return _sequence_report("EQ16", n, (2,), SEQUENCE_LINK_NAMES[2:3], "additive")
+    return _sequence_report("EQ16", n, (2,), SEQUENCE_LINK_NAMES[2:3], "additive", row)
 
 
-def sequence_eq17(n):
+def sequence_eq17(n, row=None):
     """A-ratio < I-ratio < L-ratio < G-ratio < H-ratio at (n+2, n+1, n+1, n)."""
-    return _sequence_report("EQ17", n, (3, 4, 5, 6), SEQUENCE_LINK_NAMES[3:7], "log_ratio")
+    return _sequence_report("EQ17", n, (3, 4, 5, 6), SEQUENCE_LINK_NAMES[3:7], "log_ratio",
+                            row)
 
 
 def slack_slope3(quad: OrderedQuad):
@@ -383,9 +390,9 @@ _EVALUATORS = {
     "EQ12": _eval_eq12,
     "EQ13": _eval_quad_pq(slack_eq13),
     "EQ14": _eval_quad_entry(chain_eq14, relaxed=True),
-    "EQ15": lambda n=None, **_: sequence_eq15(n),
-    "EQ16": lambda n=None, **_: sequence_eq16(n),
-    "EQ17": lambda n=None, **_: sequence_eq17(n),
+    "EQ15": lambda n=None, row=None, **_: sequence_eq15(n, row),
+    "EQ16": lambda n=None, row=None, **_: sequence_eq16(n, row),
+    "EQ17": lambda n=None, row=None, **_: sequence_eq17(n, row),
     "SLOPE_3": _eval_quad_entry(slack_slope3),
 }
 

@@ -11,7 +11,8 @@ verdict collapses the margin against a tolerance:
                    lie on (or near) the inequality's declared equality
                    manifold,
 * ``violated``  -- a link is negative beyond tolerance, or negative within
-                   tolerance without the equality manifold to explain it.
+                   tolerance without the equality manifold to explain it,
+                   or a slack is NaN (the margin is then NaN too).
 
 Tolerances follow the margin domain: ``log_ratio`` slacks are differences of
 logarithms and get an absolute tolerance, ``additive`` slacks get a tolerance
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 #: Base verdict tolerance: absolute in the log-ratio domain, multiplied by the
 #: scale of the compared quantities in the additive domain.
@@ -37,8 +38,7 @@ class HypothesisViolation(ValueError):
     """Inputs fail an inequality's hypothesis (distinct from a violated slack)."""
 
 
-@dataclass(frozen=True)
-class SlackReport:
+class SlackReport(NamedTuple):
     id: str
     inputs: dict
     links: tuple
@@ -49,7 +49,7 @@ class SlackReport:
 
     @property
     def margin(self) -> float:
-        return min(self.slacks)
+        return _margin(self.slacks)
 
     def to_dict(self) -> dict:
         return {
@@ -67,6 +67,13 @@ class SlackReport:
         return dumps(self.to_dict())
 
 
+def _margin(slacks) -> float:
+    """The smallest slack; NaN if any slack is NaN (plain min() skips them by order)."""
+    if any(map(math.isnan, slacks)):
+        return math.nan
+    return min(slacks)
+
+
 def build_report(id, inputs, links, slacks, domain, scale=1.0, on_equality_manifold=False,
                  tolerance=None):
     """Assemble a SlackReport, deriving the verdict from margin and tolerance.
@@ -74,14 +81,16 @@ def build_report(id, inputs, links, slacks, domain, scale=1.0, on_equality_manif
     ``scale`` feeds the additive-domain tolerance; ``on_equality_manifold``
     is the inequality's own equality predicate evaluated on the inputs.
     """
-    slacks = tuple(float(s) for s in slacks)
+    slacks = tuple(map(float, slacks))
     links = tuple(links)
     if len(links) != len(slacks):
         raise ValueError("links and slacks length mismatch")
     if tolerance is None:
         tolerance = TOL_V if domain == "log_ratio" else TOL_V * max(scale, 0.0)
-    margin = min(slacks)
-    if margin > tolerance:
+    margin = _margin(slacks)
+    if margin != margin:
+        verdict = VIOLATED
+    elif margin > tolerance:
         verdict = HOLDS
     elif margin < -tolerance:
         verdict = VIOLATED
@@ -91,8 +100,8 @@ def build_report(id, inputs, links, slacks, domain, scale=1.0, on_equality_manif
         verdict = HOLDS
     else:
         verdict = VIOLATED
-    return SlackReport(id=str(id), inputs=dict(inputs), links=links, slacks=slacks,
-                       domain=domain, tolerance=float(tolerance), verdict=verdict)
+    return SlackReport(str(id), dict(inputs), links, slacks, domain, float(tolerance),
+                       verdict)
 
 
 def dumps(obj) -> str:
@@ -101,6 +110,8 @@ def dumps(obj) -> str:
 
 
 def check_finite_positive(name, x):
+    if type(x) is float and 0.0 < x < math.inf:   # the common case, checked cheaply
+        return x
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
         raise ValueError(f"{name} must be a finite positive real, got {x!r}")
     return float(x)

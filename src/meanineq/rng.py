@@ -22,6 +22,8 @@ __all__ = ["SampleStream", "SamplingError", "sample_quad", "sample_pair",
 
 _MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
+_PACK_KEY = struct.Struct("<QQQQQ").pack
+_UNPACK_BLOCK = struct.Struct("<QQQQ").unpack
 
 #: Default log-uniform bounds for quadruple and pair coordinates.
 DEFAULT_RANGE = (1e-3, 1e3)
@@ -52,11 +54,11 @@ class SampleStream:
 
     def words(self, index: int, count: int, salt: int = 0):
         out = []
+        index = int(index) & _MASK
+        salt = int(salt) & _MASK
         for blk in range((count + 3) // 4):
-            msg = struct.pack("<QQQQQ", self.seed, self.stream,
-                              int(index) & _MASK, int(salt) & _MASK, blk)
-            out.extend(struct.unpack("<QQQQ",
-                                     hashlib.blake2b(msg, digest_size=32).digest()))
+            msg = _PACK_KEY(self.seed, self.stream, index, salt, blk)
+            out.extend(_UNPACK_BLOCK(hashlib.blake2b(msg, digest_size=32).digest()))
         return out[:count]
 
     def floats(self, index: int, count: int, salt: int = 0):
@@ -68,8 +70,11 @@ class SampleStream:
         return [((w >> 11) + 1) * _INV_2_53 for w in self.words(index, count, salt)]
 
 
-def _log_uniform(u, lo, hi):
-    return math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo)))
+def _log_bounds(lo, hi):
+    """(ln lo, ln hi - ln lo): the loop-invariant part of a log-uniform draw
+    exp(ln lo + u * (ln hi - ln lo))."""
+    ln_lo = math.log(lo)
+    return ln_lo, math.log(hi) - ln_lo
 
 
 def sample_quad(stream: SampleStream, index: int, sign: str = "any",
@@ -87,10 +92,11 @@ def sample_quad(stream: SampleStream, index: int, sign: str = "any",
     want = sign.lower()
     if want not in ("any", "positive", "negative", "zero"):
         raise ValueError(f"unknown sign constraint {sign!r}")
+    ln_lo, ln_span = _log_bounds(lo, hi)
     for attempt in range(MAX_REDRAWS):
         if want == "zero":
             us = stream.floats(index, 4, salt=attempt)
-            vals = sorted((_log_uniform(u, lo, hi) for u in us[:3]), reverse=True)
+            vals = sorted((math.exp(ln_lo + u * ln_span) for u in us[:3]), reverse=True)
             a, b, c = vals
             if us[3] < b_eq_c_prob:
                 c = b
@@ -102,7 +108,7 @@ def sample_quad(stream: SampleStream, index: int, sign: str = "any",
                 continue
             return quad
         us = stream.floats(index, 5, salt=attempt)
-        vals = sorted((_log_uniform(u, lo, hi) for u in us[:4]), reverse=True)
+        vals = sorted((math.exp(ln_lo + u * ln_span) for u in us[:4]), reverse=True)
         a, b, c, d = vals
         if us[4] < b_eq_c_prob:
             c = b
@@ -122,11 +128,11 @@ def sample_quad(stream: SampleStream, index: int, sign: str = "any",
 def sample_pair(stream: SampleStream, index: int, bounds=DEFAULT_RANGE,
                 min_ratio: float = 1.0):
     """Draw a > b > 0 log-uniform over bounds with a/b >= min_ratio."""
-    lo, hi = bounds
+    ln_lo, ln_span = _log_bounds(*bounds)
     for attempt in range(MAX_REDRAWS):
         us = stream.floats(index, 2, salt=attempt)
-        x = _log_uniform(us[0], lo, hi)
-        y = _log_uniform(us[1], lo, hi)
+        x = math.exp(ln_lo + us[0] * ln_span)
+        y = math.exp(ln_lo + us[1] * ln_span)
         a, b = (x, y) if x > y else (y, x)
         if a > b and a / b >= min_ratio:
             return a, b

@@ -6,19 +6,29 @@ inputs that attained it, equality cases, and any violations.  Aggregation is
 an order-independent reduction (minimum with lowest-sample-index tie-break),
 so reports are byte-identical for any worker count; re-evaluating the
 reported argmin inputs reproduces the minimum margin bit-for-bit.
+
+Samples are streamed: each is drawn, evaluated, folded into the aggregate and
+dropped before the next.  The sampled quad goes to the evaluator as is; the
+echoed input dict is built only where a report or CSV row shows it.  Sequence
+ids draw a chunk's n values first and evaluate all their links in one
+vectorised ``sequence_link_values`` call, then build each sample's report
+from its row; the argmin replay takes the scalar path.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import catalog, kyfan
 from .report import EQUALITY, VIOLATED, dumps
-from .rng import (DEFAULT_RANGE, SampleStream, sample_exponent, sample_int,
+from .rng import (DEFAULT_RANGE, SampleStream, _log_bounds, sample_exponent, sample_int,
                   sample_kyfan_values, sample_pair, sample_quad)
 
 __all__ = ["SweepConfig", "run_sweep", "run_kyfan_sweep", "resolve_ids",
@@ -32,6 +42,7 @@ _MAX_VIOLATION_ECHOES = 10
 
 #: Sequence entries draw n log-uniform over this range.
 SEQ_N_RANGE = (1, 10 ** 6)
+_SEQ_LN_LO, _SEQ_LN_SPAN = _log_bounds(*SEQ_N_RANGE)
 
 
 def default_workers() -> int:
@@ -87,27 +98,51 @@ def resolve_ids(ids) -> tuple:
     return tuple(seen)
 
 
+def _draw_n(stream, index):
+    # log-uniform integer so every decade of n is exercised
+    lo, hi = SEQ_N_RANGE
+    u = stream.floats(index, 1)[0]
+    n = int(round(math.exp(_SEQ_LN_LO + u * _SEQ_LN_SPAN)))
+    return max(lo, min(hi, n))
+
+
 def _draw_inputs(entry, stream, pstream, index, config):
+    """Evaluator keyword arguments for one sample; a sampled quad goes as ``quad``."""
     if entry.arity == "quad":
-        quad = sample_quad(stream, index, sign=config.sign, bounds=config.bounds)
-        return quad.as_dict()
+        return {"quad": sample_quad(stream, index, sign=config.sign, bounds=config.bounds)}
     if entry.arity == "quad_pq":
         quad = sample_quad(stream, index, sign=config.sign, bounds=config.bounds)
         p = sample_exponent(pstream, index, salt0=1)
         q = sample_exponent(pstream, index, salt0=2)
-        return {**quad.as_dict(), "p": p, "q": q}
+        return {"quad": quad, "p": p, "q": q}
     if entry.arity == "pair":
         min_ratio = catalog.EQ10_MIN_RATIO if entry.id == "EQ10" else 1.0
         a, b = sample_pair(stream, index, bounds=config.bounds, min_ratio=min_ratio)
         return {"a": a, "b": b}
     if entry.arity == "seq_n":
-        lo, hi = SEQ_N_RANGE
-        # log-uniform integer so every decade of n is exercised
-        u = stream.floats(index, 1)[0]
-        import math
-        n = int(round(math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo)))))
-        return {"n": max(lo, min(hi, n))}
+        return {"n": _draw_n(stream, index)}
     raise AssertionError(f"unhandled arity {entry.arity}")
+
+
+def _sequence_draws(stream, indices):
+    """Evaluator keyword arguments for a chunk of sequence samples.
+
+    The chunk's n values go through sequence_link_values in one call; each
+    sample then carries its own row of the seven link values (a view into
+    one array, which holds less memory than a Python float per value).
+    """
+    ns = [_draw_n(stream, index) for index in indices]
+    rows = np.stack(catalog.sequence_link_values(np.array(ns, dtype=float)), axis=1)
+    for n, row in zip(ns, rows):
+        yield {"n": n, "row": row}
+
+
+def _public_inputs(inputs):
+    """The inputs as reports and CSV rows echo them: the quad's coordinates in
+    place of the quad, and no precomputed sequence row."""
+    out = inputs["quad"].as_dict() if "quad" in inputs else {}
+    out.update((k, v) for k, v in inputs.items() if k not in ("quad", "row"))
+    return out
 
 
 @dataclass
@@ -123,14 +158,14 @@ class _Agg:
     def update(self, index, margin, verdict, inputs):
         self.samples_run += 1
         if self.tolerance is not None:
-            violated = margin < -self.tolerance
+            violated = not margin >= -self.tolerance     # a NaN margin is violated
         else:
             violated = verdict == VIOLATED
         if violated:
             self.violation_count += 1
             if len(self.violations) < _MAX_VIOLATION_ECHOES:
                 self.violations.append({"sample_index": index, "margin": margin,
-                                        "inputs": inputs})
+                                        "inputs": _public_inputs(inputs)})
         elif verdict == EQUALITY:
             self.equality_cases += 1
         if margin < self.min_margin or (margin == self.min_margin
@@ -158,12 +193,17 @@ def _run_id_sweep(entry, config, csv_rows):
     def run_chunk(start):
         agg = _Agg(tolerance=config.tolerance)
         rows = [] if csv_rows is not None else None
-        for index in range(start, min(start + _CHUNK, config.samples)):
-            inputs = _draw_inputs(entry, stream, pstream, index, config)
+        indices = range(start, min(start + _CHUNK, config.samples))
+        if entry.arity == "seq_n":
+            draws = _sequence_draws(stream, indices)
+        else:
+            draws = (_draw_inputs(entry, stream, pstream, index, config) for index in indices)
+        for index, inputs in zip(indices, draws):
             rep = entry.evaluate(**inputs)
-            agg.update(index, rep.margin, rep.verdict, inputs)
+            margin = rep.margin
+            agg.update(index, margin, rep.verdict, inputs)
             if rows is not None:
-                rows.append((entry.id, index, dumps(inputs), repr(rep.margin),
+                rows.append((entry.id, index, dumps(_public_inputs(inputs)), repr(margin),
                              rep.verdict))
         return agg, rows
 
@@ -186,7 +226,7 @@ def _run_id_sweep(entry, config, csv_rows):
         "samples_run": agg.samples_run,
         "min_margin": agg.min_margin,
         "argmin_index": agg.argmin_index,
-        "argmin_inputs": argmin_inputs,
+        "argmin_inputs": _public_inputs(argmin_inputs),
         "argmin_margin_replay": replay.margin,
         "equality_cases": agg.equality_cases,
         "violation_count": agg.violation_count,
@@ -234,12 +274,14 @@ def run_kyfan_sweep(config: SweepConfig, csv_path: str | None = None) -> dict:
         for index in range(start, min(start + _CHUNK, config.samples)):
             n = sample_int(nstream, index, nlo, nhi)
             values = sample_kyfan_values(stream, index, n)
+            inputs = {"n": n, "values": values}
+            text = dumps(inputs) if rows is not None else None
             stats = kyfan.compute_stats(kyfan.KyFanSample(values))
             for id, rep in kyfan.all_slacks(stats).items():
-                aggs[id].update(index, rep.margin, rep.verdict, {"n": n, "values": values})
+                margin = rep.margin
+                aggs[id].update(index, margin, rep.verdict, inputs)
                 if rows is not None:
-                    rows.append((id, index, dumps({"n": n, "values": values}),
-                                 repr(rep.margin), rep.verdict))
+                    rows.append((id, index, text, repr(margin), rep.verdict))
         return aggs, rows
 
     t0 = time.monotonic()
@@ -258,18 +300,22 @@ def run_kyfan_sweep(config: SweepConfig, csv_path: str | None = None) -> dict:
         if csv_rows is not None and rows:
             csv_rows.extend(rows)
 
+    # one replay per distinct argmin index serves every id that shares it
+    replays = {}
     results = {}
     for id, agg in totals.items():
-        n = sample_int(nstream, agg.argmin_index, nlo, nhi)
-        values = sample_kyfan_values(stream, agg.argmin_index, n)
-        stats = kyfan.compute_stats(kyfan.KyFanSample(values))
-        replay = kyfan.all_slacks(stats)[id]
+        if agg.argmin_index not in replays:
+            n = sample_int(nstream, agg.argmin_index, nlo, nhi)
+            values = sample_kyfan_values(stream, agg.argmin_index, n)
+            stats = kyfan.compute_stats(kyfan.KyFanSample(values))
+            replays[agg.argmin_index] = n, values, kyfan.all_slacks(stats)
+        n, values, reps = replays[agg.argmin_index]
         results[id] = {
             "samples_run": agg.samples_run,
             "min_margin": agg.min_margin,
             "argmin_index": agg.argmin_index,
             "argmin_inputs": {"n": n, "values": values},
-            "argmin_margin_replay": replay.margin,
+            "argmin_margin_replay": reps[id].margin,
             "equality_cases": agg.equality_cases,
             "violation_count": agg.violation_count,
             "violations": agg.violations,
