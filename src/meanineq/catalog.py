@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable
 
 import numpy as np
 
@@ -23,9 +25,9 @@ from .ratio import (DiscClass, OrderedQuad, ln_identric_ratio_pow,
 from .report import HypothesisViolation, build_report, check_finite_positive
 
 __all__ = [
-    "INEQUALITY_IDS", "REGISTRY", "InequalityEntry", "evaluate",
+    "INEQUALITY_IDS", "REGISTRY", "ARITY_INPUTS", "InequalityEntry", "evaluate", "lookup",
     "slack_eq4", "slack_eq5", "slack_eq6", "slack_eq8", "slack_eq9",
-    "slack_eq10", "slack_eq11", "slack_eq12", "slack_eq13", "chain_eq14",
+    "slack_eq10", "slack_eq11", "slack_eq12", "slack_eq12_quad", "slack_eq13", "chain_eq14",
     "sequence_eq15", "sequence_eq16", "sequence_eq17", "slack_slope3",
     "sequence_link_values", "SEQUENCE_LINK_NAMES",
 ]
@@ -187,6 +189,11 @@ def slack_eq12(x, y):
         on_equality_manifold=abs(delta) <= EQ_MANIFOLD_DIST)
 
 
+def slack_eq12_quad(quad: OrderedQuad):
+    """EQ12 at x = ab, y = cd."""
+    return slack_eq12(quad.a * quad.b, quad.c * quad.d)
+
+
 def _orient(disc_class, slacks):
     if disc_class is DiscClass.NEGATIVE:
         return tuple(-s for s in slacks)
@@ -331,111 +338,104 @@ def slack_slope3(quad: OrderedQuad):
 
 # --- registry ----------------------------------------------------------------
 
+#: Named inputs of each arity, in the order its slack function takes them; the
+#: quad arities first fold a, b, c, d into one OrderedQuad.
+ARITY_INPUTS = {
+    "quad": ("a", "b", "c", "d"),
+    "quad_pq": ("a", "b", "c", "d", "p", "q"),
+    "pair": ("a", "b"),
+    "seq_n": ("n",),
+}
+_GET_INPUTS = {arity: itemgetter(*names) for arity, names in ARITY_INPUTS.items()}
+
+
 @dataclass(frozen=True)
 class InequalityEntry:
     id: str
-    arity: str               # "quad" | "quad_pq" | "pair" | "seq_n"
+    fn: Callable             # the slack function, taking the arity's inputs
+    arity: str               # a key of ARITY_INPUTS
     links: int
     description: str
     scale_invariant: bool    # slack invariant under (a,b,c,d) -> (la,lb,lc,ld)
     relaxed_quad: bool = False
+    xy_form: Callable | None = None   # also evaluable from x, y (EQ12)
 
-    def evaluate(self, **inputs):
-        return _EVALUATORS[self.id](**inputs)
+    def evaluate(self, quad=None, row=None, **inputs):
+        """The slack report at the named inputs; HypothesisViolation on bad ones.
 
-
-def _eval_quad_entry(fn, relaxed=False):
-    def run(a=None, b=None, c=None, d=None, quad=None, **_):
-        if quad is None:
-            try:
-                quad = OrderedQuad(a, b, c, d, relaxed=relaxed)
-            except ValueError as exc:
-                raise HypothesisViolation(str(exc)) from exc
-        return fn(quad)
-    return run
-
-
-def _eval_quad_pq(fn):
-    def run(a=None, b=None, c=None, d=None, p=None, q=None, quad=None, **_):
-        if quad is None:
-            try:
-                quad = OrderedQuad(a, b, c, d)
-            except ValueError as exc:
-                raise HypothesisViolation(str(exc)) from exc
-        if p is None or q is None:
-            raise HypothesisViolation("this entry requires both exponents p and q")
-        return fn(quad, p, q)
-    return run
-
-
-def _eval_eq12(a=None, b=None, c=None, d=None, x=None, y=None, quad=None, **_):
-    if x is not None and y is not None:
-        return slack_eq12(x, y)
-    if quad is None:
+        A sweep passes its sampled ``quad`` (plus p, q where the arity takes
+        them) or a sequence chunk's precomputed ``row`` (plus n) straight
+        through; only named inputs are checked here.
+        """
+        if quad is not None:
+            return self.fn(quad, **inputs)
+        if row is not None:
+            return self.fn(inputs["n"], row)
+        if self.xy_form is not None and "x" in inputs and "y" in inputs:
+            return self.xy_form(inputs["x"], inputs["y"])
         try:
-            quad = OrderedQuad(a, b, c, d)
+            args = _GET_INPUTS[self.arity](inputs)
+        except KeyError:
+            also = " (or x, y)" if self.xy_form is not None else ""
+            raise HypothesisViolation(
+                f"{self.id} requires inputs {', '.join(ARITY_INPUTS[self.arity])}{also}"
+            ) from None
+        if self.arity == "seq_n":        # a getter of one name returns the value itself
+            return self.fn(args)
+        if self.arity == "pair":
+            return self.fn(*args)
+        try:
+            quad = OrderedQuad(*args[:4], relaxed=self.relaxed_quad)
         except ValueError as exc:
             raise HypothesisViolation(str(exc)) from exc
-    return slack_eq12(quad.a * quad.b, quad.c * quad.d)
+        return self.fn(quad, *args[4:])
 
 
-_EVALUATORS = {
-    "EQ4": _eval_quad_pq(slack_eq4),
-    "EQ5": _eval_quad_entry(slack_eq5),
-    "EQ6": lambda a=None, b=None, **_: slack_eq6(a, b),
-    "EQ8": _eval_quad_entry(slack_eq8),
-    "EQ9": _eval_quad_entry(slack_eq9),
-    "EQ10": lambda a=None, b=None, **_: slack_eq10(a, b),
-    "EQ11": _eval_quad_entry(slack_eq11),
-    "EQ12": _eval_eq12,
-    "EQ13": _eval_quad_pq(slack_eq13),
-    "EQ14": _eval_quad_entry(chain_eq14, relaxed=True),
-    "EQ15": lambda n=None, row=None, **_: sequence_eq15(n, row),
-    "EQ16": lambda n=None, row=None, **_: sequence_eq16(n, row),
-    "EQ17": lambda n=None, row=None, **_: sequence_eq17(n, row),
-    "SLOPE_3": _eval_quad_entry(slack_slope3),
-}
-
-REGISTRY = {
-    "EQ4": InequalityEntry("EQ4", "quad_pq", 1,
-                           "tangent bound of the Lp^p ratio at exponent q", True),
-    "EQ5": InequalityEntry("EQ5", "quad", 2,
-                           "two-sided exp bounds of the identric ratio via L", True),
-    "EQ6": InequalityEntry("EQ6", "pair", 2,
-                           "two-sided exp bounds of I(a,b)/b via L(a,b)/b", True),
-    "EQ8": InequalityEntry("EQ8", "quad", 2,
-                           "L ratio vs 1 + ln G ratio vs 2ab/(ab+cd)", True),
-    "EQ9": InequalityEntry("EQ9", "quad", 1,
-                           "L ratio vs ln G ratio / ln I ratio", True),
-    "EQ10": InequalityEntry("EQ10", "pair", 3,
-                            "L/b vs 1 + ln(a/b)/2 vs 2a/(a+b) vs log quotient", True),
-    "EQ11": InequalityEntry("EQ11", "quad", 1,
-                            "ln G ratio vs (ab-cd)/(ab+cd)", True),
-    "EQ12": InequalityEntry("EQ12", "quad", 1,
-                            "half-log of x/y vs (x/y-1)/(x/y+1), x=ab, y=cd", True),
-    "EQ13": InequalityEntry("EQ13", "quad_pq", 1,
-                            "log tangent bound, direction keyed to sign(ad-bc)", True),
-    "EQ14": InequalityEntry("EQ14", "quad", 4,
-                            "mean-ratio chain H,G,L,I,A keyed to sign(ad-bc)", True,
-                            relaxed_quad=True),
-    "EQ15": InequalityEntry("EQ15", "seq_n", 2,
-                            "sequence chain at (n+2, n+1, n+1, n): product vs half-log vs L",
-                            False),
-    "EQ16": InequalityEntry("EQ16", "seq_n", 1,
-                            "sequence bound: log quotient vs L ratio", False),
-    "EQ17": InequalityEntry("EQ17", "seq_n", 4,
-                            "sequence mean-ratio chain (descending case)", False),
-    "SLOPE_3": InequalityEntry("SLOPE_3", "quad", 1,
-                               "chord slopes of r at the quad's own coordinates",
-                               False),
-}
+REGISTRY = {e.id: e for e in (
+    InequalityEntry("EQ4", slack_eq4, "quad_pq", 1,
+                    "tangent bound of the Lp^p ratio at exponent q", True),
+    InequalityEntry("EQ5", slack_eq5, "quad", 2,
+                    "two-sided exp bounds of the identric ratio via L", True),
+    InequalityEntry("EQ6", slack_eq6, "pair", 2,
+                    "two-sided exp bounds of I(a,b)/b via L(a,b)/b", True),
+    InequalityEntry("EQ8", slack_eq8, "quad", 2,
+                    "L ratio vs 1 + ln G ratio vs 2ab/(ab+cd)", True),
+    InequalityEntry("EQ9", slack_eq9, "quad", 1,
+                    "L ratio vs ln G ratio / ln I ratio", True),
+    InequalityEntry("EQ10", slack_eq10, "pair", 3,
+                    "L/b vs 1 + ln(a/b)/2 vs 2a/(a+b) vs log quotient", True),
+    InequalityEntry("EQ11", slack_eq11, "quad", 1,
+                    "ln G ratio vs (ab-cd)/(ab+cd)", True),
+    InequalityEntry("EQ12", slack_eq12_quad, "quad", 1,
+                    "half-log of x/y vs (x/y-1)/(x/y+1), x=ab, y=cd", True,
+                    xy_form=slack_eq12),
+    InequalityEntry("EQ13", slack_eq13, "quad_pq", 1,
+                    "log tangent bound, direction keyed to sign(ad-bc)", True),
+    InequalityEntry("EQ14", chain_eq14, "quad", 4,
+                    "mean-ratio chain H,G,L,I,A keyed to sign(ad-bc)", True,
+                    relaxed_quad=True),
+    InequalityEntry("EQ15", sequence_eq15, "seq_n", 2,
+                    "sequence chain at (n+2, n+1, n+1, n): product vs half-log vs L",
+                    False),
+    InequalityEntry("EQ16", sequence_eq16, "seq_n", 1,
+                    "sequence bound: log quotient vs L ratio", False),
+    InequalityEntry("EQ17", sequence_eq17, "seq_n", 4,
+                    "sequence mean-ratio chain (descending case)", False),
+    InequalityEntry("SLOPE_3", slack_slope3, "quad", 1,
+                    "chord slopes of r at the quad's own coordinates", False),
+)}
 
 INEQUALITY_IDS = tuple(REGISTRY)
 
 
-def evaluate(id, **inputs):
-    """Dispatch an inequality check by id; HypothesisViolation on bad inputs."""
-    entry = REGISTRY.get(id)
+def lookup(id) -> InequalityEntry:
+    """The entry for an id in any letter case; KeyError names the valid ids."""
+    entry = REGISTRY.get(id) or REGISTRY.get(str(id).strip().upper())
     if entry is None:
         raise KeyError(f"unknown inequality id {id!r}; valid ids: {', '.join(INEQUALITY_IDS)}")
-    return entry.evaluate(**inputs)
+    return entry
+
+
+def evaluate(id, **inputs):
+    """Dispatch an inequality check by id; HypothesisViolation on bad inputs."""
+    return (REGISTRY.get(id) or lookup(id)).evaluate(**inputs)

@@ -68,43 +68,19 @@ def _report_exit(verdict):
 
 
 def _cmd_ineq_check(args):
-    entry = catalog.REGISTRY.get(args.id)
-    if entry is None:
-        raise CliError(f"unknown id {args.id!r}; valid ids: "
-                       f"{', '.join(catalog.INEQUALITY_IDS)}")
     inputs = {}
-    for key in ("a", "b", "c", "d", "p", "q", "x", "y"):
+    for key in ("a", "b", "c", "d", "p", "q", "x", "y", "n"):
         val = getattr(args, key)
         if val is not None:
             inputs[key] = val
-    if args.n is not None:
-        inputs["n"] = args.n
-    _check_arity(entry, inputs)
-    rep = entry.evaluate(**inputs)
+    rep = catalog.evaluate(args.id, **inputs)
     _emit(rep.to_dict())
     _note(f"{rep.id}: {rep.verdict} (margin {rep.margin:.6g})")
     return _report_exit(rep.verdict)
 
 
-def _check_arity(entry, inputs):
-    need = {
-        "quad": ("a", "b", "c", "d"),
-        "quad_pq": ("a", "b", "c", "d", "p", "q"),
-        "pair": ("a", "b"),
-        "seq_n": ("n",),
-    }[entry.arity]
-    missing = [k for k in need if k not in inputs]
-    if entry.id == "EQ12" and "x" in inputs and "y" in inputs:
-        missing = []
-    if missing:
-        raise CliError(f"{entry.id} requires flags: {', '.join('--' + k for k in need)}")
-
-
 def _cmd_sweep(args):
-    try:
-        ids = resolve_ids([s for s in args.ids.split(",") if s])
-    except KeyError as exc:
-        raise CliError(str(exc)) from exc
+    ids = resolve_ids([s for s in args.ids.split(",") if s])
     config = SweepConfig(ids=ids, samples=args.samples, seed=args.seed,
                          sign=args.sign, bounds=(args.range_lo, args.range_hi),
                          workers=args.workers)
@@ -129,7 +105,9 @@ def _finish_sweep(report, out_path):
     else:
         sys.stdout.write(payload)
     for id, r in report["results"].items():
-        _note(f"{id}: samples={r['samples_run']} min_margin={r['min_margin']:.6g} "
+        low = r["min_margin"]
+        _note(f"{id}: samples={r['samples_run']} "
+              f"min_margin={'none' if low is None else format(low, '.6g')} "
               f"equality={r['equality_cases']} violations={r['violation_count']}")
     if report["total_violations"]:
         _note(f"TOTAL VIOLATIONS: {report['total_violations']}")

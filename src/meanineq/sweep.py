@@ -7,22 +7,27 @@ an order-independent reduction (minimum with lowest-sample-index tie-break),
 so reports are byte-identical for any worker count; re-evaluating the
 reported argmin inputs reproduces the minimum margin bit-for-bit.
 
-Samples are streamed: each is drawn, evaluated, folded into the aggregate and
-dropped before the next.  The sampled quad goes to the evaluator as is; the
-echoed input dict is built only where a report or CSV row shows it.  Sequence
-ids draw a chunk's n values first and evaluate all their links in one
-vectorised ``sequence_link_values`` call, then build each sample's report
-from its row; the argmin replay takes the scalar path.
+Both sweeps run through one driver over a list of groups: a group is a set
+of ids evaluated from one draw per sample, one id per group for the catalog
+and EQ18..EQ31 together for Ky Fan.  Samples are streamed: each is drawn,
+evaluated, folded into the aggregate and dropped before the next.  The
+sampled quad goes to the evaluator as is; the echoed input dict is built
+only where a report or CSV row shows it.  Sequence ids draw a chunk's n
+values first and evaluate all their links in one vectorised
+``sequence_link_values`` call, then build each sample's report from its row;
+the argmin replay takes the scalar path.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,18 +89,11 @@ def resolve_ids(ids) -> tuple:
         ids = [ids]
     out = []
     for id in ids:
-        token = id.strip().upper()
-        if token == "ALL":
+        if id.strip().upper() == "ALL":
             out.extend(catalog.INEQUALITY_IDS)
-        elif token in catalog.REGISTRY:
-            out.append(token)
         else:
-            raise KeyError(f"unknown inequality id {id!r}; valid ids: "
-                           f"{', '.join(catalog.INEQUALITY_IDS)} (or ALL)")
-    seen = {}
-    for id in out:
-        seen.setdefault(id, None)
-    return tuple(seen)
+            out.append(catalog.lookup(id).id)
+    return tuple(dict.fromkeys(out))
 
 
 def _draw_n(stream, index):
@@ -186,52 +184,124 @@ class _Agg:
             self.argmin_index = other.argmin_index
 
 
-def _run_id_sweep(entry, config, csv_rows):
+class _Group(NamedTuple):
+    """Ids evaluated together from one draw per sample."""
+    ids: tuple
+    draw: Callable                    # index -> inputs; the argmin replay uses it too
+    evaluate: Callable                # inputs -> iterable of (id, SlackReport)
+    draw_chunk: Callable | None = None   # indices -> inputs, drawn a chunk at a time
+
+
+def _catalog_group(entry, config):
     stream = SampleStream(config.seed, f"catalog/{entry.id}")
     pstream = SampleStream(config.seed, f"catalog/{entry.id}/exponents")
 
-    def run_chunk(start):
-        agg = _Agg(tolerance=config.tolerance)
-        rows = [] if csv_rows is not None else None
-        indices = range(start, min(start + _CHUNK, config.samples))
-        if entry.arity == "seq_n":
-            draws = _sequence_draws(stream, indices)
-        else:
-            draws = (_draw_inputs(entry, stream, pstream, index, config) for index in indices)
-        for index, inputs in zip(indices, draws):
-            rep = entry.evaluate(**inputs)
-            margin = rep.margin
-            agg.update(index, margin, rep.verdict, inputs)
-            if rows is not None:
-                rows.append((entry.id, index, dumps(_public_inputs(inputs)), repr(margin),
-                             rep.verdict))
-        return agg, rows
+    def draw(index):
+        return _draw_inputs(entry, stream, pstream, index, config)
 
-    starts = range(0, config.samples, _CHUNK)
+    def evaluate(inputs):
+        return ((entry.id, entry.evaluate(**inputs)),)
+
+    def draw_chunk(indices):
+        return _sequence_draws(stream, indices)
+
+    return _Group((entry.id,), draw, evaluate,
+                  draw_chunk if entry.arity == "seq_n" else None)
+
+
+def _kyfan_group(config):
+    nlo, nhi = config.kyfan_n_range
+    if nlo < 1 or nhi < nlo:
+        raise ValueError("kyfan_n_range must satisfy 1 <= lo <= hi")
+    stream = SampleStream(config.seed, "kyfan/values")
+    nstream = SampleStream(config.seed, "kyfan/n")
+
+    def draw(index):
+        n = sample_int(nstream, index, nlo, nhi)
+        return {"n": n, "values": sample_kyfan_values(stream, index, n)}
+
+    def evaluate(inputs):
+        stats = kyfan.compute_stats(kyfan.KyFanSample(inputs["values"]))
+        return kyfan.all_slacks(stats).items()
+
+    return _Group(kyfan.KYFAN_IDS, draw, evaluate)
+
+
+def _run_groups(kind, config, groups, csv_path):
+    """Run every group over the configured samples and assemble the report.
+
+    The chunks of all groups go through one pool; their aggregates merge in
+    (group, chunk) order, so CSV rows come id-major across groups and
+    sample-major within one.  Each group replays every distinct argmin index
+    once.
+    """
+    t0 = time.monotonic()
+
+    def run_chunk(task):
+        group, start = task
+        aggs = {id: _Agg(tolerance=config.tolerance) for id in group.ids}
+        rows = [] if csv_path else None
+        indices = range(start, min(start + _CHUNK, config.samples))
+        draws = group.draw_chunk(indices) if group.draw_chunk else map(group.draw, indices)
+        for index, inputs in zip(indices, draws):
+            text = dumps(_public_inputs(inputs)) if rows is not None else None
+            for id, rep in group.evaluate(inputs):
+                margin = rep.margin
+                aggs[id].update(index, margin, rep.verdict, inputs)
+                if rows is not None:
+                    rows.append((id, index, text, repr(margin), rep.verdict))
+        return aggs, rows
+
+    tasks = [(group, start) for group in groups for start in range(0, config.samples, _CHUNK)]
     workers = config.workers or default_workers()
-    agg = _Agg(tolerance=config.tolerance)
     if workers <= 1:
-        chunk_results = map(run_chunk, starts)
+        chunk_results = map(run_chunk, tasks)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(run_chunk, starts))
-    for part, rows in chunk_results:
-        agg.merge(part)
-        if csv_rows is not None and rows:
-            csv_rows.extend(rows)
+            chunk_results = list(pool.map(run_chunk, tasks))
+    totals = {id: _Agg(tolerance=config.tolerance) for group in groups for id in group.ids}
+    csv_chunks = []
+    for aggs, rows in chunk_results:
+        for id, agg in aggs.items():
+            totals[id].merge(agg)
+        if rows:
+            csv_chunks.append(rows)
 
-    argmin_inputs = _draw_inputs(entry, stream, pstream, agg.argmin_index, config)
-    replay = entry.evaluate(**argmin_inputs)
-    return {
-        "samples_run": agg.samples_run,
-        "min_margin": agg.min_margin,
-        "argmin_index": agg.argmin_index,
-        "argmin_inputs": _public_inputs(argmin_inputs),
-        "argmin_margin_replay": replay.margin,
-        "equality_cases": agg.equality_cases,
-        "violation_count": agg.violation_count,
-        "violations": agg.violations,
+    results = {}
+    for group in groups:
+        replays = {}
+        for id in group.ids:
+            agg = totals[id]
+            index = agg.argmin_index
+            if index < 0:               # no sample set a minimum: nothing to replay
+                echo = replay = None
+            else:
+                if index not in replays:
+                    inputs = group.draw(index)
+                    replays[index] = _public_inputs(inputs), dict(group.evaluate(inputs))
+                echo, reps = replays[index]
+                replay = reps[id].margin
+            results[id] = {
+                "samples_run": agg.samples_run,
+                "min_margin": agg.min_margin if index >= 0 else None,
+                "argmin_index": index,
+                "argmin_inputs": echo,
+                "argmin_margin_replay": replay,
+                "equality_cases": agg.equality_cases,
+                "violation_count": agg.violation_count,
+                "violations": agg.violations,
+            }
+    report = {
+        "kind": kind,
+        "seed": config.seed,
+        "config": config.to_dict(),
+        "results": results,
+        "total_violations": sum(r["violation_count"] for r in results.values()),
+        "wall_time_s": time.monotonic() - t0,
     }
+    if csv_path:
+        _write_csv(csv_path, itertools.chain.from_iterable(csv_chunks))
+    return report
 
 
 def run_sweep(config: SweepConfig, csv_path: str | None = None) -> dict:
@@ -241,96 +311,13 @@ def run_sweep(config: SweepConfig, csv_path: str | None = None) -> dict:
     ``wall_time_s``) depends only on the config.  ``csv_path`` optionally
     dumps one row per sample.
     """
-    ids = resolve_ids(config.ids)
-    t0 = time.monotonic()
-    csv_rows = [] if csv_path else None
-    results = {}
-    for id in ids:
-        results[id] = _run_id_sweep(catalog.REGISTRY[id], config, csv_rows)
-    report = {
-        "kind": "catalog_sweep",
-        "seed": config.seed,
-        "config": config.to_dict(),
-        "results": results,
-        "total_violations": sum(r["violation_count"] for r in results.values()),
-        "wall_time_s": time.monotonic() - t0,
-    }
-    if csv_path:
-        _write_csv(csv_path, csv_rows)
-    return report
+    groups = [_catalog_group(catalog.REGISTRY[id], config) for id in resolve_ids(config.ids)]
+    return _run_groups("catalog_sweep", config, groups, csv_path)
 
 
 def run_kyfan_sweep(config: SweepConfig, csv_path: str | None = None) -> dict:
     """Evaluate EQ18 .. EQ31 over random Ky Fan samples with random n."""
-    nlo, nhi = config.kyfan_n_range
-    if nlo < 1 or nhi < nlo:
-        raise ValueError("kyfan_n_range must satisfy 1 <= lo <= hi")
-    stream = SampleStream(config.seed, "kyfan/values")
-    nstream = SampleStream(config.seed, "kyfan/n")
-
-    def run_chunk(start):
-        aggs = {id: _Agg(tolerance=config.tolerance) for id in kyfan.KYFAN_IDS}
-        rows = [] if csv_path else None
-        for index in range(start, min(start + _CHUNK, config.samples)):
-            n = sample_int(nstream, index, nlo, nhi)
-            values = sample_kyfan_values(stream, index, n)
-            inputs = {"n": n, "values": values}
-            text = dumps(inputs) if rows is not None else None
-            stats = kyfan.compute_stats(kyfan.KyFanSample(values))
-            for id, rep in kyfan.all_slacks(stats).items():
-                margin = rep.margin
-                aggs[id].update(index, margin, rep.verdict, inputs)
-                if rows is not None:
-                    rows.append((id, index, text, repr(margin), rep.verdict))
-        return aggs, rows
-
-    t0 = time.monotonic()
-    starts = range(0, config.samples, _CHUNK)
-    workers = config.workers or default_workers()
-    if workers <= 1:
-        chunk_results = map(run_chunk, starts)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(run_chunk, starts))
-    totals = {id: _Agg(tolerance=config.tolerance) for id in kyfan.KYFAN_IDS}
-    csv_rows = [] if csv_path else None
-    for aggs, rows in chunk_results:
-        for id in totals:
-            totals[id].merge(aggs[id])
-        if csv_rows is not None and rows:
-            csv_rows.extend(rows)
-
-    # one replay per distinct argmin index serves every id that shares it
-    replays = {}
-    results = {}
-    for id, agg in totals.items():
-        if agg.argmin_index not in replays:
-            n = sample_int(nstream, agg.argmin_index, nlo, nhi)
-            values = sample_kyfan_values(stream, agg.argmin_index, n)
-            stats = kyfan.compute_stats(kyfan.KyFanSample(values))
-            replays[agg.argmin_index] = n, values, kyfan.all_slacks(stats)
-        n, values, reps = replays[agg.argmin_index]
-        results[id] = {
-            "samples_run": agg.samples_run,
-            "min_margin": agg.min_margin,
-            "argmin_index": agg.argmin_index,
-            "argmin_inputs": {"n": n, "values": values},
-            "argmin_margin_replay": reps[id].margin,
-            "equality_cases": agg.equality_cases,
-            "violation_count": agg.violation_count,
-            "violations": agg.violations,
-        }
-    report = {
-        "kind": "kyfan_sweep",
-        "seed": config.seed,
-        "config": config.to_dict(),
-        "results": results,
-        "total_violations": sum(r["violation_count"] for r in results.values()),
-        "wall_time_s": time.monotonic() - t0,
-    }
-    if csv_path:
-        _write_csv(csv_path, csv_rows)
-    return report
+    return _run_groups("kyfan_sweep", config, [_kyfan_group(config)], csv_path)
 
 
 def _write_csv(path, rows):

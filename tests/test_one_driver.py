@@ -1,0 +1,193 @@
+"""One inequality table and one sweep driver.
+
+Every catalog id resolves, validates its named inputs and reports missing
+ones through its ``REGISTRY`` row; catalog and Ky Fan sweeps run through the
+same driver, which draws and evaluates once per (id, sample) plus once per
+argmin replay, at the seams the benchmark's tracer wraps.
+"""
+
+import json
+from collections import Counter
+
+import pytest
+
+from meanineq import catalog, kyfan, sweep
+from meanineq.cli import main
+from meanineq.report import HypothesisViolation
+from meanineq.rng import SampleStream
+from meanineq.sweep import SweepConfig, run_kyfan_sweep, run_sweep
+
+VALID = {
+    "quad": {"a": 4.0, "b": 3.0, "c": 2.0, "d": 1.0},
+    "quad_pq": {"a": 4.0, "b": 3.0, "c": 2.0, "d": 1.0, "p": 2.0, "q": 3.0},
+    "pair": {"a": 4.0, "b": 2.0},
+    "seq_n": {"n": 3},
+}
+NAMES = {"quad": "a, b, c, d", "quad_pq": "a, b, c, d, p, q", "pair": "a, b", "seq_n": "n"}
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _flags(inputs):
+    return [tok for k, v in inputs.items() for tok in (f"--{k}", str(v))]
+
+
+# --- the kyfan-sweep crash on ids that get no sample -------------------------
+
+def test_kyfan_ids_without_samples_report_null(capsys, tmp_path):
+    out = tmp_path / "kf.json"
+    code, _, err = run_cli(capsys, "kyfan-sweep", "--samples", "5", "--n-min", "1",
+                           "--n-max", "1", "--out", str(out))
+    assert code == 0
+    text = out.read_text()
+    assert "Infinity" not in text
+    rep = json.loads(text)
+    assert list(rep["results"]) == list(kyfan.KYFAN_IDS)
+    empty = [id for id, r in rep["results"].items() if r["samples_run"] == 0]
+    assert empty == [f"EQ{k}" for k in range(23, 32)]   # strict: skip constant samples
+    for id, r in rep["results"].items():
+        if id in empty:
+            assert (r["min_margin"], r["argmin_index"], r["argmin_inputs"],
+                    r["argmin_margin_replay"]) == (None, -1, None, None)
+            assert f"{id}: samples=0 min_margin=none " in err
+        else:
+            assert r["samples_run"] == 5
+            assert r["argmin_margin_replay"] == r["min_margin"]
+
+
+def test_kyfan_ids_with_fewer_samples_replay():
+    rep = run_kyfan_sweep(SweepConfig(samples=300, seed=2, kyfan_n_range=(1, 2)))
+    runs = {r["samples_run"] for r in rep["results"].values()}
+    assert 300 in runs and min(runs) < 300
+    for r in rep["results"].values():
+        assert r["argmin_margin_replay"] == r["min_margin"]
+        assert r["argmin_inputs"]["n"] == 2 or r["samples_run"] == 300
+
+
+# --- one id-resolution rule --------------------------------------------------
+
+def test_ineq_check_id_in_any_case(capsys):
+    quad = _flags(VALID["quad"])
+    code, upper, _ = run_cli(capsys, "ineq-check", "--id", "EQ5", *quad)
+    assert code == 0
+    code, lower, _ = run_cli(capsys, "ineq-check", "--id", "eq5", *quad)
+    assert code == 0 and lower == upper
+    code, out, _ = run_cli(capsys, "ineq-check", "--id", "slope_3", *quad)
+    assert code == 0 and json.loads(out)["id"] == "SLOPE_3"
+
+
+def test_unknown_id_message_is_shared(capsys):
+    messages = []
+    for call in (lambda: catalog.evaluate("EQ7"), lambda: sweep.resolve_ids(["EQ7"]),
+                 lambda: catalog.lookup("EQ7")):
+        with pytest.raises(KeyError) as info:
+            call()
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1 and "valid ids: EQ4, EQ5" in messages[0]
+    for argv in (("ineq-check", "--id", "EQ7"), ("sweep", "--ids", "EQ7")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and messages[0] in err
+
+
+# --- consistent missing-input errors ----------------------------------------
+
+@pytest.mark.parametrize("id", catalog.INEQUALITY_IDS)
+def test_missing_input_is_a_hypothesis_violation(capsys, id):
+    entry = catalog.REGISTRY[id]
+    valid = VALID[entry.arity]
+    assert catalog.evaluate(id, **valid).id == id
+    names = NAMES[entry.arity] + (" (or x, y)" if id == "EQ12" else "")
+    for drop in [None, *valid]:
+        inputs = {} if drop is None else {k: v for k, v in valid.items() if k != drop}
+        with pytest.raises(HypothesisViolation) as info:
+            catalog.evaluate(id, **inputs)
+        assert str(info.value) == f"{id} requires inputs {names}"
+        code, out, err = run_cli(capsys, "ineq-check", "--id", id, *_flags(inputs))
+        assert code == 2 and out == "" and str(info.value) in err
+
+
+def test_eq12_xy_form(capsys):
+    code, out, _ = run_cli(capsys, "ineq-check", "--id", "EQ12", "--x", "3", "--y", "2")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["inputs"] == {"x": 3.0, "y": 2.0} and rep["verdict"] == "holds"
+    quad = catalog.evaluate("EQ12", **VALID["quad"])
+    assert quad.inputs == {"x": 12.0, "y": 2.0}
+
+
+# --- the seams the benchmark's tracer wraps ----------------------------------
+
+SAMPLERS = ("sample_quad", "sample_pair", "sample_exponent", "sample_int",
+            "sample_kyfan_values")
+
+
+@pytest.fixture
+def seams(monkeypatch):
+    """Call counters on every wrapped name: (sampler, stream, index), ("evaluate",
+    id) and (kyfan function,)."""
+    calls = Counter()
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key(*args)] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in SAMPLERS:
+        monkeypatch.setattr(sweep, name, counted(getattr(sweep, name),
+                                                 lambda s, i, *_, n=name: (n, s.stream, i)))
+    monkeypatch.setattr(catalog.InequalityEntry, "evaluate",
+                        counted(catalog.InequalityEntry.evaluate,
+                                lambda entry: ("evaluate", entry.id)))
+    for name in ("compute_stats", "all_slacks"):
+        monkeypatch.setattr(kyfan, name, counted(getattr(kyfan, name), lambda _, n=name: (n,)))
+    return calls
+
+
+def _expected(label, seed, samples, replays, per_sample=1):
+    stream = SampleStream(seed, label).stream
+    out = Counter({(stream, i): per_sample for i in range(samples)})
+    out.update({(stream, i): per_sample for i in replays})
+    return out
+
+
+def _by_stream(calls, name):
+    return Counter({key[1:]: n for key, n in calls.items() if key[0] == name})
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_catalog_sweep_seams(seams, workers):
+    samples, seed = 40, 5
+    rep = run_sweep(SweepConfig(ids=("ALL",), samples=samples, seed=seed, workers=workers))
+    want = {name: Counter() for name in SAMPLERS}
+    for id, entry in catalog.REGISTRY.items():
+        assert seams["evaluate", id] == samples + 1, id
+        argmin = [rep["results"][id]["argmin_index"]]
+        if entry.arity in ("quad", "quad_pq"):
+            want["sample_quad"] += _expected(f"catalog/{id}", seed, samples, argmin)
+        if entry.arity == "quad_pq":
+            want["sample_exponent"] += _expected(f"catalog/{id}/exponents", seed, samples,
+                                                 argmin, per_sample=2)
+        if entry.arity == "pair":
+            want["sample_pair"] += _expected(f"catalog/{id}", seed, samples, argmin)
+    for name in SAMPLERS:
+        assert _by_stream(seams, name) == want[name], name
+    assert seams["compute_stats",] == seams["all_slacks",] == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kyfan_sweep_seams(seams, workers):
+    samples, seed = 40, 6
+    rep = run_kyfan_sweep(SweepConfig(samples=samples, seed=seed, workers=workers))
+    argmins = sorted({r["argmin_index"] for r in rep["results"].values()})
+    assert _by_stream(seams, "sample_int") == _expected("kyfan/n", seed, samples, argmins)
+    assert (_by_stream(seams, "sample_kyfan_values")
+            == _expected("kyfan/values", seed, samples, argmins))
+    assert seams["compute_stats",] == seams["all_slacks",] == samples + len(argmins)
+    assert not any(key[0] == "evaluate" for key in seams)
+    for name in ("sample_quad", "sample_pair", "sample_exponent"):
+        assert not _by_stream(seams, name)
