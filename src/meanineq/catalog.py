@@ -12,11 +12,10 @@ stay positive in binary64 up to n = 10**6 and beyond.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
-
-import numpy as np
 
 from .means import (identric_mean, ln_identric, logarithmic_mean,
                     p_logarithmic_mean, P_SNAP, PExponent, ExponentKind)
@@ -25,7 +24,8 @@ from .ratio import (DiscClass, OrderedQuad, ln_identric_ratio_pow,
 from .report import HypothesisViolation, build_report, check_finite_positive
 
 __all__ = [
-    "INEQUALITY_IDS", "REGISTRY", "ARITY_INPUTS", "InequalityEntry", "evaluate", "lookup",
+    "INEQUALITY_IDS", "REGISTRY", "ARITY_INPUTS", "InequalityEntry", "UnknownIdError",
+    "evaluate", "lookup",
     "slack_eq4", "slack_eq5", "slack_eq6", "slack_eq8", "slack_eq9",
     "slack_eq10", "slack_eq11", "slack_eq12", "slack_eq12_quad", "slack_eq13", "chain_eq14",
     "sequence_eq15", "sequence_eq16", "sequence_eq17", "slack_slope3",
@@ -270,6 +270,8 @@ def sequence_link_values(n):
     algebraically and the result keeps absolute accuracy ~1e-22 at n = 10**6,
     three orders below the smallest genuine slack there.
     """
+    import numpy as np      # here, not at the top: only the sequence entries need it
+
     n = np.asarray(n, dtype=float)
     if np.any(n < 1):
         raise HypothesisViolation("sequence entries require n >= 1")
@@ -290,7 +292,8 @@ def sequence_link_values(n):
 
 
 def _check_n(n):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    # int first: it settles a plain int at once, where the ABC check costs ~1 us
+    if isinstance(n, bool) or not isinstance(n, (int, numbers.Integral)):
         raise HypothesisViolation(f"n must be a positive integer, got {n!r}")
     if n < 1:
         raise HypothesisViolation(f"n must be >= 1, got {n}")
@@ -428,11 +431,20 @@ REGISTRY = {e.id: e for e in (
 INEQUALITY_IDS = tuple(REGISTRY)
 
 
+class UnknownIdError(KeyError):
+    """An id outside the catalog.  Prints its message as is, where a plain
+    KeyError's str() would wrap it in quotes."""
+
+    def __str__(self):
+        return str(self.args[0])
+
+
 def lookup(id) -> InequalityEntry:
-    """The entry for an id in any letter case; KeyError names the valid ids."""
+    """The entry for an id in any letter case; UnknownIdError names the valid ids."""
     entry = REGISTRY.get(id) or REGISTRY.get(str(id).strip().upper())
     if entry is None:
-        raise KeyError(f"unknown inequality id {id!r}; valid ids: {', '.join(INEQUALITY_IDS)}")
+        raise UnknownIdError(
+            f"unknown inequality id {id!r}; valid ids: {', '.join(INEQUALITY_IDS)}")
     return entry
 
 

@@ -151,16 +151,27 @@ def _cmd_kyfan_check(args):
     return EXIT_VIOLATION if worst == VIOLATED else EXIT_OK
 
 
+#: The inputs each oracle-compare op takes, checked before the oracle runs.
+_OP_INPUTS = {
+    **dict.fromkeys(("A", "G", "H", "L", "I"), ("a", "b")),
+    "Lp": ("a", "b", "p"),
+    **dict.fromkeys(("f", "g", "f_prime", "g_prime"), ("a", "b", "c", "d", "x")),
+}
+
+
 def _cmd_oracle_compare(args):
     inputs = {}
     for key in ("a", "b", "c", "d", "x", "p"):
         val = getattr(args, key)
         if val is not None:
             inputs[key] = val
+    for key in _OP_INPUTS[args.op]:
+        if key not in inputs:
+            raise CliError(f"--{key} is required for op {args.op}")
     try:
         res = oracle.oracle_eval(args.op, inputs, digits=args.digits)
         fast = _fast_path(args.op, inputs)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
     rel = oracle.oracle_rel_err(fast, res)
     bound = oracle.PUBLISHED_BOUNDS[args.op]
@@ -175,12 +186,7 @@ def _fast_path(op, inputs):
     if op in ("A", "G", "H", "L", "I"):
         return means.evaluate_mean(op, inputs["a"], inputs["b"])
     if op == "Lp":
-        if "p" not in inputs:
-            raise CliError("--p is required for op Lp")
         return means.evaluate_mean("Lp", inputs["a"], inputs["b"], p=inputs["p"])
-    for key in ("a", "b", "c", "d", "x"):
-        if key not in inputs:
-            raise CliError(f"--{key} is required for op {op}")
     quad = ratio.OrderedQuad(inputs["a"], inputs["b"], inputs["c"], inputs["d"])
     fn = {"f": ratio.ratio_value, "g": ratio.log_ratio_value,
           "f_prime": ratio.ratio_derivative, "g_prime": ratio.log_ratio_derivative}[op]

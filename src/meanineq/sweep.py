@@ -29,8 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import catalog, kyfan
 from .report import EQUALITY, VIOLATED, dumps
 from .rng import (DEFAULT_RANGE, SampleStream, _log_bounds, sample_exponent, sample_int,
@@ -129,6 +127,8 @@ def _sequence_draws(stream, indices):
     sample then carries its own row of the seven link values (a view into
     one array, which holds less memory than a Python float per value).
     """
+    import numpy as np      # loaded at the first sequence chunk, never by other sweeps
+
     ns = [_draw_n(stream, index) for index in indices]
     rows = np.stack(catalog.sequence_link_values(np.array(ns, dtype=float)), axis=1)
     for n, row in zip(ns, rows):

@@ -184,3 +184,29 @@ def test_kyfan_check_accepts_json_array(capsys):
     assert data["stats"]["A"] == pytest.approx(0.15)
     code = main(["kyfan-check", "--x", "[bad"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [("ineq-check", "--id", "EQ7"), ("sweep", "--ids", "EQ7")])
+def test_unknown_id_error_is_unquoted(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: unknown inequality id 'EQ7'; valid ids: EQ4, EQ5, EQ6, EQ8, "
+                   "EQ9, EQ10, EQ11, EQ12, EQ13, EQ14, EQ15, EQ16, EQ17, SLOPE_3\n")
+
+
+ORACLE_INPUTS = {"a": "4", "b": "3", "c": "2", "d": "1", "x": "0.5", "p": "2"}
+ORACLE_OP_FLAGS = {"A": "ab", "G": "ab", "H": "ab", "L": "ab", "I": "ab", "Lp": "abp",
+                   "f": "abcdx", "g": "abcdx", "f_prime": "abcdx", "g_prime": "abcdx"}
+
+
+@pytest.mark.parametrize("op,drop", [(op, key) for op, keys in ORACLE_OP_FLAGS.items()
+                                     for key in keys])
+def test_oracle_compare_names_a_missing_flag(capsys, op, drop):
+    flags = [tok for key in ORACLE_OP_FLAGS[op] if key != drop
+             for tok in (f"--{key}", ORACLE_INPUTS[key])]
+    code, out, err = run_cli(capsys, "oracle-compare", "--op", op, *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: --{drop} is required for op {op}\n"
+    code, _, _ = run_cli(capsys, "oracle-compare", "--op", op, *flags,
+                         f"--{drop}", ORACLE_INPUTS[drop])
+    assert code == 0

@@ -1,0 +1,50 @@
+"""numpy is imported only where the sequence entries EQ15..EQ17 evaluate arrays.
+
+Each command runs in a fresh interpreter, because this test process has
+imported numpy already.
+"""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from meanineq import catalog
+from meanineq.report import HypothesisViolation
+
+# Runs the CLI on its arguments (or only imports it, given none), then reports
+# on stderr whether numpy was loaded.
+PROBE = """
+import sys
+from meanineq.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv,loads_numpy", [
+    ((), False),
+    (("ineq-check", "--id", "EQ5", "--a", "4", "--b", "3", "--c", "2", "--d", "1"), False),
+    (("kyfan-sweep", "--samples", "20"), False),
+    (("sweep", "--ids", "EQ5,EQ6", "--samples", "20"), False),
+    (("ineq-check", "--id", "EQ15", "--n", "7"), True),
+    (("sweep", "--ids", "EQ15,EQ16,EQ17", "--samples", "1100", "--workers", "2"), True),
+])
+def test_numpy_loads_only_for_sequence_entries(argv, loads_numpy):
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith(f"numpy loaded: {loads_numpy}\n")
+
+
+@pytest.mark.parametrize("n", [np.int64(7), np.uint8(7)])
+def test_numpy_integers_are_valid_n(n):
+    assert catalog.evaluate("EQ15", n=n).to_json() == catalog.evaluate("EQ15", n=7).to_json()
+
+
+@pytest.mark.parametrize("n", [True, np.bool_(True), 7.0, np.float64(7.0)])
+def test_non_integer_n_is_rejected(n):
+    with pytest.raises(HypothesisViolation, match="n must be a positive integer"):
+        catalog.evaluate("EQ15", n=n)
