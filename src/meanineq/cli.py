@@ -15,7 +15,10 @@ import sys
 from . import catalog, kyfan, means, oracle
 from .report import EQUALITY, HOLDS, VIOLATED, HypothesisViolation, dumps
 from .rng import DEFAULT_RANGE
-from .sweep import SweepConfig, default_workers, resolve_ids, run_kyfan_sweep, run_sweep
+from .sweep import SweepConfig, resolve_ids, run_kyfan_sweep, run_sweep
+
+_WORKERS_HELP = ("worker processes (default $MEANINEQ_WORKERS or 1); "
+                "small sweeps run in-process")
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -169,8 +172,9 @@ def _cmd_oracle_compare(args):
         if key not in inputs:
             raise CliError(f"--{key} is required for op {args.op}")
     try:
-        res = oracle.oracle_eval(args.op, inputs, digits=args.digits)
+        # the binary64 path first: it rejects inputs outside the op's domain
         fast = _fast_path(args.op, inputs)
+        res = oracle.oracle_eval(args.op, inputs, digits=args.digits)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     rel = oracle.oracle_rel_err(fast, res)
@@ -228,8 +232,7 @@ def build_parser():
     p.add_argument("--range-hi", type=float, default=DEFAULT_RANGE[1])
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--csv", default=None, help="per-sample CSV dump")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"worker threads (default ${'{'}MEANINEQ_WORKERS{'}'} or 1)")
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("kyfan-check", help="evaluate EQ18..EQ31 on one sample")
@@ -243,7 +246,7 @@ def build_parser():
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.set_defaults(fn=_cmd_kyfan_sweep)
 
     p = sub.add_parser("oracle-compare", help="binary64 path vs the decimal oracle")

@@ -210,3 +210,14 @@ def test_oracle_compare_names_a_missing_flag(capsys, op, drop):
     code, _, _ = run_cli(capsys, "oracle-compare", "--op", op, *flags,
                          f"--{drop}", ORACLE_INPUTS[drop])
     assert code == 0
+
+
+@pytest.mark.parametrize("op,key", [(op, key) for op, keys in ORACLE_OP_FLAGS.items()
+                                    for key in keys if key in "abcd"])
+def test_oracle_compare_rejects_a_non_positive_coordinate(capsys, op, key):
+    # the binary64 path validates the inputs before the decimal oracle sees them
+    flags = [tok for k in ORACLE_OP_FLAGS[op]
+             for tok in (f"--{k}", "-1" if k == key else ORACLE_INPUTS[k])]
+    code, out, err = run_cli(capsys, "oracle-compare", "--op", op, *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: {key} must be a finite positive real, got -1.0\n"

@@ -48,3 +48,33 @@ def test_numpy_integers_are_valid_n(n):
 def test_non_integer_n_is_rejected(n):
     with pytest.raises(HypothesisViolation, match="n must be a positive integer"):
         catalog.evaluate("EQ15", n=n)
+
+
+# Runs the CLI as PROBE does, then reports whether the process-pool modules
+# were loaded.  Two CPUs are assumed, so the pool's branch is the same on a
+# 1-CPU machine.
+POOL_PROBE = """
+import sys
+from meanineq import sweep
+from meanineq.cli import main
+sweep._cpu_count = lambda: 2
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+loaded = [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+sys.stderr.write(f"pool modules loaded: {loaded}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv,loads_pool", [
+    ((), False),
+    (("sweep", "--ids", "EQ5,EQ6", "--samples", "1100", "--workers", "1"), False),
+    (("sweep", "--ids", "EQ5,EQ6", "--samples", "20", "--workers", "2"), False),
+    (("kyfan-sweep", "--samples", "20", "--workers", "2"), False),
+    (("sweep", "--ids", "EQ5,EQ6", "--samples", "1100", "--workers", "2"), True),
+])
+def test_pool_modules_load_only_for_a_pool(argv, loads_pool):
+    proc = subprocess.run([sys.executable, "-c", POOL_PROBE, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = "['concurrent.futures', 'multiprocessing']" if loads_pool else "[]"
+    assert proc.stderr.endswith(f"pool modules loaded: {loaded}\n")

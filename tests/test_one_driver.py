@@ -7,6 +7,7 @@ argmin replay, at the seams the benchmark's tracer wraps.
 """
 
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -191,3 +192,44 @@ def test_kyfan_sweep_seams(seams, workers):
     assert not any(key[0] == "evaluate" for key in seams)
     for name in ("sample_quad", "sample_pair", "sample_exponent"):
         assert not _by_stream(seams, name)
+
+
+def test_catalog_sweep_draws_in_worker_processes(monkeypatch, tmp_path):
+    """Above the pool floor the chunks draw in worker processes, which a
+    counter in this process cannot see, so each draw is logged to a file."""
+    samples, seed = 2100, 5
+    assert samples * len(catalog.INEQUALITY_IDS) >= 2 * sweep._POOL_FLOOR
+    log = tmp_path / "draws.log"
+
+    def logged(fn, name):
+        def wrapper(stream, index, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()} {stream.stream} {index}\n")
+            return fn(stream, index, *args, **kwargs)
+        return wrapper
+
+    for name in SAMPLERS:
+        monkeypatch.setattr(sweep, name, logged(getattr(sweep, name), name))
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)   # the same on a 1-CPU machine
+    rep = run_sweep(SweepConfig(ids=("ALL",), samples=samples, seed=seed, workers=2))
+
+    seen = {name: Counter() for name in SAMPLERS}
+    pids = set()
+    for line in log.read_text().splitlines():
+        name, pid, stream, index = line.split()
+        seen[name][int(stream), int(index)] += 1
+        pids.add(int(pid))
+    want = {name: Counter() for name in SAMPLERS}
+    for id, entry in catalog.REGISTRY.items():
+        argmin = [rep["results"][id]["argmin_index"]]
+        assert rep["results"][id]["argmin_margin_replay"] == rep["results"][id]["min_margin"]
+        if entry.arity in ("quad", "quad_pq"):
+            want["sample_quad"] += _expected(f"catalog/{id}", seed, samples, argmin)
+        if entry.arity == "quad_pq":
+            want["sample_exponent"] += _expected(f"catalog/{id}/exponents", seed, samples,
+                                                 argmin, per_sample=2)
+        if entry.arity == "pair":
+            want["sample_pair"] += _expected(f"catalog/{id}", seed, samples, argmin)
+    for name in SAMPLERS:
+        assert seen[name] == want[name], name
+    assert len(pids - {os.getpid()}) >= 2

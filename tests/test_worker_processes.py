@@ -1,0 +1,129 @@
+"""Sweeps with ``workers > 1`` run their chunks in worker processes.
+
+A chunk's error reaches the caller unchanged; a caller with other threads
+gets spawned workers, which rebuild each chunk from its task alone; and the
+pool never starts more processes than there are chunks or CPUs, nor any
+below the pool floor.  The draws a pool makes are checked beside the other
+seams in test_one_driver.py.
+"""
+
+import concurrent.futures
+import multiprocessing
+import os
+import threading
+
+import pytest
+
+from meanineq import sweep
+from meanineq.cli import main
+from meanineq.sweep import SweepConfig, run_kyfan_sweep, run_sweep
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_error_reaches_the_caller(monkeypatch, workers):
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
+    config = SweepConfig(ids=("EQ12",), samples=3000, bounds=(1e-300, 1e300), workers=workers)
+    with pytest.raises(ValueError) as info:
+        run_sweep(config)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "x must be a finite positive real, got inf"
+
+
+def test_chunk_error_exits_alike_at_any_worker_count(monkeypatch, capsys):
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
+    outcomes = []
+    for workers in ("1", "2"):
+        code = main(["sweep", "--ids", "EQ12", "--samples", "3000", "--range-lo", "1e-300",
+                     "--range-hi", "1e300", "--workers", workers])
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1] == (2, "", "error: x must be a finite positive real, "
+                                                "got inf\n")
+
+
+def test_threaded_caller_spawns_workers(monkeypatch, tmp_path):
+    methods = []
+    real = multiprocessing.get_context
+
+    def recorded(method=None):
+        methods.append(method)
+        return real(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recorded)
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
+    outputs = []
+    for workers in (1, 2):
+        config = SweepConfig(ids=("EQ5", "EQ15"), samples=1100, seed=8, workers=workers)
+        path = tmp_path / f"rows-{workers}.csv"
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            rep = run_sweep(config, csv_path=str(path))
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        rep.pop("wall_time_s")
+        outputs.append((rep, path.read_bytes()))
+    assert methods == ["spawn"]
+    assert outputs[0] == outputs[1]
+
+
+class FakePool:
+    """Runs each task inline and records the process count it was asked for."""
+
+    created = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("ids,samples,cpus,procs", [
+    (("EQ5",), 2048, 3, 2),             # two chunks: two processes, not three
+    (("ALL",), 2048, 3, 3),             # thirty chunks: as many processes as CPUs
+    (("EQ5", "EQ6"), 3072, 8, 6),       # six chunks on eight CPUs
+])
+def test_process_count_is_capped(monkeypatch, ids, samples, cpus, procs):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(FakePool, "created", [])
+    config = SweepConfig(ids=ids, samples=samples, seed=3, workers=64)
+    rep = run_sweep(config)
+    assert FakePool.created == [procs]
+    rep.pop("wall_time_s")
+    alone = run_sweep(SweepConfig(ids=ids, samples=samples, seed=3, workers=1))
+    alone.pop("wall_time_s")
+    assert rep == alone
+
+
+@pytest.mark.parametrize("workers,ids,samples", [
+    (1, ("EQ5",), 3000),                # one worker: never a pool
+    (2, ("ALL",), 40),                  # 600 evaluations: below the floor
+    (64, ("ALL",), 40),
+])
+def test_no_pool_below_the_floor_or_for_one_worker(monkeypatch, workers, ids, samples):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(FakePool, "created", [])
+    run_sweep(SweepConfig(ids=ids, samples=samples, workers=workers))
+    run_kyfan_sweep(SweepConfig(samples=samples, workers=workers))
+    assert FakePool.created == []
+
+
+def test_cpu_count_is_this_process_share():
+    assert 1 <= sweep._cpu_count() <= (os.cpu_count() or 1)
