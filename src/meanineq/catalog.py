@@ -263,27 +263,25 @@ SEQUENCE_LINK_NAMES = (
 
 
 def sequence_link_values(n):
-    """The seven sequence slacks at n (scalar or ndarray), cancellation-free.
+    """The seven sequence slacks at n, cancellation-free.
 
     Mean ratios for the quadruple (n+2, n+1, n+1, n) reduce to elementary
     expressions; each slack is rearranged so the leading 1's cancel
     algebraically and the result keeps absolute accuracy ~1e-22 at n = 10**6,
     three orders below the smallest genuine slack there.
     """
-    import numpy as np      # here, not at the top: only the sequence entries need it
-
-    n = np.asarray(n, dtype=float)
-    if np.any(n < 1):
+    n = float(n)
+    if n < 1:
         raise HypothesisViolation("sequence entries require n >= 1")
     np1 = n + 1.0
-    l1 = np.log1p(1.0 / np1)                   # ln((n+2)/(n+1))
-    m = np.log1p(-1.0 / (np1 * np1))           # ln(n(n+2)/(n+1)^2)
-    ln_rg = 0.5 * np.log1p(2.0 / n)            # ln G-ratio
+    l1 = math.log1p(1.0 / np1)                 # ln((n+2)/(n+1))
+    m = math.log1p(-1.0 / (np1 * np1))         # ln(n(n+2)/(n+1)^2)
+    ln_rg = 0.5 * math.log1p(2.0 / n)          # ln G-ratio
     ln_ri = n * m + 2.0 * l1                   # ln I-ratio
     rl_minus_1 = -m / l1                       # L-ratio - 1
-    ln_rl = np.log1p(rl_minus_1)               # ln L-ratio
-    ln_ra = np.log1p(2.0 / (2.0 * n + 1.0))    # ln A-ratio
-    ln_rh = np.log1p((2.0 * n + 2.0) / (n * (2.0 * n + 3.0)))  # ln H-ratio
+    ln_rl = math.log1p(rl_minus_1)             # ln L-ratio
+    ln_ra = math.log1p(2.0 / (2.0 * n + 1.0))  # ln A-ratio
+    ln_rh = math.log1p((2.0 * n + 2.0) / (n * (2.0 * n + 3.0)))  # ln H-ratio
     s15a = ln_rg - 1.0 / np1
     s15b = rl_minus_1 - ln_rg
     s16 = rl_minus_1 - (ln_rg - ln_ri) / ln_ri
@@ -300,33 +298,28 @@ def _check_n(n):
     return int(n)
 
 
-def _sequence_report(id, n, picks, links, domain, row=None):
-    """Report at n; ``row`` is the seven link values at n when already computed
-    (a sweep evaluates a whole chunk of n in one sequence_link_values call)."""
+def _sequence_report(id, n, picks, links, domain):
     n = _check_n(n)
-    if row is None:
-        row = sequence_link_values(float(n))
-    slacks = tuple(float(row[i]) for i in picks)
+    row = sequence_link_values(n)
     # comparand scale is O(1/n): the rearranged slacks compare terms that size
     return build_report(
-        id, {"n": n}, links, slacks, domain=domain, scale=3.0 / n,
+        id, {"n": n}, links, tuple(row[i] for i in picks), domain=domain, scale=3.0 / n,
         on_equality_manifold=n >= SEQ_EQUALITY_N)
 
 
-def sequence_eq15(n, row=None):
+def sequence_eq15(n):
     """(n+2)/(n+1) < 1 + ln sqrt((n+2)/n) < ln(1+1/n)/ln(1+1/(n+1))."""
-    return _sequence_report("EQ15", n, (0, 1), SEQUENCE_LINK_NAMES[0:2], "additive", row)
+    return _sequence_report("EQ15", n, (0, 1), SEQUENCE_LINK_NAMES[0:2], "additive")
 
 
-def sequence_eq16(n, row=None):
+def sequence_eq16(n):
     """ln sqrt((n+2)/n) / ln I-ratio < ln(1+1/n)/ln(1+1/(n+1))."""
-    return _sequence_report("EQ16", n, (2,), SEQUENCE_LINK_NAMES[2:3], "additive", row)
+    return _sequence_report("EQ16", n, (2,), SEQUENCE_LINK_NAMES[2:3], "additive")
 
 
-def sequence_eq17(n, row=None):
+def sequence_eq17(n):
     """A-ratio < I-ratio < L-ratio < G-ratio < H-ratio at (n+2, n+1, n+1, n)."""
-    return _sequence_report("EQ17", n, (3, 4, 5, 6), SEQUENCE_LINK_NAMES[3:7], "log_ratio",
-                            row)
+    return _sequence_report("EQ17", n, (3, 4, 5, 6), SEQUENCE_LINK_NAMES[3:7], "log_ratio")
 
 
 def slack_slope3(quad: OrderedQuad):
@@ -363,17 +356,14 @@ class InequalityEntry:
     relaxed_quad: bool = False
     xy_form: Callable | None = None   # also evaluable from x, y (EQ12)
 
-    def evaluate(self, quad=None, row=None, **inputs):
+    def evaluate(self, quad=None, **inputs):
         """The slack report at the named inputs; HypothesisViolation on bad ones.
 
         A sweep passes its sampled ``quad`` (plus p, q where the arity takes
-        them) or a sequence chunk's precomputed ``row`` (plus n) straight
-        through; only named inputs are checked here.
+        them) straight through; only named inputs are checked here.
         """
         if quad is not None:
             return self.fn(quad, **inputs)
-        if row is not None:
-            return self.fn(inputs["n"], row)
         if self.xy_form is not None and "x" in inputs and "y" in inputs:
             return self.xy_form(inputs["x"], inputs["y"])
         try:

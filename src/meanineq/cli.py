@@ -3,8 +3,9 @@
 Subcommands: means-eval, ineq-list, ineq-check, sweep, kyfan-check,
 kyfan-sweep, oracle-compare.  JSON goes to stdout (floats round-trip), the
 human summary to stderr.  Exit codes: 0 all checks hold, 1 a mathematical
-violation was detected, 2 usage or hypothesis error.  The only state a
-command mutates is its --out/--csv file.
+violation was detected, 2 usage or hypothesis error, 3 the run failed (a
+sweep's worker process died).  The only state a command mutates is its
+--out/--csv file.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from . import catalog, kyfan, means, oracle
 from .report import EQUALITY, HOLDS, VIOLATED, HypothesisViolation, dumps
 from .rng import DEFAULT_RANGE
-from .sweep import SweepConfig, resolve_ids, run_kyfan_sweep, run_sweep
+from .sweep import SweepConfig, SweepFailed, resolve_ids, run_kyfan_sweep, run_sweep
 
 _WORKERS_HELP = ("worker processes (default $MEANINEQ_WORKERS or 1); "
                 "small sweeps run in-process")
@@ -23,6 +24,7 @@ _WORKERS_HELP = ("worker processes (default $MEANINEQ_WORKERS or 1); "
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_FAILED = 3
 
 
 class CliError(Exception):
@@ -276,6 +278,9 @@ def main(argv=None):
     except (ValueError, OverflowError, KeyError) as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE
+    except SweepFailed as exc:
+        _note(f"error: {exc}")
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

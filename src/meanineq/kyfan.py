@@ -19,6 +19,7 @@ pure function of the sample.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .means import ln_identric, ln_logarithmic
@@ -33,6 +34,9 @@ __all__ = [
 ]
 
 KYFAN_IDS = tuple(f"EQ{k}" for k in range(18, 32))
+
+#: ln of the largest binary64: math.exp is finite up to here and raises past it.
+_LN_MAX = math.log(sys.float_info.max)
 
 #: Samples whose relative spread is below this count as on the equality
 #: manifold when a margin lands inside the verdict tolerance.  The bound
@@ -217,7 +221,12 @@ def _refinement_links(stats: KyFanStats) -> dict:
     # EQ27: A'/G' < (A'/G')^(ln_s/ln_ir) < (A/G)^secant < A/G < (A'/G')^((A'G'/AG)^(n/2))
     ln_d1 = rp * ln_s / ln_ir
     ln_d2 = r * secant
-    ln_d4 = rp * math.exp(n * ln_s)
+    t = n * ln_s
+    if t <= _LN_MAX:
+        ln_d4 = rp * math.exp(t)
+    else:   # e^t is past binary64 but rp < 1 may bring rp e^t back; +inf if not
+        u = t + math.log(rp)
+        ln_d4 = math.exp(u) if u <= _LN_MAX else math.inf
     out["EQ27"] = (ln_d1 - rp, ln_d2 - ln_d1, r - ln_d2, ln_d4 - r)
 
     # EQ28: pd-ratio < ((A'G')^(n/2) R') / ((AG)^(n/2) R) < (A'G'/(AG))^(n/2)

@@ -12,10 +12,7 @@ of ids evaluated from one draw per sample, one id per group for the catalog
 and EQ18..EQ31 together for Ky Fan.  Samples are streamed: each is drawn,
 evaluated, folded into the aggregate and dropped before the next.  The
 sampled quad goes to the evaluator as is; the echoed input dict is built
-only where a report or CSV row shows it.  Sequence ids draw a chunk's n
-values first and evaluate all their links in one vectorised
-``sequence_link_values`` call, then build each sample's report from its row;
-the argmin replay takes the scalar path.
+only where a report or CSV row shows it.
 
 A chunk of up to ``_CHUNK`` samples of one group is the unit of work.  Its
 task is plain data (sweep kind, config, group position, first index, whether
@@ -24,7 +21,8 @@ returns the chunk's aggregates and its CSV rows as one text block.  With more
 than one worker the chunks run in worker processes: forked where the
 platform allows and no other thread runs, so children start without
 re-importing anything, spawned otherwise.  A sweep too small to repay the
-pool's start-up runs its chunks in the calling process instead.
+pool's start-up runs its chunks in the calling process instead.  A worker
+process that dies ends the sweep with ``SweepFailed``.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from .report import EQUALITY, VIOLATED, dumps
 from .rng import (DEFAULT_RANGE, SampleStream, _log_bounds, sample_exponent, sample_int,
                   sample_kyfan_values, sample_pair, sample_quad)
 
-__all__ = ["SweepConfig", "run_sweep", "run_kyfan_sweep", "resolve_ids",
+__all__ = ["SweepConfig", "SweepFailed", "run_sweep", "run_kyfan_sweep", "resolve_ids",
            "WORKERS_ENV"]
 
 #: Environment variable supplying the default worker count.
@@ -61,6 +59,10 @@ _POOL_FLOOR = 1024
 #: Sequence entries draw n log-uniform over this range.
 SEQ_N_RANGE = (1, 10 ** 6)
 _SEQ_LN_LO, _SEQ_LN_SPAN = _log_bounds(*SEQ_N_RANGE)
+
+
+class SweepFailed(RuntimeError):
+    """The sweep could not finish, for a reason other than its inputs."""
 
 
 def default_workers() -> int:
@@ -135,26 +137,11 @@ def _draw_inputs(entry, stream, pstream, index, config):
     raise AssertionError(f"unhandled arity {entry.arity}")
 
 
-def _sequence_draws(stream, indices):
-    """Evaluator keyword arguments for a chunk of sequence samples.
-
-    The chunk's n values go through sequence_link_values in one call; each
-    sample then carries its own row of the seven link values (a view into
-    one array, which holds less memory than a Python float per value).
-    """
-    import numpy as np      # loaded at the first sequence chunk, never by other sweeps
-
-    ns = [_draw_n(stream, index) for index in indices]
-    rows = np.stack(catalog.sequence_link_values(np.array(ns, dtype=float)), axis=1)
-    for n, row in zip(ns, rows):
-        yield {"n": n, "row": row}
-
-
 def _public_inputs(inputs):
     """The inputs as reports and CSV rows echo them: the quad's coordinates in
-    place of the quad, and no precomputed sequence row."""
+    place of the quad."""
     out = inputs["quad"].as_dict() if "quad" in inputs else {}
-    out.update((k, v) for k, v in inputs.items() if k not in ("quad", "row"))
+    out.update((k, v) for k, v in inputs.items() if k != "quad")
     return out
 
 
@@ -204,7 +191,6 @@ class _Group(NamedTuple):
     ids: tuple
     draw: Callable                    # index -> inputs; the argmin replay uses it too
     evaluate: Callable                # inputs -> iterable of (id, SlackReport)
-    draw_chunk: Callable | None = None   # indices -> inputs, drawn a chunk at a time
 
 
 def _catalog_group(entry, config):
@@ -217,11 +203,7 @@ def _catalog_group(entry, config):
     def evaluate(inputs):
         return ((entry.id, entry.evaluate(**inputs)),)
 
-    def draw_chunk(indices):
-        return _sequence_draws(stream, indices)
-
-    return _Group((entry.id,), draw, evaluate,
-                  draw_chunk if entry.arity == "seq_n" else None)
+    return _Group((entry.id,), draw, evaluate)
 
 
 def _kyfan_group(config):
@@ -260,9 +242,8 @@ def _run_chunk(task):
     group = _group(kind, config, pos)
     aggs = {id: _Agg(tolerance=config.tolerance) for id in group.ids}
     rows = [] if want_rows else None
-    indices = range(start, min(start + _CHUNK, config.samples))
-    draws = group.draw_chunk(indices) if group.draw_chunk else map(group.draw, indices)
-    for index, inputs in zip(indices, draws):
+    for index in range(start, min(start + _CHUNK, config.samples)):
+        inputs = group.draw(index)
         text = dumps(_public_inputs(inputs)) if rows is not None else None
         for id, rep in group.evaluate(inputs):
             margin = rep.margin
@@ -290,14 +271,15 @@ def _chunk_results(tasks, evals, workers):
     Runs in up to ``min(workers, tasks, CPUs)`` worker processes, or in this
     process when that is one or the sweep's ``evals`` fall below the pool
     floor.  A chunk's exception reaches the caller as raised, and the chunks
-    still queued are cancelled.
+    still queued are cancelled; a worker process that dies raises
+    ``SweepFailed``.
     """
     procs = min(workers, len(tasks), _cpu_count())
     if procs <= 1 or evals < procs * _POOL_FLOOR:
         return map(_run_chunk, tasks)
     import multiprocessing
     import threading
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     # fork starts the children without re-importing anything, but a lock that
     # another thread holds at the fork stays held in the child for good
@@ -305,9 +287,11 @@ def _chunk_results(tasks, evals, workers):
             and "fork" in multiprocessing.get_all_start_methods())
     context = multiprocessing.get_context("fork" if fork else "spawn")
     with ProcessPoolExecutor(max_workers=procs, mp_context=context) as pool:
-        futures = [pool.submit(_run_chunk, task) for task in tasks]
         try:
+            futures = [pool.submit(_run_chunk, task) for task in tasks]
             return [future.result() for future in futures]
+        except BrokenExecutor as exc:
+            raise SweepFailed("a worker process died before its chunk finished") from exc
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -326,8 +310,6 @@ def _run_groups(kind, config, n_groups, csv_path):
     tasks = [(kind, config, pos, start, bool(csv_path))
              for pos in range(n_groups) for start in range(0, config.samples, _CHUNK)]
     evals = config.samples * sum(len(group.ids) for group in groups)
-    if any(group.draw_chunk for group in groups):
-        import numpy    # noqa: F401  # sequence chunks need it: load it once, before any fork
     totals = {id: _Agg(tolerance=config.tolerance) for group in groups for id in group.ids}
     csv_blocks = []
     for aggs, block in _chunk_results(tasks, evals, config.workers or default_workers()):

@@ -1,6 +1,7 @@
 import math
+import sys
 
-import numpy as np
+import mpmath
 import pytest
 
 from meanineq import catalog
@@ -24,6 +25,22 @@ EQ5_CHAIN = (1.794923676034446, 2.370370370370370, 4.093583875932733)
 
 def all_positive(report):
     return all(s > 0 for s in report.slacks)
+
+
+def exact_sequence_links(n):
+    """The seven sequence slacks at n from the mean ratios' definitions, at 60 digits."""
+    log = mpmath.log
+    with mpmath.workdps(60):
+        d = mpmath.mpf(n)
+        a, b, c = d + 2, d + 1, d + 1
+        ln_g = (log(a) + log(b) - log(c) - log(d)) / 2
+        ln_i = (a * log(a) - b * log(b)) - (c * log(c) - d * log(d))   # a - b = c - d = 1
+        l_ratio = log(c / d) / log(a / b)
+        ln_a = log((a + b) / (c + d))
+        ln_h = log(a * b / (a + b)) - log(c * d / (c + d))
+        ln_l = log(l_ratio)
+        return (1 + ln_g - a / b, l_ratio - 1 - ln_g, l_ratio - ln_g / ln_i,
+                ln_i - ln_a, ln_l - ln_i, ln_g - ln_l, ln_h - ln_g)
 
 
 class TestEq4:
@@ -178,13 +195,18 @@ class TestSequences:
                 assert all_positive(rep), (n, rep.slacks)
                 assert rep.verdict in (HOLDS, EQUALITY)
 
-    def test_vectorized_matches_scalar(self):
-        ns = np.array([1.0, 7.0, 123.0, 9999.0])
-        vec = sequence_link_values(ns)
-        for j, n in enumerate(ns):
-            scalar = sequence_link_values(float(n))
-            for k in range(7):
-                assert float(vec[k][j]) == float(scalar[k])
+    @pytest.mark.parametrize("n", [1, 2, 10, 999, 1000, 3162, 31623, 10 ** 6])
+    def test_links_match_exact_values(self, n):
+        # absolute error within 8 eps of the comparands' O(1/n) size; EQ16's
+        # quotient link within 8 eps outright
+        eps = sys.float_info.epsilon
+        got = sequence_link_values(n)
+        for k, exact in enumerate(exact_sequence_links(n)):
+            assert (got[k] > 0) == (exact > 0) and exact != 0, (n, k)
+            with mpmath.workdps(60):
+                err = abs(mpmath.mpf(got[k]) - exact)
+                bound = 8 * eps * (1 if k == 2 else abs(exact) + mpmath.mpf(1) / n)
+                assert err <= bound, (n, k, float(err), float(bound))
 
     def test_rejects_bad_n(self):
         for bad in (0, -3, 1.5, "x", True):

@@ -1,9 +1,13 @@
+import json
 import math
 import random
+import sys
 
+import mpmath
 import pytest
 
 from meanineq import catalog
+from meanineq.cli import main
 from meanineq.kyfan import (KYFAN_IDS, KyFanSample, all_slacks, bridge_slacks,
                             classic_slacks, complement_ratio_probe,
                             compute_stats, refinement_slacks)
@@ -209,3 +213,28 @@ class TestProbeAndBridge:
                 assert margin18 < prev
             prev = margin18
         assert prev < 1e-3
+
+
+def test_wide_n_sweep_finishes(capsys):
+    # EQ27's last member is rp e^(n ln_s); at n in the thousands e^(n ln_s)
+    # is past binary64, and the sweep must still finish
+    assert main(["kyfan-sweep", "--samples", "50", "--n-max", "10000"]) == 0
+    assert json.loads(capsys.readouterr().out)["total_violations"] == 0
+
+
+@pytest.mark.parametrize("n", [574, 576, 578, 3000])
+def test_eq27_tail_near_and_past_binary64(n):
+    # evenly spread samples have ln_s ~ 1.235 and rp ~ 0.019: e^(n ln_s) is
+    # finite at n = 574 and past binary64 from 576 on, while the member
+    # rp e^(n ln_s) is finite up to n = 576 and past binary64 from 578 on
+    stats = compute_stats(KyFanSample([0.001 + 0.499 * i / (n - 1) for i in range(n)]))
+    reps = all_slacks(stats)
+    assert all(rep.verdict != VIOLATED for rep in reps.values())
+    ln_s = 0.5 * ((stats.ln_a_prime + stats.ln_g_prime) - (stats.ln_a + stats.ln_g))
+    with mpmath.workdps(30):
+        exact = mpmath.mpf(stats.r_prime) * mpmath.exp(n * mpmath.mpf(ln_s)) - stats.r
+        tail = reps["EQ27"].slacks[3]
+        if exact > sys.float_info.max:
+            assert tail == math.inf
+        else:
+            assert abs(tail - exact) <= 1e-12 * exact

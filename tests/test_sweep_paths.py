@@ -1,8 +1,8 @@
 """The streamed sweep path agrees with the public one-call-per-sample API.
 
-The sweep passes sampled quads straight to the evaluators and evaluates the
-sequence ids a chunk at a time; every sample it reports must match what
-``catalog.evaluate(id, **inputs)`` gives for the echoed inputs.
+The sweep passes sampled quads straight to the evaluators; every sample it
+reports must match what ``catalog.evaluate(id, **inputs)`` gives for the
+echoed inputs.
 """
 
 import csv
@@ -63,19 +63,28 @@ def test_sweep_matches_public_evaluate(tmp_path, seed):
         assert result["argmin_margin_replay"] == result["min_margin"], id
 
 
-def test_chunked_sequence_reports_match_scalar(monkeypatch):
+def test_sequence_rows_match_scalar(monkeypatch, tmp_path):
     ns = (1, 2, 999, 1000, 10 ** 6)
     # place each n at many chunk positions, the short tail included
     monkeypatch.setattr(sweep, "_draw_n", lambda stream, index: ns[index % len(ns)])
-    chunks = (range(0, sweep._CHUNK), range(sweep._CHUNK, SAMPLES))
-    for id in SEQ_IDS:
-        entry = catalog.REGISTRY[id]
-        for indices in chunks:
-            for index, inputs in zip(indices, sweep._sequence_draws(None, indices)):
-                n = ns[index % len(ns)]
-                assert inputs["n"] == n
-                assert (entry.evaluate(**inputs).to_json()
-                        == catalog.evaluate(id, n=n).to_json()), (id, n, index)
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
+    outputs = []
+    for workers in (1, 2):
+        path = tmp_path / f"rows-{workers}.csv"
+        rep = run_sweep(SweepConfig(ids=SEQ_IDS, samples=SAMPLES, workers=workers),
+                        csv_path=str(path))
+        rep.pop("wall_time_s")
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == SAMPLES * len(SEQ_IDS)
+        for row in rows:
+            n = ns[int(row["sample_index"]) % len(ns)]
+            assert json.loads(row["inputs"]) == {"n": n}
+            again = catalog.evaluate(row["id"], n=n)
+            assert row["margin"] == repr(again.margin), row
+            assert row["verdict"] == again.verdict, row
+        outputs.append((dumps(rep), rows))
+    assert outputs[0] == outputs[1]
 
 
 def test_one_quad_per_sample(monkeypatch):
@@ -103,4 +112,3 @@ def test_public_inputs_echo_quad_coordinates():
     inputs = {"quad": quad, "p": 0.5, "q": 2.0}
     assert sweep._public_inputs(inputs) == {**quad.as_dict(), "p": 0.5, "q": 2.0}
     assert list(sweep._public_inputs(inputs)) == ["a", "b", "c", "d", "p", "q"]
-    assert sweep._public_inputs({"n": 4, "row": (0.0,) * 7}) == {"n": 4}

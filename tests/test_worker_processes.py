@@ -1,7 +1,8 @@
 """Sweeps with ``workers > 1`` run their chunks in worker processes.
 
-A chunk's error reaches the caller unchanged; a caller with other threads
-gets spawned workers, which rebuild each chunk from its task alone; and the
+A chunk's error reaches the caller unchanged; a worker that dies ends the
+run with exit code 3 and one error line; a caller with other threads gets
+spawned workers, which rebuild each chunk from its task alone; and the
 pool never starts more processes than there are chunks or CPUs, nor any
 below the pool floor.  The draws a pool makes are checked beside the other
 seams in test_one_driver.py.
@@ -10,6 +11,8 @@ seams in test_one_driver.py.
 import concurrent.futures
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -39,6 +42,41 @@ def test_chunk_error_exits_alike_at_any_worker_count(monkeypatch, capsys):
         outcomes.append((code, captured.out, captured.err))
     assert outcomes[0] == outcomes[1] == (2, "", "error: x must be a finite positive real, "
                                                 "got inf\n")
+
+
+# Runs the CLI with two CPUs assumed, after making the worker that gets the
+# first chunk SIGKILL itself; forked workers inherit the wrapped _run_chunk.
+DYING_WORKER_PROBE = """
+import functools, os, signal, sys
+from meanineq import sweep
+from meanineq.cli import main
+sweep._cpu_count = lambda: 2
+real = sweep._run_chunk
+caller = os.getpid()
+
+@functools.wraps(real)
+def dying(task):
+    if os.getpid() != caller and task[2:4] == (0, 0):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(task)
+
+sweep._run_chunk = dying
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the probe reaches the workers by forking")
+def test_dead_worker_exits_3_with_one_error_line():
+    proc = subprocess.run(
+        [sys.executable, "-c", DYING_WORKER_PROBE, "sweep", "--ids", "EQ5,EQ6",
+         "--samples", "3000", "--workers", "2"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 def test_threaded_caller_spawns_workers(monkeypatch, tmp_path):
