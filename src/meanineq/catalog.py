@@ -355,6 +355,7 @@ class InequalityEntry:
     scale_invariant: bool    # slack invariant under (a,b,c,d) -> (la,lb,lc,ld)
     relaxed_quad: bool = False
     xy_form: Callable | None = None   # also evaluable from x, y (EQ12)
+    min_ratio: float = 1.0   # a pair arity's sampled a/b stays at or above this
 
     def evaluate(self, quad=None, **inputs):
         """The slack report at the named inputs; HypothesisViolation on bad ones.
@@ -396,7 +397,8 @@ REGISTRY = {e.id: e for e in (
     InequalityEntry("EQ9", slack_eq9, "quad", 1,
                     "L ratio vs ln G ratio / ln I ratio", True),
     InequalityEntry("EQ10", slack_eq10, "pair", 3,
-                    "L/b vs 1 + ln(a/b)/2 vs 2a/(a+b) vs log quotient", True),
+                    "L/b vs 1 + ln(a/b)/2 vs 2a/(a+b) vs log quotient", True,
+                    min_ratio=EQ10_MIN_RATIO),
     InequalityEntry("EQ11", slack_eq11, "quad", 1,
                     "ln G ratio vs (ab-cd)/(ab+cd)", True),
     InequalityEntry("EQ12", slack_eq12_quad, "quad", 1,

@@ -18,8 +18,7 @@ from .report import EQUALITY, HOLDS, VIOLATED, HypothesisViolation, dumps
 from .rng import DEFAULT_RANGE
 from .sweep import SweepConfig, SweepFailed, resolve_ids, run_kyfan_sweep, run_sweep
 
-_WORKERS_HELP = ("worker processes (default $MEANINEQ_WORKERS or 1); "
-                "small sweeps run in-process")
+_WORKERS_HELP = "worker processes (default 1); small sweeps run in-process"
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -234,7 +233,7 @@ def build_parser():
     p.add_argument("--range-hi", type=float, default=DEFAULT_RANGE[1])
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--csv", default=None, help="per-sample CSV dump")
-    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("kyfan-check", help="evaluate EQ18..EQ31 on one sample")
@@ -248,7 +247,7 @@ def build_parser():
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
-    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.set_defaults(fn=_cmd_kyfan_sweep)
 
     p = sub.add_parser("oracle-compare", help="binary64 path vs the decimal oracle")

@@ -105,8 +105,24 @@ def build_report(id, inputs, links, slacks, domain, scale=1.0, on_equality_manif
 
 
 def dumps(obj) -> str:
-    """Serialize with sorted keys; floats use shortest round-trip form."""
-    return json.dumps(obj, sort_keys=True, allow_nan=True)
+    """Serialize as strict JSON with sorted keys; floats use shortest round-trip
+    form.  A non-finite float becomes the string ``"inf"``, ``"-inf"`` or
+    ``"nan"``, its repr, as the CSV margin column writes it."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError:                  # a non-finite float somewhere: the rare case
+        return json.dumps(_finite(obj), sort_keys=True, allow_nan=False)
+
+
+def _finite(obj):
+    """A copy of ``obj`` with each non-finite float replaced by its repr."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
 
 
 def check_finite_positive(name, x):

@@ -77,51 +77,45 @@ def _log_bounds(lo, hi):
     return ln_lo, math.log(hi) - ln_lo
 
 
+#: The discriminant classes each sign constraint accepts.
+_ACCEPTED = {
+    "any": (DiscClass.POSITIVE, DiscClass.NEGATIVE),
+    "positive": (DiscClass.POSITIVE,),
+    "negative": (DiscClass.NEGATIVE,),
+    "zero": (DiscClass.ZERO,),
+}
+
+
 def sample_quad(stream: SampleStream, index: int, sign: str = "any",
-                bounds=DEFAULT_RANGE, b_eq_c_prob: float = B_EQ_C_PROB) -> OrderedQuad:
+                bounds=DEFAULT_RANGE) -> OrderedQuad:
     """Draw an ordered quadruple a > b >= c > d > 0, log-uniform over bounds.
 
     ``sign`` constrains the discriminant class of ad - bc: "any", "positive",
     "negative", or "zero" (the latter solves d = bc/a from three draws).
-    Ties b = c appear with probability ``b_eq_c_prob``.  Deterministic in
+    Ties b = c appear with probability ``B_EQ_C_PROB``.  Deterministic in
     (stream, index); rejection redraws are salted, never sequential.
     """
     lo, hi = bounds
     if not (0.0 < lo < hi):
         raise ValueError("bounds must satisfy 0 < lo < hi")
-    want = sign.lower()
-    if want not in ("any", "positive", "negative", "zero"):
+    accepted = _ACCEPTED.get(sign.lower())
+    if accepted is None:
         raise ValueError(f"unknown sign constraint {sign!r}")
+    k = 3 if DiscClass.ZERO in accepted else 4       # coordinates drawn
     ln_lo, ln_span = _log_bounds(lo, hi)
     for attempt in range(MAX_REDRAWS):
-        if want == "zero":
-            us = stream.floats(index, 4, salt=attempt)
-            vals = sorted((math.exp(ln_lo + u * ln_span) for u in us[:3]), reverse=True)
-            a, b, c = vals
-            if us[3] < b_eq_c_prob:
-                c = b
-            d = b * c / a
-            if not (a > b >= c > d > 0.0):
-                continue
-            quad = OrderedQuad(a, b, c, d)
-            if quad.disc_class is not DiscClass.ZERO:
-                continue
-            return quad
-        us = stream.floats(index, 5, salt=attempt)
-        vals = sorted((math.exp(ln_lo + u * ln_span) for u in us[:4]), reverse=True)
+        us = stream.floats(index, k + 1, salt=attempt)
+        vals = sorted((math.exp(ln_lo + u * ln_span) for u in us[:k]), reverse=True)
+        if us[k] < B_EQ_C_PROB:
+            vals[2] = vals[1]                           # the tie b = c
+        if k == 3:
+            vals.append(vals[1] * vals[2] / vals[0])    # d = bc/a
         a, b, c, d = vals
-        if us[4] < b_eq_c_prob:
-            c = b
         if not (a > b >= c > d > 0.0):
             continue
         quad = OrderedQuad(a, b, c, d)
-        if want == "positive" and quad.disc_class is not DiscClass.POSITIVE:
-            continue
-        if want == "negative" and quad.disc_class is not DiscClass.NEGATIVE:
-            continue
-        if want == "any" and quad.disc_class is DiscClass.ZERO:
-            continue
-        return quad
+        if quad.disc_class in accepted:
+            return quad
     raise SamplingError(f"no valid quad for sign={sign!r} within {MAX_REDRAWS} redraws")
 
 
@@ -150,11 +144,11 @@ def sample_exponent(stream: SampleStream, index: int, lo: float = -3.0,
     raise SamplingError("no valid exponent within the redraw cap")
 
 
-def sample_int(stream: SampleStream, index: int, lo: int, hi: int, salt: int = 0) -> int:
+def sample_int(stream: SampleStream, index: int, lo: int, hi: int) -> int:
     """Integer uniform on [lo, hi], inclusive."""
     if hi < lo:
         raise ValueError("empty integer range")
-    (w,) = stream.words(index, 1, salt=salt)
+    (w,) = stream.words(index, 1)
     return lo + w % (hi - lo + 1)
 
 

@@ -40,11 +40,7 @@ from .report import EQUALITY, VIOLATED, dumps
 from .rng import (DEFAULT_RANGE, SampleStream, _log_bounds, sample_exponent, sample_int,
                   sample_kyfan_values, sample_pair, sample_quad)
 
-__all__ = ["SweepConfig", "SweepFailed", "run_sweep", "run_kyfan_sweep", "resolve_ids",
-           "WORKERS_ENV"]
-
-#: Environment variable supplying the default worker count.
-WORKERS_ENV = "MEANINEQ_WORKERS"
+__all__ = ["SweepConfig", "SweepFailed", "run_sweep", "run_kyfan_sweep", "resolve_ids"]
 
 _CHUNK = 1024
 _MAX_VIOLATION_ECHOES = 10
@@ -65,13 +61,6 @@ class SweepFailed(RuntimeError):
     """The sweep could not finish, for a reason other than its inputs."""
 
 
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     ids: tuple = ("ALL",)
@@ -80,22 +69,24 @@ class SweepConfig:
     sign: str = "any"                    # quad discriminant constraint
     bounds: tuple = DEFAULT_RANGE        # log-uniform coordinate bounds
     kyfan_n_range: tuple = (2, 20)
-    tolerance: float | None = None       # when set, a sample counts as a
-                                         # violation iff margin < -tolerance
-    workers: int | None = None
+    workers: int = 1
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not (0.0 < self.bounds[0] < self.bounds[1]):
             raise ValueError("bounds lower bound must be positive and below the upper")
+        nlo, nhi = self.kyfan_n_range
+        if nlo < 1 or nhi < nlo:
+            raise ValueError("kyfan_n_range must satisfy 1 <= lo <= hi")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
     def to_dict(self) -> dict:
         return {
             "ids": list(self.ids), "samples": self.samples, "seed": self.seed,
             "sign": self.sign, "bounds": list(self.bounds),
             "kyfan_n_range": list(self.kyfan_n_range),
-            "tolerance": self.tolerance,
         }
 
 
@@ -129,8 +120,7 @@ def _draw_inputs(entry, stream, pstream, index, config):
         q = sample_exponent(pstream, index, salt0=2)
         return {"quad": quad, "p": p, "q": q}
     if entry.arity == "pair":
-        min_ratio = catalog.EQ10_MIN_RATIO if entry.id == "EQ10" else 1.0
-        a, b = sample_pair(stream, index, bounds=config.bounds, min_ratio=min_ratio)
+        a, b = sample_pair(stream, index, bounds=config.bounds, min_ratio=entry.min_ratio)
         return {"a": a, "b": b}
     if entry.arity == "seq_n":
         return {"n": _draw_n(stream, index)}
@@ -147,7 +137,6 @@ def _public_inputs(inputs):
 
 @dataclass
 class _Agg:
-    tolerance: float | None = None
     samples_run: int = 0
     equality_cases: int = 0
     min_margin: float = float("inf")
@@ -157,11 +146,7 @@ class _Agg:
 
     def update(self, index, margin, verdict, inputs):
         self.samples_run += 1
-        if self.tolerance is not None:
-            violated = not margin >= -self.tolerance     # a NaN margin is violated
-        else:
-            violated = verdict == VIOLATED
-        if violated:
+        if verdict == VIOLATED:
             self.violation_count += 1
             if len(self.violations) < _MAX_VIOLATION_ECHOES:
                 self.violations.append({"sample_index": index, "margin": margin,
@@ -208,8 +193,6 @@ def _catalog_group(entry, config):
 
 def _kyfan_group(config):
     nlo, nhi = config.kyfan_n_range
-    if nlo < 1 or nhi < nlo:
-        raise ValueError("kyfan_n_range must satisfy 1 <= lo <= hi")
     stream = SampleStream(config.seed, "kyfan/values")
     nstream = SampleStream(config.seed, "kyfan/n")
 
@@ -240,7 +223,7 @@ def _run_chunk(task):
     """
     kind, config, pos, start, want_rows = task
     group = _group(kind, config, pos)
-    aggs = {id: _Agg(tolerance=config.tolerance) for id in group.ids}
+    aggs = {id: _Agg() for id in group.ids}
     rows = [] if want_rows else None
     for index in range(start, min(start + _CHUNK, config.samples)):
         inputs = group.draw(index)
@@ -310,9 +293,9 @@ def _run_groups(kind, config, n_groups, csv_path):
     tasks = [(kind, config, pos, start, bool(csv_path))
              for pos in range(n_groups) for start in range(0, config.samples, _CHUNK)]
     evals = config.samples * sum(len(group.ids) for group in groups)
-    totals = {id: _Agg(tolerance=config.tolerance) for group in groups for id in group.ids}
+    totals = {id: _Agg() for group in groups for id in group.ids}
     csv_blocks = []
-    for aggs, block in _chunk_results(tasks, evals, config.workers or default_workers()):
+    for aggs, block in _chunk_results(tasks, evals, config.workers):
         for id, agg in aggs.items():
             totals[id].merge(agg)
         if block:

@@ -221,3 +221,39 @@ def test_oracle_compare_rejects_a_non_positive_coordinate(capsys, op, key):
     code, out, err = run_cli(capsys, "oracle-compare", "--op", op, *flags)
     assert code == 2 and out == ""
     assert err == f"error: {key} must be a finite positive real, got -1.0\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "kyfan-sweep"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_2(capsys, command, workers):
+    assert run_cli(capsys, command, "--samples", "10", "--workers", workers) == (
+        2, "", "error: workers must be >= 1\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("means-eval", "--a", "4", "--b", "2", "--mean", "L", "--p", "1"),
+     "error: --p is only valid with --mean Lp"),
+    (("kyfan-check", "--x", " "), "error: empty sample"),
+    (("ineq-check", "--id", "EQ14", "--a", "1", "--b", "2", "--c", "3", "--d", "4"),
+     "hypothesis violation: require a >= b >= c >= d > 0, got (1.0, 2.0, 3.0, 4.0)"),
+    (("kyfan-sweep", "--n-min", "5", "--n-max", "2", "--workers", "1"),
+     "error: kyfan_n_range must satisfy 1 <= lo <= hi"),
+    (("kyfan-sweep", "--n-min", "5", "--n-max", "2", "--workers", "2"),
+     "error: kyfan_n_range must satisfy 1 <= lo <= hi"),
+])
+def test_rejected_input_exits_2_with_one_line(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err + "\n")
+
+
+def test_kyfan_check_writes_strict_json(capsys):
+    # EQ27's last member is past binary64 at n = 3000: its slack is +inf,
+    # which JSON cannot carry as a number
+    values = ",".join(repr(0.001 + 0.499 * i / 2999) for i in range(3000))
+    code, out, _ = run_cli(capsys, "kyfan-check", "--x", values)
+
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant}")
+
+    data = json.loads(out, parse_constant=reject)
+    assert code == 0
+    assert data["reports"]["EQ27"]["slacks"][-1] == "inf"

@@ -112,9 +112,9 @@ class TestOracleAgreement:
     def test_against_oracle(self):
         cases = [
             ("f", Q431, 0.0), ("f", Q431, 1e-9), ("f", Q431, -4.2), ("f", Q821, 3.3),
-            ("g", Q821, 2.5), ("g", Q431, -1.1),
+            ("g", Q821, 2.5), ("g", Q431, -1.1), ("g", Q431, 0.0),
             ("g_prime", Q431, 0.0), ("g_prime", Q821, 0.02), ("g_prime", Q821, 1.5),
-            ("f_prime", Q431, 1.0), ("f_prime", Q821, -2.0),
+            ("f_prime", Q431, 1.0), ("f_prime", Q821, -2.0), ("f_prime", Q431, 0.0),
         ]
         fns = {"f": ratio_value, "g": log_ratio_value,
                "g_prime": log_ratio_derivative, "f_prime": ratio_derivative}

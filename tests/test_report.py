@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from meanineq.report import EQUALITY, HOLDS, VIOLATED, SlackReport, build_report
+from meanineq.report import EQUALITY, HOLDS, VIOLATED, SlackReport, build_report, dumps
 from meanineq.sweep import _Agg
 
 
@@ -33,14 +33,24 @@ class TestNanVerdicts:
         assert rep.verdict == EQUALITY
         assert rep.margin == -1e-12
 
-    def test_tolerance_override_counts_nan_as_violation(self):
-        agg = _Agg(tolerance=1e-3)
+    def test_nan_violated_sample_counts_and_echoes(self):
+        agg = _Agg()
         agg.update(0, math.nan, VIOLATED, {"a": 1.0})
         agg.update(1, 0.5, HOLDS, {"a": 2.0})
         assert agg.violation_count == 1
+        assert agg.samples_run == 2
         assert agg.violations[0]["sample_index"] == 0
+        assert math.isnan(agg.violations[0]["margin"])
+        assert agg.violations[0]["inputs"] == {"a": 1.0}
 
     def test_report_is_immutable(self):
         rep = build_report("X", {"a": 1.0}, ("s",), (1.0,), "log_ratio")
         with pytest.raises(AttributeError):
             rep.verdict = VIOLATED
+
+
+class TestStrictJson:
+    def test_non_finite_floats_become_their_repr(self):
+        assert dumps([math.inf, -math.inf, math.nan]) == '["inf", "-inf", "nan"]'
+        assert (dumps({"b": (1.5, math.inf), "a": {"x": -math.inf}})
+                == '{"a": {"x": "-inf"}, "b": [1.5, "inf"]}')

@@ -4,13 +4,15 @@ A chunk's error reaches the caller unchanged; a worker that dies ends the
 run with exit code 3 and one error line; a caller with other threads gets
 spawned workers, which rebuild each chunk from its task alone; and the
 pool never starts more processes than there are chunks or CPUs, nor any
-below the pool floor.  The draws a pool makes are checked beside the other
-seams in test_one_driver.py.
+below the pool floor or when only the environment asks for workers.  A Ky
+Fan sweep gives the same report and CSV in a pool as in-process.  The draws
+a pool makes are checked beside the other seams in test_one_driver.py.
 """
 
 import concurrent.futures
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -79,7 +81,9 @@ def test_dead_worker_exits_3_with_one_error_line():
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
-def test_threaded_caller_spawns_workers(monkeypatch, tmp_path):
+@pytest.fixture
+def start_methods(monkeypatch):
+    """The start method of each pool a sweep makes, in order."""
     methods = []
     real = multiprocessing.get_context
 
@@ -88,6 +92,10 @@ def test_threaded_caller_spawns_workers(monkeypatch, tmp_path):
         return real(method)
 
     monkeypatch.setattr(multiprocessing, "get_context", recorded)
+    return methods
+
+
+def test_threaded_caller_spawns_workers(monkeypatch, tmp_path, start_methods):
     monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
     outputs = []
     for workers in (1, 2):
@@ -104,7 +112,7 @@ def test_threaded_caller_spawns_workers(monkeypatch, tmp_path):
         assert not other.is_alive()
         rep.pop("wall_time_s")
         outputs.append((rep, path.read_bytes()))
-    assert methods == ["spawn"]
+    assert start_methods == ["spawn"]
     assert outputs[0] == outputs[1]
 
 
@@ -161,6 +169,31 @@ def test_no_pool_below_the_floor_or_for_one_worker(monkeypatch, workers, ids, sa
     run_sweep(SweepConfig(ids=ids, samples=samples, workers=workers))
     run_kyfan_sweep(SweepConfig(samples=samples, workers=workers))
     assert FakePool.created == []
+
+
+def test_environment_does_not_set_the_worker_count(monkeypatch, capsys):
+    monkeypatch.setenv("MEANINEQ_WORKERS", "2")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(FakePool, "created", [])
+    run_sweep(SweepConfig(ids=("EQ5",), samples=3000))
+    assert main(["kyfan-sweep", "--samples", "3000"]) == 0
+    capsys.readouterr()
+    assert FakePool.created == []
+
+
+def test_kyfan_sweep_identical_across_worker_counts(monkeypatch, capsys, tmp_path,
+                                                    start_methods):
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
+    outputs = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"rows-{workers}.csv"
+        code = main(["kyfan-sweep", "--samples", "3000", "--csv", str(path),
+                     "--workers", workers])
+        report = re.sub(r'"wall_time_s": [^,}]*', "", capsys.readouterr().out)
+        outputs.append((code, report, path.read_bytes()))
+    assert len(start_methods) == 1      # workers 2 ran in a pool, workers 1 did not
+    assert outputs[0] == outputs[1]
 
 
 def test_cpu_count_is_this_process_share():
