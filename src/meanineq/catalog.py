@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .means import (identric_mean, ln_identric, logarithmic_mean,
                     p_logarithmic_mean, P_SNAP, PExponent, ExponentKind)
@@ -345,8 +344,7 @@ ARITY_INPUTS = {
 _GET_INPUTS = {arity: itemgetter(*names) for arity, names in ARITY_INPUTS.items()}
 
 
-@dataclass(frozen=True)
-class InequalityEntry:
+class InequalityEntry(NamedTuple):
     id: str
     fn: Callable             # the slack function, taking the arity's inputs
     arity: str               # a key of ARITY_INPUTS
@@ -367,16 +365,17 @@ class InequalityEntry:
             return self.fn(quad, **inputs)
         if self.xy_form is not None and "x" in inputs and "y" in inputs:
             return self.xy_form(inputs["x"], inputs["y"])
+        arity = self.arity
         try:
-            args = _GET_INPUTS[self.arity](inputs)
+            args = _GET_INPUTS[arity](inputs)
         except KeyError:
             also = " (or x, y)" if self.xy_form is not None else ""
             raise HypothesisViolation(
-                f"{self.id} requires inputs {', '.join(ARITY_INPUTS[self.arity])}{also}"
+                f"{self.id} requires inputs {', '.join(ARITY_INPUTS[arity])}{also}"
             ) from None
-        if self.arity == "seq_n":        # a getter of one name returns the value itself
+        if arity == "seq_n":             # a getter of one name returns the value itself
             return self.fn(args)
-        if self.arity == "pair":
+        if arity == "pair":
             return self.fn(*args)
         try:
             quad = OrderedQuad(*args[:4], relaxed=self.relaxed_quad)

@@ -11,6 +11,7 @@ sweep's worker process died).  The only state a command mutates is its
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import catalog, kyfan, means, oracle
@@ -259,10 +260,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call rather than at import, then reused."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0,) else 0

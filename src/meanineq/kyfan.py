@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .means import ln_identric, ln_logarithmic
 from .ratio import OrderedQuad, log_ratio_value, ratio_value
@@ -46,20 +46,25 @@ _LN_MAX = math.log(sys.float_info.max)
 SPREAD_EQUALITY = 5e-2
 
 
-@dataclass(frozen=True)
-class KyFanSample:
-    """n reals in (0, 1/2]; values outside the interval are rejected, not clamped."""
-
+# A NamedTuple body cannot define __new__, so KyFanSample's checks sit in a
+# subclass; _make and _replace skip them.
+class _KyFanSampleFields(NamedTuple):
     values: tuple
 
-    def __init__(self, values):
+
+class KyFanSample(_KyFanSampleFields):
+    """n reals in (0, 1/2]; values outside the interval are rejected, not clamped."""
+
+    __slots__ = ()
+
+    def __new__(cls, values):
         vals = tuple(float(v) for v in values)
         if len(vals) < 1:
             raise ValueError("sample needs at least one value")
         for v in vals:
             if not (math.isfinite(v) and 0.0 < v <= 0.5):
                 raise ValueError(f"sample values must lie in (0, 1/2], got {v!r}")
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, vals)
 
     @property
     def n(self) -> int:
@@ -70,8 +75,7 @@ class KyFanSample:
         return max(self.values) - min(self.values) <= 0.0
 
 
-@dataclass(frozen=True)
-class KyFanStats:
+class KyFanStats(NamedTuple):
     """Derived means: A, G of the sample, A', G' of the complements, plus logs.
 
     ``r`` and ``r_prime`` are ln(A/G) and ln(A'/G') computed through log1p on

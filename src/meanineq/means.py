@@ -17,8 +17,8 @@ degree-1 homogeneity survives to a few ulp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .report import check_finite_positive
 
@@ -44,8 +44,7 @@ class ExponentKind(Enum):
     MINUS_ONE_LIMIT = "minus_one_limit"
 
 
-@dataclass(frozen=True)
-class PExponent:
+class PExponent(NamedTuple):
     """Real exponent of the p-logarithmic mean with its limit-point tag."""
 
     value: float

@@ -13,8 +13,8 @@ is the power-difference ratio (a^x - b^x)/(c^x - d^x) and g = ln f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from typing import NamedTuple
 
 __all__ = ["OracleResult", "oracle_eval", "oracle_rel_err", "ORACLE_OP_TAGS",
            "PUBLISHED_BOUNDS"]
@@ -33,8 +33,7 @@ PUBLISHED_BOUNDS = {
 _BASE_GUARD = 15
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     op: str
     value: Decimal
     digits: int

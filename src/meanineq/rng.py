@@ -17,7 +17,7 @@ import struct
 from .ratio import DiscClass, OrderedQuad
 
 __all__ = ["SampleStream", "SamplingError", "sample_quad", "sample_pair",
-           "sample_exponent", "sample_kyfan_values", "sample_int",
+           "sample_exponent", "sample_kyfan_values", "sample_int", "accepted_classes",
            "DEFAULT_RANGE", "B_EQ_C_PROB", "KYFAN_EPS"]
 
 _MASK = (1 << 64) - 1
@@ -86,6 +86,14 @@ _ACCEPTED = {
 }
 
 
+def accepted_classes(sign: str) -> tuple:
+    """The discriminant classes a sign constraint accepts, in any letter case."""
+    accepted = _ACCEPTED.get(sign.lower())
+    if accepted is None:
+        raise ValueError(f"unknown sign constraint {sign!r}")
+    return accepted
+
+
 def sample_quad(stream: SampleStream, index: int, sign: str = "any",
                 bounds=DEFAULT_RANGE) -> OrderedQuad:
     """Draw an ordered quadruple a > b >= c > d > 0, log-uniform over bounds.
@@ -98,9 +106,7 @@ def sample_quad(stream: SampleStream, index: int, sign: str = "any",
     lo, hi = bounds
     if not (0.0 < lo < hi):
         raise ValueError("bounds must satisfy 0 < lo < hi")
-    accepted = _ACCEPTED.get(sign.lower())
-    if accepted is None:
-        raise ValueError(f"unknown sign constraint {sign!r}")
+    accepted = accepted_classes(sign)
     k = 3 if DiscClass.ZERO in accepted else 4       # coordinates drawn
     ln_lo, ln_span = _log_bounds(lo, hi)
     for attempt in range(MAX_REDRAWS):

@@ -32,13 +32,12 @@ import io
 import math
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import catalog, kyfan
 from .report import EQUALITY, VIOLATED, dumps
-from .rng import (DEFAULT_RANGE, SampleStream, _log_bounds, sample_exponent, sample_int,
-                  sample_kyfan_values, sample_pair, sample_quad)
+from .rng import (DEFAULT_RANGE, SampleStream, _log_bounds, accepted_classes, sample_exponent,
+                  sample_int, sample_kyfan_values, sample_pair, sample_quad)
 
 __all__ = ["SweepConfig", "SweepFailed", "run_sweep", "run_kyfan_sweep", "resolve_ids"]
 
@@ -61,8 +60,9 @@ class SweepFailed(RuntimeError):
     """The sweep could not finish, for a reason other than its inputs."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+# A NamedTuple body cannot define __new__, so SweepConfig's checks sit in a
+# subclass; _make and _replace skip them.
+class _SweepFields(NamedTuple):
     ids: tuple = ("ALL",)
     samples: int = 1000
     seed: int = 0
@@ -71,7 +71,14 @@ class SweepConfig:
     kyfan_n_range: tuple = (2, 20)
     workers: int = 1
 
-    def __post_init__(self):
+
+class SweepConfig(_SweepFields):
+    """A sweep's settings, checked when built; chunk tasks carry it to workers."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not (0.0 < self.bounds[0] < self.bounds[1]):
@@ -81,6 +88,9 @@ class SweepConfig:
             raise ValueError("kyfan_n_range must satisfy 1 <= lo <= hi")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        accepted_classes(self.sign)          # each raises on an unknown value
+        resolve_ids(self.ids)
+        return self
 
     def to_dict(self) -> dict:
         return {
@@ -112,19 +122,20 @@ def _draw_n(stream, index):
 
 def _draw_inputs(entry, stream, pstream, index, config):
     """Evaluator keyword arguments for one sample; a sampled quad goes as ``quad``."""
-    if entry.arity == "quad":
+    arity = entry.arity
+    if arity == "quad":
         return {"quad": sample_quad(stream, index, sign=config.sign, bounds=config.bounds)}
-    if entry.arity == "quad_pq":
+    if arity == "quad_pq":
         quad = sample_quad(stream, index, sign=config.sign, bounds=config.bounds)
         p = sample_exponent(pstream, index, salt0=1)
         q = sample_exponent(pstream, index, salt0=2)
         return {"quad": quad, "p": p, "q": q}
-    if entry.arity == "pair":
+    if arity == "pair":
         a, b = sample_pair(stream, index, bounds=config.bounds, min_ratio=entry.min_ratio)
         return {"a": a, "b": b}
-    if entry.arity == "seq_n":
+    if arity == "seq_n":
         return {"n": _draw_n(stream, index)}
-    raise AssertionError(f"unhandled arity {entry.arity}")
+    raise AssertionError(f"unhandled arity {arity}")
 
 
 def _public_inputs(inputs):
@@ -135,14 +146,19 @@ def _public_inputs(inputs):
     return out
 
 
-@dataclass
 class _Agg:
-    samples_run: int = 0
-    equality_cases: int = 0
-    min_margin: float = float("inf")
-    argmin_index: int = -1
-    violations: list = field(default_factory=list)
-    violation_count: int = 0
+    """One id's counts, minimum margin and echoed violations over its samples."""
+
+    __slots__ = ("samples_run", "equality_cases", "min_margin", "argmin_index",
+                 "violations", "violation_count")
+
+    def __init__(self):
+        self.samples_run = 0
+        self.equality_cases = 0
+        self.min_margin = float("inf")
+        self.argmin_index = -1
+        self.violations = []
+        self.violation_count = 0
 
     def update(self, index, margin, verdict, inputs):
         self.samples_run += 1

@@ -218,14 +218,20 @@ class TestSweep:
             SweepConfig(samples=0)
         with pytest.raises(ValueError):
             SweepConfig(bounds=(-1.0, 2.0))
+        assert SweepConfig(ids=()).ids == ()      # as Ky Fan sweeps build it
 
-    @pytest.mark.parametrize("kwargs,message", [
-        ({"workers": 0}, "workers must be >= 1"),
-        ({"workers": -1}, "workers must be >= 1"),
-        ({"kyfan_n_range": (5, 2)}, "kyfan_n_range must satisfy 1 <= lo <= hi"),
-        ({"kyfan_n_range": (0, 3)}, "kyfan_n_range must satisfy 1 <= lo <= hi"),
-    ], ids=["workers=0", "workers=-1", "n_range=5,2", "n_range=0,3"])
-    def test_config_rejects_bad_workers_and_n_range(self, kwargs, message):
-        with pytest.raises(ValueError) as info:
+    @pytest.mark.parametrize("kwargs,error,message", [
+        ({"workers": 0}, ValueError, "workers must be >= 1"),
+        ({"workers": -1}, ValueError, "workers must be >= 1"),
+        ({"kyfan_n_range": (5, 2)}, ValueError, "kyfan_n_range must satisfy 1 <= lo <= hi"),
+        ({"kyfan_n_range": (0, 3)}, ValueError, "kyfan_n_range must satisfy 1 <= lo <= hi"),
+        ({"ids": ("EQ5",), "samples": 3, "sign": "sideways"}, ValueError,
+         "unknown sign constraint 'sideways'"),
+        ({"ids": ("EQ7",)}, catalog.UnknownIdError,
+         "unknown inequality id 'EQ7'; valid ids: " + ", ".join(catalog.INEQUALITY_IDS)),
+    ], ids=["workers=0", "workers=-1", "n_range=5,2", "n_range=0,3", "sign=sideways",
+            "ids=EQ7"])
+    def test_config_rejects_bad_workers_and_n_range(self, kwargs, error, message):
+        with pytest.raises(error) as info:
             SweepConfig(**kwargs)
         assert str(info.value) == message

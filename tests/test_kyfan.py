@@ -25,7 +25,11 @@ class TestSampleAndStats:
         for bad in ([0.0, 0.1], [0.6], [-0.1], [float("nan")], []):
             with pytest.raises(ValueError):
                 KyFanSample(bad)
+        for bad in (math.nextafter(0.5, 1.0), -0.0, math.inf):
+            with pytest.raises(ValueError, match=r"sample values must lie in \(0, 1/2\]"):
+                KyFanSample([0.25, bad])
         KyFanSample([0.5])     # right endpoint included
+        assert KyFanSample(v for v in (0.25, 0.5)).values == (0.25, 0.5)
 
     def test_worked_stats(self):
         s = stats_of([0.1, 0.2])

@@ -1,4 +1,5 @@
-"""No command imports numpy, the sequence entries EQ15..EQ17 included.
+"""No command imports numpy, the sequence entries EQ15..EQ17 included, nor
+``dataclasses`` and the ``inspect`` module it pulls in.
 
 Each command runs in a fresh interpreter, because this test process has
 imported numpy already.  numpy integers are still valid inputs.
@@ -14,14 +15,23 @@ from meanineq import catalog
 from meanineq.report import HypothesisViolation
 
 # Runs the CLI on its arguments (or only imports it, given none), then reports
-# on stderr whether numpy was loaded.
+# on stderr which of numpy, dataclasses and inspect were loaded.
 PROBE = """
 import sys
 from meanineq.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}\\n")
+loaded = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+sys.stderr.write(f"loaded: {' '.join(loaded)}\\n")
 sys.exit(code)
 """
+
+
+def _probe(argv):
+    """The modules PROBE reports loaded after running the CLI on ``argv``."""
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1].removeprefix("loaded:").split()
 
 
 @pytest.mark.parametrize("argv,loads_numpy", [
@@ -33,10 +43,18 @@ sys.exit(code)
     (("sweep", "--ids", "EQ15,EQ16,EQ17", "--samples", "1100", "--workers", "2"), False),
 ])
 def test_numpy_loads_only_for_sequence_entries(argv, loads_numpy):
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.endswith(f"numpy loaded: {loads_numpy}\n")
+    assert ("numpy" in _probe(argv)) == loads_numpy
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("ineq-check", "--id", "EQ5", "--a", "4", "--b", "3", "--c", "2", "--d", "1"),
+    ("kyfan-sweep", "--samples", "50"),
+    ("sweep", "--ids", "all", "--samples", "20"),
+], ids=["import", "ineq-check", "kyfan-sweep", "sweep"])
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    loaded = _probe(argv)
+    assert "dataclasses" not in loaded and "inspect" not in loaded, loaded
 
 
 @pytest.mark.parametrize("n", [np.int64(7), np.uint8(7)])

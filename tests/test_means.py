@@ -60,6 +60,14 @@ class TestWorkedValues:
         assert PExponent.from_value(1e-6).kind is ExponentKind.ZERO_LIMIT
         assert PExponent.from_value(-1.0 - 1e-6).kind is ExponentKind.MINUS_ONE_LIMIT
         assert PExponent.from_value(-1.0 - 2e-6).kind is ExponentKind.GENERIC
+        for p in (0, 0.0, means.P_SNAP, -means.P_SNAP):
+            assert PExponent.from_value(p).kind is ExponentKind.ZERO_LIMIT, p
+        for p in (-1, -1.0):
+            assert PExponent.from_value(p).kind is ExponentKind.MINUS_ONE_LIMIT, p
+        for p in (2 * means.P_SNAP, -2 * means.P_SNAP, 0.5):
+            assert PExponent.from_value(p).kind is ExponentKind.GENERIC, p
+        px = PExponent.from_value(-1)
+        assert px.value == -1.0 and type(px.value) is float
 
     def test_chain_worked(self):
         assert mean_chain_slacks(1, 1) == (0.0, 0.0, 0.0, 0.0)
