@@ -65,7 +65,7 @@ def _mean_decimal(op, a, b, p=None):
     if op == "A":
         return (a + b) / two
     if op == "G":
-        return _exp((_ln(a) + _ln(b)) / two)
+        return (a * b).sqrt()
     if op == "H":
         return two / (1 / a + 1 / b)
     if a == b:
@@ -86,10 +86,8 @@ def _mean_decimal(op, a, b, p=None):
     raise ValueError(f"unsupported mean op {op!r}")
 
 
-def _identric_of_powers(u_ln, v_ln):
-    """ln I(e^u_ln, e^v_ln) in decimal."""
-    u = _exp(u_ln)
-    v = _exp(v_ln)
+def _identric_of_powers(u, v, u_ln, v_ln):
+    """ln I(u, v) in decimal, given u = e^u_ln and v = e^v_ln."""
     if u == v:
         return u_ln
     return -1 + (u * u_ln - v * v_ln) / (u - v)
@@ -156,15 +154,15 @@ def _oracle_core(op, inputs):
             return gp0
         return f0 * gp0  # f_prime
 
-    num = _exp(dx * ln_a) - _exp(dx * ln_b)
-    den = _exp(dx * ln_c) - _exp(dx * ln_d)
-    f = num / den
-    if op == "f":
-        return f
-    if op == "g":
-        return _ln(f)
-    gp = (_identric_of_powers(dx * ln_a, dx * ln_b)
-          - _identric_of_powers(dx * ln_c, dx * ln_d)) / dx
+    xa, xb, xc, xd = dx * ln_a, dx * ln_b, dx * ln_c, dx * ln_d
+    pa, pb, pc, pd = _exp(xa), _exp(xb), _exp(xc), _exp(xd)
+    if op != "g_prime":
+        f = (pa - pb) / (pc - pd)
+        if op == "f":
+            return f
+        if op == "g":
+            return _ln(f)
+    gp = (_identric_of_powers(pa, pb, xa, xb) - _identric_of_powers(pc, pd, xc, xd)) / dx
     if op == "g_prime":
         return gp
     return f * gp  # f_prime

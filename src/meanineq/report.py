@@ -38,7 +38,11 @@ class HypothesisViolation(ValueError):
     """Inputs fail an inequality's hypothesis (distinct from a violated slack)."""
 
 
-class SlackReport(NamedTuple):
+# A NamedTuple body cannot define __new__, so the seven-field SlackReport call
+# that derives the margin sits in a subclass.  build_report, which has the
+# margin at hand, skips it and calls tuple.__new__ as _make does, without
+# _make's Python frame; _replace skips it too.
+class _SlackReportFields(NamedTuple):
     id: str
     inputs: dict
     links: tuple
@@ -46,10 +50,18 @@ class SlackReport(NamedTuple):
     domain: str            # "log_ratio" or "additive"
     tolerance: float
     verdict: str
+    margin: float          # the smallest slack; NaN if any slack is NaN
 
-    @property
-    def margin(self) -> float:
-        return _margin(self.slacks)
+
+class SlackReport(_SlackReportFields):
+    __slots__ = ()
+
+    def __new__(cls, id, inputs, links, slacks, domain, tolerance, verdict):
+        return super().__new__(cls, id, inputs, links, slacks, domain, tolerance, verdict,
+                               _margin(slacks))
+
+    def __getnewargs__(self):
+        return self[:7]                  # pickle and copy rebuild through __new__
 
     def to_dict(self) -> dict:
         return {
@@ -100,8 +112,8 @@ def build_report(id, inputs, links, slacks, domain, scale=1.0, on_equality_manif
         verdict = HOLDS
     else:
         verdict = VIOLATED
-    return SlackReport(str(id), dict(inputs), links, slacks, domain, float(tolerance),
-                       verdict)
+    return tuple.__new__(SlackReport, (str(id), dict(inputs), links, slacks, domain,
+                                       float(tolerance), verdict, margin))
 
 
 def dumps(obj) -> str:

@@ -79,6 +79,8 @@ class SweepConfig(_SweepFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if isinstance(self.ids, str):        # one id, not a sequence of its letters
+            self = self._replace(ids=(self.ids,))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not (0.0 < self.bounds[0] < self.bounds[1]):

@@ -220,6 +220,14 @@ class TestSweep:
             SweepConfig(bounds=(-1.0, 2.0))
         assert SweepConfig(ids=()).ids == ()      # as Ky Fan sweeps build it
 
+    def test_string_ids_echo_as_one_id(self):
+        config = SweepConfig(ids="EQ5", samples=3)
+        assert config.ids == ("EQ5",)
+        rep = run_sweep(config)
+        assert rep["config"]["ids"] == ["EQ5"]
+        assert list(rep["results"]) == ["EQ5"]
+        assert SweepConfig("all", 3).to_dict()["ids"] == ["all"]
+
     @pytest.mark.parametrize("kwargs,error,message", [
         ({"workers": 0}, ValueError, "workers must be >= 1"),
         ({"workers": -1}, ValueError, "workers must be >= 1"),

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 
@@ -47,6 +48,53 @@ class TestNanVerdicts:
         rep = build_report("X", {"a": 1.0}, ("s",), (1.0,), "log_ratio")
         with pytest.raises(AttributeError):
             rep.verdict = VIOLATED
+
+
+class TestStoredMargin:
+    """build_report stores the margin; a seven-field SlackReport derives the same one."""
+
+    CASES = {
+        "inf,-inf": (math.inf, -math.inf),
+        "nan first": (math.nan, 1.0, -2.0),
+        "nan middle": (1.0, math.nan, -2.0),
+        "nan last": (1.0, -2.0, math.nan),
+        "single": (0.25,),
+        "equal": (-3.5, -3.5, -3.5),
+        "finite": (0.5, -1e-300, 2.0),
+    }
+
+    @staticmethod
+    def _both(slacks):
+        links = tuple(f"s{k}" for k in range(len(slacks)))
+        built = build_report("X", {"a": 1.0}, links, slacks, "log_ratio")
+        direct = SlackReport("X", {"a": 1.0}, links, slacks, "log_ratio",
+                             built.tolerance, built.verdict)
+        return built, direct
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_margin_is_the_nan_propagating_minimum(self, name):
+        slacks = self.CASES[name]
+        built, direct = self._both(slacks)
+        if any(map(math.isnan, slacks)):
+            assert math.isnan(built.margin) and math.isnan(direct.margin)
+            assert built.verdict == VIOLATED
+        else:
+            assert built.margin == direct.margin == min(slacks)
+            assert repr(built.margin) == repr(direct.margin)
+            assert built == direct
+
+    def test_to_dict_keeps_its_keys(self):
+        built, _ = self._both((1.0, 0.5))
+        assert list(built.to_dict()) == ["id", "inputs", "links", "slacks", "margin",
+                                         "domain", "tolerance", "verdict"]
+        assert built.to_dict()["margin"] == 0.5
+
+    def test_survives_pickle(self):
+        for slacks in ((1.0, 0.5), (1.0, math.nan)):
+            built, _ = self._both(slacks)
+            copy = pickle.loads(pickle.dumps(built))
+            assert type(copy) is SlackReport
+            assert copy.to_json() == built.to_json()
 
 
 class TestStrictJson:
