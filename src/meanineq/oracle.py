@@ -1,10 +1,36 @@
 """Arbitrary-precision reference evaluation of every fast-path operation.
 
-The oracle recomputes the closed forms with the stdlib ``decimal`` module,
-whose ln/exp/sqrt are correctly rounded in the working context.  Guard digits
-cover both the requested precision and any cancellation the inputs cause
-(nearly equal pair members, exponents near removable points, x near 0), so
-the returned value is trusted to a relative error below 10**(1 - digits).
+The oracle recomputes the closed forms with the stdlib ``decimal`` module.
+Guard digits cover both the requested precision and any cancellation the
+inputs cause (nearly equal members of either pair, exponents near removable
+points, x near 0), so the returned value is trusted to a relative error below
+10**(1 - digits).
+
+Logarithms are the cost, so each op takes one per pair ratio.  The means and
+f are homogeneous of degree 1 in each pair, so with r1 = ln(a/b),
+r2 = ln(c/d), r0 = ln(b/d), E1 = (a/b)^x and E2 = (c/d)^x:
+
+    L = (a - b)/r1                 I = b exp(a r1/(a - b) - 1)
+    Lp(a, b) = b Lp(a/b, 1)        f = (b/d)^x (E1 - 1)/(E2 - 1)
+    g = x r0 + ln((E1 - 1)/(E2 - 1))
+    g' = r0 + h(r1, E1) - h(r2, E2),   h(r, E) = r E/(E - 1) -> 1/x as r -> 0
+
+Each logarithm is reduced to one of an argument near 1 (``_ln``):
+ln y = y0 + ln(y e^-y0), with y0 a binary64 estimate of ln y.  libmpdec's
+correctly rounded ln of a typical argument costs about twice its exp, and
+its ln of an argument within 1e-16 of 1 costs a fifth of its exp.  ``_ln``
+carries 3 + ceil(-log10|y0|) extra digits, so its error stays under one unit
+in the last place of the working precision: 0.5 from the final rounding and
+a few thousandths from the reduction.  Arguments within 1e-3 of 1 or of a
+power of ten, where libmpdec's ln is already fast, skip the reduction.  exp
+and sqrt are libmpdec's, correctly rounded.
+
+The pair-ratio forms cover inputs with every coordinate positive and finite
+and x, p finite.  At the edge of that domain (a zero, negative or non-finite
+input, c == d, f <= 0 under g) the closed forms are evaluated one coordinate
+at a time, where Decimal's ln(0) = -Infinity and its signed infinities carry
+a limit value, such as L(0, b) = 0.  An input that has no value raises
+``ValueError`` naming the op and the condition it breaks.
 
 Supported operation tags: A, G, H, L, I, Lp, f, g, f_prime, g_prime, where f
 is the power-difference ratio (a^x - b^x)/(c^x - d^x) and g = ln f.
@@ -31,6 +57,9 @@ PUBLISHED_BOUNDS = {
 }
 
 _BASE_GUARD = 15
+_LN10 = math.log(10.0)
+_RATIO_OPS = ("f", "g", "f_prime", "g_prime")
+_INPUT_KEYS = {"L": "ab", "I": "ab", "Lp": "abp", **dict.fromkeys(_RATIO_OPS, "abcdx")}
 
 
 class OracleResult(NamedTuple):
@@ -52,38 +81,73 @@ def _cancel_guard(*magnitudes):
     return min(extra, 60)
 
 
-def _ln(x):
-    return x.ln()
+def _ln(y):
+    """ln y for a finite positive Decimal, under one ulp of the context precision."""
+    if not y.is_finite() or y <= 0:
+        raise ValueError(f"ln needs a finite positive argument, got {y}")
+    e = y.adjusted()
+    m = float(y.scaleb(-e))                  # y = m 10^e, 1 <= m < 10
+    if m < 1.001 or m > 9.99:                # near 1 or a power of ten: ln is fast
+        return y.ln()
+    y0 = e * _LN10 + math.log(m)             # |y0| > 9e-4: y is not near 1
+    with localcontext() as ctx:
+        ctx.prec += 3 + max(0, math.ceil(-math.log10(abs(y0))))
+        d0 = Decimal(y0)                     # exact; exp reads every digit
+        out = d0 + (y * d0.copy_negate().exp()).ln()
+    return +out
 
 
-def _exp(x):
-    return x.exp()
+def _h(r, e, x):
+    """r E/(E - 1) with E = e^(x r); its limit 1/x where E is 1."""
+    return 1 / x if e == 1 else r * e / (e - 1)
 
 
-def _mean_decimal(op, a, b, p=None):
-    two = Decimal(2)
-    if op == "A":
-        return (a + b) / two
-    if op == "G":
-        return (a * b).sqrt()
-    if op == "H":
-        return two / (1 / a + 1 / b)
+def _pair_ratio_core(op, a, b, c=None, d=None, x=None, p=None):
+    """The op at positive finite coordinates, one ln per pair ratio."""
+    if op in ("L", "I", "Lp"):
+        if a == b:
+            return a
+        if op == "Lp" and p != 0 and p != -1:
+            q = p + 1
+            base = ((q * _ln(a / b)).exp() - 1) * b / (q * (a - b))
+            return b * (_ln(base) / p).exp()
+        r = _ln(a / b)
+        if op == "L" or p == -1:
+            return (a - b) / r
+        return b * (a * r / (a - b) - 1).exp()    # I, and Lp at p = 0
+    r0, r1, r2 = _ln(b / d), _ln(a / b), _ln(c / d)
+    if x == 0:
+        f = r1 / r2
+        if op == "g":
+            return _ln(f)
+        gp = r0 + (r1 - r2) / 2
+    else:
+        e1, e2 = (x * r1).exp(), (x * r2).exp()
+        if op == "g":
+            return x * r0 + _ln((e1 - 1) / (e2 - 1))
+        gp = r0 + _h(r1, e1, x) - _h(r2, e2, x)
+        if op == "g_prime":
+            return gp
+        f = (x * r0).exp() * (e1 - 1) / (e2 - 1)
+    if op == "f":
+        return f
+    return gp if op == "g_prime" else f * gp
+
+
+def _direct_mean(op, a, b, p=None):
     if a == b:
         return a
     if op == "L":
-        return (a - b) / (_ln(a) - _ln(b))
+        return (a - b) / (a.ln() - b.ln())
     if op == "I":
-        return _exp(-1 + (a * _ln(a) - b * _ln(b)) / (a - b))
-    if op == "Lp":
-        if p == 0:
-            return _mean_decimal("I", a, b)
-        if p == -1:
-            return _mean_decimal("L", a, b)
-        q = p + 1
-        num = _exp(q * _ln(a)) - _exp(q * _ln(b))
-        base = num / (q * (a - b))
-        return _exp(_ln(base) / p)
-    raise ValueError(f"unsupported mean op {op!r}")
+        return (-1 + (a * a.ln() - b * b.ln()) / (a - b)).exp()
+    if p == 0:
+        return _direct_mean("I", a, b)
+    if p == -1:
+        return _direct_mean("L", a, b)
+    q = p + 1
+    base = ((q * a.ln()).exp() - (q * b.ln()).exp()) / (q * (a - b))
+    return (base.ln() / p).exp()
 
 
 def _identric_of_powers(u, v, u_ln, v_ln):
@@ -93,12 +157,59 @@ def _identric_of_powers(u, v, u_ln, v_ln):
     return -1 + (u * u_ln - v * v_ln) / (u - v)
 
 
+def _direct_core(op, a, b, c=None, d=None, x=None, p=None):
+    """The op one coordinate at a time, with Decimal's ln and its infinities."""
+    if op in ("L", "I", "Lp"):
+        return _direct_mean(op, a, b, p)
+    ln_a, ln_b, ln_c, ln_d = a.ln(), b.ln(), c.ln(), d.ln()
+    if x == 0:
+        f0 = (ln_a - ln_b) / (ln_c - ln_d)
+        if op == "f":
+            return f0
+        if op == "g":
+            return f0.ln()
+        gp0 = (ln_a + ln_b - ln_c - ln_d) / 2
+        return gp0 if op == "g_prime" else f0 * gp0
+    xa, xb, xc, xd = x * ln_a, x * ln_b, x * ln_c, x * ln_d
+    pa, pb, pc, pd = xa.exp(), xb.exp(), xc.exp(), xd.exp()
+    if op != "g_prime":
+        f = (pa - pb) / (pc - pd)
+        if op == "f":
+            return f
+        if op == "g":
+            return f.ln()
+    gp = (_identric_of_powers(pa, pb, xa, xb) - _identric_of_powers(pc, pd, xc, xd)) / x
+    return gp if op == "g_prime" else f * gp
+
+
+def _broken_condition(op, inputs):
+    """The first condition of the op's domain that the inputs break."""
+    a, b = inputs["a"], inputs["b"]
+    if op == "G":
+        checks = [("a*b >= 0", a * b >= 0)]
+    elif op == "H":
+        checks = [("a != 0", a != 0), ("b != 0", b != 0), ("a + b != 0", a + b != 0)]
+    else:
+        keys = "abcd" if op in _RATIO_OPS else "ab"
+        checks = [(f"{k} > 0", inputs[k] > 0) for k in keys]
+        if op in ("f", "g", "f_prime"):
+            checks.append(("c != d", inputs["c"] != inputs["d"]))
+        if op == "g_prime":      # at x = 0 it goes through f
+            checks.append(("c != d or x != 0", inputs["c"] != inputs["d"] or inputs["x"] != 0))
+        if op == "g":
+            checks.append(("f >= 0", (a - b) * (inputs["c"] - inputs["d"]) >= 0))
+    checks += [(f"finite {k}", math.isfinite(v)) for k, v in inputs.items()]
+    return next((name for name, ok in checks if not ok),
+                "inputs its closed form can evaluate at this precision")
+
+
 def oracle_eval(op, inputs, digits=50) -> OracleResult:
     """Evaluate the named closed form at the given binary64 inputs.
 
     ``inputs`` is a mapping with keys among {a, b, c, d, x, p} as the op
     requires.  Binary64 inputs convert exactly to Decimal, so fast path and
-    oracle see identical arguments.
+    oracle see identical arguments.  Inputs at which the op has no value
+    raise ``ValueError`` naming the condition they break.
     """
     if op not in ORACLE_OP_TAGS:
         raise ValueError(f"unsupported op tag {op!r}; expected one of {ORACLE_OP_TAGS}")
@@ -106,14 +217,16 @@ def oracle_eval(op, inputs, digits=50) -> OracleResult:
         raise ValueError("oracle needs digits >= 30")
     a = inputs.get("a")
     b = inputs.get("b")
+    c = inputs.get("c")
+    d = inputs.get("d")
 
     guard = _BASE_GUARD
-    if a is not None and b is not None and a != b:
-        rel = abs(a - b) / max(abs(a), abs(b))
-        guard += _cancel_guard(rel)
+    rels = [abs(u - v) / max(abs(u), abs(v)) for u, v in ((a, b), (c, d))
+            if u is not None and v is not None and u != v and max(abs(u), abs(v)) > 0]
+    guard += _cancel_guard(*rels)
     x = inputs.get("x")
     p = inputs.get("p")
-    if op in ("f", "g", "f_prime", "g_prime") and x is not None and x != 0.0:
+    if op in _RATIO_OPS and x is not None and x != 0.0:
         guard += _cancel_guard(abs(x))
     if op == "Lp" and p is not None:
         guard += _cancel_guard(abs(p), abs(p + 1.0))
@@ -122,7 +235,12 @@ def oracle_eval(op, inputs, digits=50) -> OracleResult:
         ctx.prec = digits + guard
         ctx.Emax = 10 ** 9
         ctx.Emin = -(10 ** 9)
-        val = _oracle_core(op, inputs)
+        try:
+            val = _oracle_core(op, inputs)
+        except (ArithmeticError, ValueError) as exc:   # decimal's signals are ArithmeticErrors
+            cond = _broken_condition(op, inputs)
+            raise ValueError(f"oracle {op} has no value at {dict(inputs)}: "
+                             f"it needs {cond}") from exc
         # round to the requested significance in a clean context
         ctx.prec = digits
         val = +val
@@ -131,41 +249,22 @@ def oracle_eval(op, inputs, digits=50) -> OracleResult:
 
 
 def _oracle_core(op, inputs):
-    da = Decimal(inputs["a"])
-    db = Decimal(inputs["b"])
-    if op in ("A", "G", "H", "L", "I"):
-        return _mean_decimal(op, da, db)
-    if op == "Lp":
-        return _mean_decimal("Lp", da, db, Decimal(inputs["p"]))
-
-    dc = Decimal(inputs["c"])
-    dd = Decimal(inputs["d"])
-    dx = Decimal(inputs["x"])
-    ln_a, ln_b, ln_c, ln_d = _ln(da), _ln(db), _ln(dc), _ln(dd)
-
-    if dx == 0:
-        f0 = (ln_a - ln_b) / (ln_c - ln_d)
-        if op == "f":
-            return f0
-        if op == "g":
-            return _ln(f0)
-        gp0 = (ln_a + ln_b - ln_c - ln_d) / 2
-        if op == "g_prime":
-            return gp0
-        return f0 * gp0  # f_prime
-
-    xa, xb, xc, xd = dx * ln_a, dx * ln_b, dx * ln_c, dx * ln_d
-    pa, pb, pc, pd = _exp(xa), _exp(xb), _exp(xc), _exp(xd)
-    if op != "g_prime":
-        f = (pa - pb) / (pc - pd)
-        if op == "f":
-            return f
-        if op == "g":
-            return _ln(f)
-    gp = (_identric_of_powers(pa, pb, xa, xb) - _identric_of_powers(pc, pd, xc, xd)) / dx
-    if op == "g_prime":
-        return gp
-    return f * gp  # f_prime
+    a = Decimal(inputs["a"])
+    b = Decimal(inputs["b"])
+    if op == "A":
+        return (a + b) / 2
+    if op == "G":
+        return (a * b).sqrt()
+    if op == "H":
+        return 2 / (1 / a + 1 / b)
+    keys = _INPUT_KEYS[op]
+    args = {k: Decimal(inputs[k]) for k in keys}
+    if all(math.isfinite(inputs[k]) and (k in "xp" or inputs[k] > 0) for k in keys):
+        try:
+            return _pair_ratio_core(op, **args)
+        except (ArithmeticError, ValueError):
+            pass                                     # c == d, f <= 0, ...: the edge
+    return _direct_core(op, **args)
 
 
 def oracle_rel_err(fast_value, result: OracleResult) -> float:

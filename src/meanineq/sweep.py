@@ -56,6 +56,15 @@ SEQ_N_RANGE = (1, 10 ** 6)
 _SEQ_LN_LO, _SEQ_LN_SPAN = _log_bounds(*SEQ_N_RANGE)
 
 
+#: The config fields each sweep kind reads.  Its report echoes these only:
+#: a catalog sweep never reads kyfan_n_range, a Ky Fan sweep never reads
+#: bounds, ids or sign.
+_ECHOED_FIELDS = {
+    "catalog_sweep": ("ids", "samples", "seed", "sign", "bounds"),
+    "kyfan_sweep": ("samples", "seed", "kyfan_n_range"),
+}
+
+
 class SweepFailed(RuntimeError):
     """The sweep could not finish, for a reason other than its inputs."""
 
@@ -94,12 +103,10 @@ class SweepConfig(_SweepFields):
         resolve_ids(self.ids)
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "ids": list(self.ids), "samples": self.samples, "seed": self.seed,
-            "sign": self.sign, "bounds": list(self.bounds),
-            "kyfan_n_range": list(self.kyfan_n_range),
-        }
+    def to_dict(self, kind="catalog_sweep") -> dict:
+        """The fields a sweep of this kind reads, as its report echoes them."""
+        fields = {name: getattr(self, name) for name in _ECHOED_FIELDS[kind]}
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in fields.items()}
 
 
 def resolve_ids(ids) -> tuple:
@@ -346,7 +353,7 @@ def _run_groups(kind, config, n_groups, csv_path):
     report = {
         "kind": kind,
         "seed": config.seed,
-        "config": config.to_dict(),
+        "config": config.to_dict(kind),
         "results": results,
         "total_violations": sum(r["violation_count"] for r in results.values()),
         "wall_time_s": time.monotonic() - t0,

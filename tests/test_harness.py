@@ -228,6 +228,14 @@ class TestSweep:
         assert list(rep["results"]) == ["EQ5"]
         assert SweepConfig("all", 3).to_dict()["ids"] == ["all"]
 
+    def test_config_echoes_only_the_fields_its_sweep_reads(self):
+        config = SweepConfig(ids=("EQ5",), samples=3, seed=4, bounds=(0.5, 8.0),
+                             kyfan_n_range=(3, 4))
+        assert run_sweep(config)["config"] == {
+            "ids": ["EQ5"], "samples": 3, "seed": 4, "sign": "any", "bounds": [0.5, 8.0]}
+        assert run_kyfan_sweep(config._replace(ids=()))["config"] == {
+            "samples": 3, "seed": 4, "kyfan_n_range": [3, 4]}
+
     @pytest.mark.parametrize("kwargs,error,message", [
         ({"workers": 0}, ValueError, "workers must be >= 1"),
         ({"workers": -1}, ValueError, "workers must be >= 1"),

@@ -1,11 +1,12 @@
 import math
-from decimal import Decimal
+import random
+from decimal import Decimal, localcontext
 
 import mpmath
 import pytest
 
-from meanineq.oracle import (ORACLE_OP_TAGS, PUBLISHED_BOUNDS, OracleResult,
-                             oracle_eval, oracle_rel_err)
+from meanineq.oracle import (ORACLE_OP_TAGS, PUBLISHED_BOUNDS, OracleResult, _ln,
+                             _pair_ratio_core, oracle_eval, oracle_rel_err)
 
 
 def test_op_tags_and_bounds_cover_each_other():
@@ -66,6 +67,132 @@ def test_cancellation_guard_near_equal_pair():
         d = Decimal(a) - 1
         expect = 1 + d / 2 - d * d / 12
         assert abs(res.value - expect) < Decimal(10) ** -33
+
+
+def _ln_test_values():
+    rnd = random.Random(1)
+    floats = [
+        5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 0.5, math.e, 2.0, 123.456, 1e100,
+        1.7976931348623157e308,
+        # near 1 and near a power of ten, on both sides of the 1e-3 switch
+        1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 0.999, 0.9989, 1.0009,
+        1.0011, 9.99, 9.991, 9.995, 10.0, 10.01,
+    ]
+    floats += [math.exp(rnd.uniform(-744.0, 709.0)) for _ in range(100)]
+    floats += [math.exp(rnd.uniform(-3.0, 3.0)) for _ in range(100)]
+    past_binary64 = ["1e5000", "3.7e-5000", "9.99e4999", "1.0005e-4000"]
+    return [Decimal(v) for v in floats] + [Decimal(v) for v in past_binary64]
+
+
+class TestLn:
+    """The reduced ln against Decimal's correctly rounded ln at 30 more digits."""
+
+    VALUES = _ln_test_values()
+
+    @pytest.mark.parametrize("prec", [30, 45, 67, 90, 120])
+    def test_within_half_an_ulp_and_a_hundredth(self, prec):
+        worst = 0
+        for v in self.VALUES:
+            with localcontext() as ctx:
+                ctx.prec = prec + 30
+                exact = v.ln()
+                ctx.prec = prec
+                got = _ln(v)
+                if exact == 0:
+                    assert got == 0
+                    continue
+                ctx.prec = prec + 30
+                ulps = abs(got - exact).scaleb(prec - 1 - exact.adjusted())
+            worst = max(worst, ulps)
+        assert worst < Decimal("0.51"), worst
+
+    @pytest.mark.parametrize("bad", ["0", "-0", "-1", "-1e-300", "Infinity", "NaN"])
+    def test_rejects_arguments_outside_its_domain(self, bad):
+        with pytest.raises(ValueError):
+            _ln(Decimal(bad))
+
+
+class TestDomain:
+    @pytest.mark.parametrize("op,inputs,condition", [
+        ("L", {"a": -1.0, "b": 2.0}, "a > 0"),
+        ("I", {"a": 0.0, "b": 2.0}, "a > 0"),
+        ("Lp", {"a": 2.0, "b": -3.0, "p": 0.5}, "b > 0"),
+        ("G", {"a": -1.0, "b": 2.0}, "a*b >= 0"),
+        ("H", {"a": 2.0, "b": -2.0}, "a + b != 0"),
+        ("f", {"a": 4.0, "b": 3.0, "c": 2.0, "d": 2.0, "x": 1.0}, "c != d"),
+        ("f_prime", {"a": 4.0, "b": 3.0, "c": 2.0, "d": 2.0, "x": 0.0}, "c != d"),
+        ("g", {"a": 1.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 1.0}, "f >= 0"),
+        ("g", {"a": 1.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 0.0}, "f >= 0"),
+        ("g_prime", {"a": 4.0, "b": -3.0, "c": 2.0, "d": 1.0, "x": 1.0}, "b > 0"),
+        ("L", {"a": math.inf, "b": 2.0}, "finite a"),
+    ])
+    def test_value_error_names_op_and_condition(self, op, inputs, condition):
+        with pytest.raises(ValueError) as err:
+            oracle_eval(op, inputs)
+        assert str(err.value) == f"oracle {op} has no value at {inputs}: it needs {condition}"
+
+    @pytest.mark.parametrize("op,inputs,value", [
+        # limits the closed forms reach at the edge of the positive domain
+        ("g_prime", {"a": 3.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 1.5},
+         "0.69303699370382537823"),
+        ("g_prime", {"a": 4.0, "b": 3.0, "c": 2.0, "d": 2.0, "x": 1.5},
+         "0.55961930140989418832"),
+        ("f_prime", {"a": 3.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 1.5}, "0"),
+        ("f", {"a": 3.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 0.0}, "0"),
+        ("g", {"a": 3.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 1.5}, "-Infinity"),
+        ("L", {"a": 0.0, "b": 2.0}, "0"),
+        ("Lp", {"a": 0.0, "b": 2.0, "p": 0.5}, "0.88888888888888888888"),
+        ("f", {"a": 0.0, "b": 2.0, "c": 3.0, "d": 2.0, "x": 1.0}, "-2"),
+    ])
+    def test_limits_kept(self, op, inputs, value):
+        got = oracle_eval(op, inputs, digits=50).value
+        assert got == Decimal(value) or abs(got - Decimal(value)) < Decimal("1e-20"), got
+
+    @pytest.mark.parametrize("op,a,b,c,d", [
+        ("g_prime", 3, 3, 2, 1), ("g_prime", 4, 3, 2, 2), ("g_prime", 2, 2, 5, 5),
+        ("f_prime", 3, 3, 2, 1),
+    ])
+    def test_pair_ratio_forms_take_the_equal_pair_limits(self, op, a, b, c, d):
+        # r E/(E - 1) -> 1/x as r -> 0, without the per-coordinate forms
+        inputs = {"a": a, "b": b, "c": c, "d": d, "x": 1.5}
+        with localcontext() as ctx:
+            ctx.prec = 65
+            got = _pair_ratio_core(op, **{k: Decimal(v) for k, v in inputs.items()})
+        assert abs(got - oracle_eval(op, inputs, digits=50).value) < Decimal("1e-49")
+
+
+#: 50-digit values of the per-coordinate closed forms, one ln per coordinate:
+#: the pair-ratio forms must round to the same digits.
+GOLDEN = [
+    ("L", {"a": 7.25, "b": 0.3},
+     "2.1821212367387619576553073214180972281119277632989"),
+    ("I", {"a": 1e-200, "b": 3.5},
+     "1.2875780441000481255843331955651130360603389586112"),
+    ("Lp", {"a": 100000.0, "b": 2.0, "p": -2.75},
+     "125.34894282558213213642444154110579591883363119824"),
+    ("Lp", {"a": 1.000000000001, "b": 1.0, "p": 0.3},
+     "1.0000000000005000444502911413339540392346909217590"),
+    ("f", {"a": 4.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 1.7},
+     "1.8154904597651576094487436396669367088146791943008"),
+    ("f", {"a": 1e+200, "b": 1e-200, "c": 5.0, "d": 0.25, "x": -0.3},
+     "1.1127397865590145450685468603731062997327779229750E+60"),
+    ("g", {"a": 9.5, "b": 0.5, "c": 3.0, "d": 2.0, "x": 0.0},
+     "1.9826387552399622124549295531115958626243039715037"),
+    ("g", {"a": 4.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": -3.7},
+     "-4.4078053299215471842397177525726943585889213988489"),
+    ("f_prime", {"a": 6.0, "b": 1.5, "c": 2.5, "d": 2.25, "x": 1e-09},
+     "3.0920662140639145219489056486940597490008411279713"),
+    ("g_prime", {"a": 0.125, "b": 0.0625, "c": 40.0, "d": 3.0, "x": 2.5},
+     "-5.6234728719603283482398367259380684305700741109245"),
+    ("g_prime", {"a": 4.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 0.0},
+     "0.89587973461402750040623867919035113636149534609150"),
+]
+
+
+@pytest.mark.parametrize("op,inputs,value", GOLDEN,
+                         ids=[f"{op}-{i}" for i, (op, _, _) in enumerate(GOLDEN)])
+def test_golden_values(op, inputs, value):
+    assert str(oracle_eval(op, inputs, digits=50).value) == value
 
 
 def test_rel_err_helper():
@@ -151,6 +278,18 @@ class TestAgainstMpmath:
         for a, b, c, d in self.QUADS.values():
             for x in self.XS:
                 self._check(op, {"a": a, "b": b, "c": c, "d": d, "x": x})
+
+    @pytest.mark.parametrize("op", ["f", "g", "f_prime", "g_prime"])
+    def test_c_one_ulp_above_d(self, op):
+        for d in (1.0, 2.0, 7.0):
+            for x in self.XS:
+                self._check(op, {"a": 4.0, "b": 3.0, "c": math.nextafter(d, math.inf), "d": d,
+                                 "x": x})
+
+    def test_intermediates_past_binary64(self):
+        # 500**120 and 1000**-150 lie outside binary64; Decimal's exponents hold them
+        self._check("g", {"a": 1e3, "b": 2.0, "c": 1.5, "d": 1.0, "x": 120.0})
+        self._check("f_prime", {"a": 1e3, "b": 2.0, "c": 1.5, "d": 1.0, "x": -150.0})
 
     def test_g_at_its_zero_crossing(self):
         # f(1) = (4 - 3)/(2 - 1) = 1: g crosses zero there, so the bound is absolute
