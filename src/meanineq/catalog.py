@@ -16,8 +16,12 @@ import numbers
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .means import (identric_mean, ln_identric, logarithmic_mean,
-                    p_logarithmic_mean, P_SNAP, PExponent, ExponentKind)
+# The means' unchecked kernels: every coordinate reaching them is a float
+# already checked, by OrderedQuad or by a pair entry itself.  They keep the
+# public names, which the benchmark's tracer wraps.
+from .means import (_ln_identric as ln_identric, _logarithmic_mean as logarithmic_mean,
+                    _p_logarithmic_mean as p_logarithmic_mean, P_SNAP, PExponent,
+                    ExponentKind)
 from .ratio import (DiscClass, OrderedQuad, ln_identric_ratio_pow,
                     log_secant_slope_gap)
 from .report import HypothesisViolation, build_report, check_finite_positive
@@ -44,6 +48,10 @@ EQ_MANIFOLD_DIST = 1e-3
 SEQ_EQUALITY_N = 10 ** 3
 
 
+#: Enum members bound once for the hot paths, as ``means._GENERIC`` is.
+_GENERIC, _ZERO, _NEGATIVE = ExponentKind.GENERIC, DiscClass.ZERO, DiscClass.NEGATIVE
+
+
 def _require(cond, msg):
     if not cond:
         raise HypothesisViolation(msg)
@@ -52,8 +60,9 @@ def _require(cond, msg):
 def _generic_exponent(name, p):
     """The tagged exponent, built once and shared by every mean it enters."""
     px = p if isinstance(p, PExponent) else PExponent.from_value(p)
-    _require(px.kind is ExponentKind.GENERIC,
-             f"{name} must stay at least {P_SNAP} away from 0 and -1, got {px.value}")
+    if px.kind is not _GENERIC:
+        raise HypothesisViolation(
+            f"{name} must stay at least {P_SNAP} away from 0 and -1, got {px.value}")
     return px
 
 
@@ -147,8 +156,9 @@ def slack_eq10(a, b):
     """L/b > 1 + ln(a/b)/2 > 2a/(a+b) > ln(a/b) / (2 ln(I/b)) for a/b above the floor."""
     a = check_finite_positive("a", a)
     b = check_finite_positive("b", b)
-    _require(a > b and a / b >= EQ10_MIN_RATIO,
-             f"EQ10 requires a/b >= {EQ10_MIN_RATIO} (last member divides by ln(I/b))")
+    if not (a > b and a / b >= EQ10_MIN_RATIO):
+        raise HypothesisViolation(
+            f"EQ10 requires a/b >= {EQ10_MIN_RATIO} (last member divides by ln(I/b))")
     lr = math.log(a) - math.log(b)
     m1 = logarithmic_mean(a, b) / b
     m2 = 1.0 + 0.5 * lr
@@ -194,7 +204,7 @@ def slack_eq12_quad(quad: OrderedQuad):
 
 
 def _orient(disc_class, slacks):
-    if disc_class is DiscClass.NEGATIVE:
+    if disc_class is _NEGATIVE:
         return tuple(-s for s in slacks)
     return tuple(slacks)
 
@@ -217,7 +227,7 @@ def slack_eq13(quad: OrderedQuad, p, q):
         "EQ13", {**quad.as_dict(), "p": p, "q": q,
                  "disc_class": quad.disc_class.value}, ("tangent",), (slack,),
         domain="log_ratio",
-        on_equality_manifold=(quad.disc_class is DiscClass.ZERO
+        on_equality_manifold=(quad.disc_class is _ZERO
                               or abs(p - q) <= EQ_MANIFOLD_DIST))
 
 
@@ -248,7 +258,7 @@ def chain_eq14(quad: OrderedQuad):
         "EQ14", {**quad.as_dict(), "disc_class": quad.disc_class.value},
         ("H_to_G", "G_to_L", "L_to_I", "I_to_A"), slacks,
         domain="log_ratio",
-        on_equality_manifold=quad.disc_class is DiscClass.ZERO)
+        on_equality_manifold=quad.disc_class is _ZERO)
 
 
 # --- sequence entries: quadruple (n+2, n+1, n+1, n), ad - bc = -1 ------------

@@ -44,6 +44,11 @@ class ExponentKind(Enum):
     MINUS_ONE_LIMIT = "minus_one_limit"
 
 
+#: Bound once for the hot paths: on Python 3.11 each ``ExponentKind.X`` lookup
+#: takes the slow attribute path of a metaclass with ``__getattr__``.
+_GENERIC = ExponentKind.GENERIC
+
+
 class PExponent(NamedTuple):
     """Real exponent of the p-logarithmic mean with its limit-point tag."""
 
@@ -63,6 +68,11 @@ class PExponent(NamedTuple):
             kind = ExponentKind.GENERIC
         return cls(p, kind)
 
+
+# L, I, ln I and Lp check their inputs with _pair and hand them to private
+# kernels, each the one body of its formula.  A kernel takes two finite
+# positive floats; the catalog, whose coordinates are checked once per
+# sample, calls the kernels directly.
 
 def _pair(a, b):
     return check_finite_positive("a", a), check_finite_positive("b", b)
@@ -90,14 +100,19 @@ def arithmetic_mean(a, b) -> float:
 
 
 def geometric_mean(a, b) -> float:
-    """sqrt(a * b), evaluated in the log domain when a*b would over/underflow."""
+    """sqrt(a * b); sqrt(a) * sqrt(b) when a*b would over/underflow.
+
+    Each form rounds at most three times, so the relative error stays within
+    a few ulp across the whole binary64 range (a log-domain form would lose
+    about |ln G| ulp).
+    """
     a, b = _pair(a, b)
     if a == b:
         return a
     p = a * b
     if 1e-300 < p < 1e300:
         return math.sqrt(p)
-    return math.exp(0.5 * (math.log(a) + math.log(b)))
+    return math.sqrt(a) * math.sqrt(b)
 
 
 def harmonic_mean(a, b) -> float:
@@ -112,7 +127,10 @@ def logarithmic_mean(a, b) -> float:
     Uses the relative difference d = (hi - lo)/lo and log1p so the value is
     smooth and fully accurate as a -> b.
     """
-    a, b = _pair(a, b)
+    return _logarithmic_mean(*_pair(a, b))
+
+
+def _logarithmic_mean(a, b):
     if a == b:
         return a
     hi, lo = _sorted_pair(a, b)
@@ -161,7 +179,10 @@ def _identric_exponent(hi, lo, s):
 
 def identric_mean(a, b) -> float:
     """(1/e) (a^a / b^b)^(1/(a-b)), extended by continuity to a at a = b."""
-    a, b = _pair(a, b)
+    return _identric_mean(*_pair(a, b))
+
+
+def _identric_mean(a, b):
     if a == b:
         return a
     hi, lo, m = _unit_scaled(*_sorted_pair(a, b))
@@ -175,7 +196,10 @@ def ln_identric(a, b) -> float:
     Needed wherever ln I enters a difference whose scale is far below |ln I|
     itself (ratio-function derivatives, tangent-line slacks).
     """
-    a, b = _pair(a, b)
+    return _ln_identric(*_pair(a, b))
+
+
+def _ln_identric(a, b):
     if a == b:
         return math.log(a)
     hi, lo, m = _unit_scaled(*_sorted_pair(a, b))
@@ -211,16 +235,17 @@ def p_logarithmic_mean(a, b, p) -> float:
     cancellation.
     """
     a, b = _pair(a, b)
-    if isinstance(p, PExponent):
-        px = p
-    else:
-        px = PExponent.from_value(p)
+    return _p_logarithmic_mean(a, b, p if isinstance(p, PExponent) else PExponent.from_value(p))
+
+
+def _p_logarithmic_mean(a, b, px):
+    """Lp at a tagged exponent ``px``."""
     if a == b:
         return a
-    if px.kind is ExponentKind.ZERO_LIMIT:
-        return identric_mean(a, b)
-    if px.kind is ExponentKind.MINUS_ONE_LIMIT:
-        return logarithmic_mean(a, b)
+    if px.kind is not _GENERIC:
+        if px.kind is ExponentKind.ZERO_LIMIT:
+            return _identric_mean(a, b)
+        return _logarithmic_mean(a, b)              # the p = -1 limit
     p = px.value
     hi, lo, m = _unit_scaled(*_sorted_pair(a, b))
     t = (0.5 * hi - 0.5 * lo) / (0.5 * hi + 0.5 * lo)
@@ -329,8 +354,8 @@ def mean_chain_slacks(a, b):
         return (0.0, 0.0, 0.0, 0.0)
     g = geometric_mean(a, b)
     h = harmonic_mean(a, b)
-    ll = logarithmic_mean(a, b)
-    i = identric_mean(a, b)
+    ll = _logarithmic_mean(a, b)
+    i = _identric_mean(a, b)
     aa = arithmetic_mean(a, b)
     return (g - h, ll - g, i - ll, aa - i)
 

@@ -29,6 +29,8 @@ __all__ = [
     "log_secant_slope_gap", "ln_identric_ratio_pow", "TAU_X",
 ]
 
+_INF = math.inf
+
 #: Half-width of the removable-singularity window around x = 0.
 TAU_X = 1e-7
 
@@ -48,6 +50,10 @@ class ConvexityClass(Enum):
     LINEAR = "linear"
 
 
+#: Enum members bound once for the hot paths, as ``means._GENERIC`` is.
+_POSITIVE, _ZERO, _NEGATIVE = DiscClass.POSITIVE, DiscClass.ZERO, DiscClass.NEGATIVE
+
+
 class OrderedQuad:
     """An ordered quadruple a > b >= c > d > 0 (or a >= b >= c >= d > 0 relaxed).
 
@@ -61,36 +67,32 @@ class OrderedQuad:
                  "r_ab", "r_cd", "h_ab", "h_cd", "disc_class")
 
     def __init__(self, a, b, c, d, relaxed=False):
-        a = check_finite_positive("a", a)
-        b = check_finite_positive("b", b)
-        c = check_finite_positive("c", c)
-        d = check_finite_positive("d", d)
-        if relaxed:
-            if not (a >= b >= c >= d > 0.0):
-                raise ValueError(f"require a >= b >= c >= d > 0, got {(a, b, c, d)}")
-        else:
-            if not (a > b >= c > d > 0.0):
-                raise ValueError(f"require a > b >= c > d > 0, got {(a, b, c, d)}")
+        # four floats already in strict order, as the sampler draws them, pass
+        # one test; anything else is checked and converted one input at a time
+        if not (type(a) is float and type(b) is float and type(c) is float
+                and type(d) is float and a > b >= c > d > 0.0 and a < _INF):
+            a, b, c, d = _checked_coordinates(a, b, c, d, relaxed)
         self.a, self.b, self.c, self.d = a, b, c, d
         self.relaxed = relaxed
-        self.ln_a = math.log(a)
-        self.ln_b = math.log(b)
-        self.ln_c = math.log(c)
-        self.ln_d = math.log(d)
-        self.r_ab = _ln_ratio(a, b)
-        self.r_cd = _ln_ratio(c, d)
-        self.h_ab = 0.5 * self.r_ab
-        self.h_cd = 0.5 * self.r_cd
-        # scale-free discriminant classification of ad - bc
-        m = max(a, b, c, d)
-        x1 = (a / m) * d
-        x2 = (b / m) * c
+        log = math.log
+        self.ln_a = log(a)
+        self.ln_b = log(b)
+        self.ln_c = log(c)
+        self.ln_d = log(d)
+        self.r_ab = r_ab = _ln_ratio(a, b)
+        self.r_cd = r_cd = _ln_ratio(c, d)
+        self.h_ab = 0.5 * r_ab
+        self.h_cd = 0.5 * r_cd
+        # scale-free discriminant classification of ad - bc: both sides are
+        # divided by max(a, b, c, d), which is a, so (a / a) * d is d
+        x1 = d
+        x2 = (b / a) * c
         if abs(x1 - x2) <= DISC_ZERO_REL * (x1 + x2):
-            self.disc_class = DiscClass.ZERO
+            self.disc_class = _ZERO
         elif x1 > x2:
-            self.disc_class = DiscClass.POSITIVE
+            self.disc_class = _POSITIVE
         else:
-            self.disc_class = DiscClass.NEGATIVE
+            self.disc_class = _NEGATIVE
 
     @property
     def is_strict(self) -> bool:
@@ -115,6 +117,21 @@ class OrderedQuad:
     def __repr__(self):
         tag = ", relaxed" if self.relaxed else ""
         return f"OrderedQuad({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r}{tag})"
+
+
+def _checked_coordinates(a, b, c, d, relaxed):
+    """The coordinates as floats; ValueError names the first bad one, or the order."""
+    a = check_finite_positive("a", a)
+    b = check_finite_positive("b", b)
+    c = check_finite_positive("c", c)
+    d = check_finite_positive("d", d)
+    if relaxed:
+        if not (a >= b >= c >= d > 0.0):
+            raise ValueError(f"require a >= b >= c >= d > 0, got {(a, b, c, d)}")
+    else:
+        if not (a > b >= c > d > 0.0):
+            raise ValueError(f"require a > b >= c > d > 0, got {(a, b, c, d)}")
+    return a, b, c, d
 
 
 def _ln_ratio(hi, lo):

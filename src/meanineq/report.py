@@ -81,6 +81,8 @@ class SlackReport(_SlackReportFields):
 
 def _margin(slacks) -> float:
     """The smallest slack; NaN if any slack is NaN (plain min() skips them by order)."""
+    if 0.0 * sum(slacks) == 0.0:        # a finite sum: no slack is NaN, the common case
+        return min(slacks)
     if any(map(math.isnan, slacks)):
         return math.nan
     return min(slacks)
@@ -94,7 +96,8 @@ def build_report(id, inputs, links, slacks, domain, scale=1.0, on_equality_manif
     is the inequality's own equality predicate evaluated on the inputs.
     """
     slacks = tuple(map(float, slacks))
-    links = tuple(links)
+    if type(links) is not tuple:
+        links = tuple(links)
     if len(links) != len(slacks):
         raise ValueError("links and slacks length mismatch")
     if tolerance is None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from functools import lru_cache
 
 from .ratio import DiscClass, OrderedQuad
 
@@ -24,6 +25,7 @@ _MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 _PACK_KEY = struct.Struct("<QQQQQ").pack
 _UNPACK_BLOCK = struct.Struct("<QQQQ").unpack
+_blake2b = hashlib.blake2b
 
 #: Default log-uniform bounds for quadruple and pair coordinates.
 DEFAULT_RANGE = (1e-3, 1e3)
@@ -53,12 +55,15 @@ class SampleStream:
         self.stream = _stream_id(label)
 
     def words(self, index: int, count: int, salt: int = 0):
-        out = []
         index = int(index) & _MASK
         salt = int(salt) & _MASK
+        if 0 < count <= 4:                  # one digest, the common case
+            msg = _PACK_KEY(self.seed, self.stream, index, salt, 0)
+            return list(_UNPACK_BLOCK(_blake2b(msg, digest_size=32).digest())[:count])
+        out = []
         for blk in range((count + 3) // 4):
             msg = _PACK_KEY(self.seed, self.stream, index, salt, blk)
-            out.extend(_UNPACK_BLOCK(hashlib.blake2b(msg, digest_size=32).digest()))
+            out += _UNPACK_BLOCK(_blake2b(msg, digest_size=32).digest())
         return out[:count]
 
     def floats(self, index: int, count: int, salt: int = 0):
@@ -70,6 +75,7 @@ class SampleStream:
         return [((w >> 11) + 1) * _INV_2_53 for w in self.words(index, count, salt)]
 
 
+@lru_cache(maxsize=64)
 def _log_bounds(lo, hi):
     """(ln lo, ln hi - ln lo): the loop-invariant part of a log-uniform draw
     exp(ln lo + u * (ln hi - ln lo))."""
@@ -94,6 +100,17 @@ def accepted_classes(sign: str) -> tuple:
     return accepted
 
 
+@lru_cache(maxsize=64)
+def _quad_setup(sign, bounds):
+    """(accepted classes, whether d is solved from three draws, ln lo, ln span)
+    for one sign and bounds; raises on bad ones, which are not cached."""
+    lo, hi = bounds
+    if not (0.0 < lo < hi):
+        raise ValueError("bounds must satisfy 0 < lo < hi")
+    accepted = accepted_classes(sign)
+    return (accepted, DiscClass.ZERO in accepted, *_log_bounds(lo, hi))
+
+
 def sample_quad(stream: SampleStream, index: int, sign: str = "any",
                 bounds=DEFAULT_RANGE) -> OrderedQuad:
     """Draw an ordered quadruple a > b >= c > d > 0, log-uniform over bounds.
@@ -103,20 +120,27 @@ def sample_quad(stream: SampleStream, index: int, sign: str = "any",
     Ties b = c appear with probability ``B_EQ_C_PROB``.  Deterministic in
     (stream, index); rejection redraws are salted, never sequential.
     """
-    lo, hi = bounds
-    if not (0.0 < lo < hi):
-        raise ValueError("bounds must satisfy 0 < lo < hi")
-    accepted = accepted_classes(sign)
-    k = 3 if DiscClass.ZERO in accepted else 4       # coordinates drawn
-    ln_lo, ln_span = _log_bounds(lo, hi)
+    accepted, zero, ln_lo, ln_span = _quad_setup(sign, tuple(bounds))
+    exp = math.exp
     for attempt in range(MAX_REDRAWS):
-        us = stream.floats(index, k + 1, salt=attempt)
-        vals = sorted((math.exp(ln_lo + u * ln_span) for u in us[:k]), reverse=True)
-        if us[k] < B_EQ_C_PROB:
-            vals[2] = vals[1]                           # the tie b = c
-        if k == 3:
-            vals.append(vals[1] * vals[2] / vals[0])    # d = bc/a
-        a, b, c, d = vals
+        # each coordinate is exp(ln lo + u * ln span) with u = (w >> 11) * 2**-53;
+        # the last word decides the tie b = c
+        if zero:
+            w0, w1, w2, tie = stream.words(index, 4, attempt)
+            vals = [exp(ln_lo + (w0 >> 11) * _INV_2_53 * ln_span),
+                    exp(ln_lo + (w1 >> 11) * _INV_2_53 * ln_span),
+                    exp(ln_lo + (w2 >> 11) * _INV_2_53 * ln_span)]
+        else:
+            w0, w1, w2, w3, tie = stream.words(index, 5, attempt)
+            vals = [exp(ln_lo + (w0 >> 11) * _INV_2_53 * ln_span),
+                    exp(ln_lo + (w1 >> 11) * _INV_2_53 * ln_span),
+                    exp(ln_lo + (w2 >> 11) * _INV_2_53 * ln_span),
+                    exp(ln_lo + (w3 >> 11) * _INV_2_53 * ln_span)]
+        vals.sort(reverse=True)
+        a, b, c = vals[0], vals[1], vals[2]
+        if (tie >> 11) * _INV_2_53 < B_EQ_C_PROB:
+            c = b
+        d = b * c / a if zero else vals[3]
         if not (a > b >= c > d > 0.0):
             continue
         quad = OrderedQuad(a, b, c, d)
@@ -130,9 +154,9 @@ def sample_pair(stream: SampleStream, index: int, bounds=DEFAULT_RANGE,
     """Draw a > b > 0 log-uniform over bounds with a/b >= min_ratio."""
     ln_lo, ln_span = _log_bounds(*bounds)
     for attempt in range(MAX_REDRAWS):
-        us = stream.floats(index, 2, salt=attempt)
-        x = math.exp(ln_lo + us[0] * ln_span)
-        y = math.exp(ln_lo + us[1] * ln_span)
+        w0, w1 = stream.words(index, 2, attempt)
+        x = math.exp(ln_lo + (w0 >> 11) * _INV_2_53 * ln_span)
+        y = math.exp(ln_lo + (w1 >> 11) * _INV_2_53 * ln_span)
         a, b = (x, y) if x > y else (y, x)
         if a > b and a / b >= min_ratio:
             return a, b
@@ -143,8 +167,8 @@ def sample_exponent(stream: SampleStream, index: int, lo: float = -3.0,
                     hi: float = 3.0, min_dist: float = 1e-4, salt0: int = 0):
     """Uniform exponent in [lo, hi] staying min_dist away from 0 and -1."""
     for attempt in range(MAX_REDRAWS):
-        (u,) = stream.floats(index, 1, salt=salt0 + 7919 * attempt)
-        p = lo + u * (hi - lo)
+        (w,) = stream.words(index, 1, salt0 + 7919 * attempt)
+        p = lo + (w >> 11) * _INV_2_53 * (hi - lo)
         if abs(p) >= min_dist and abs(p + 1.0) >= min_dist:
             return p
     raise SamplingError("no valid exponent within the redraw cap")

@@ -129,24 +129,6 @@ def _draw_n(stream, index):
     return max(lo, min(hi, n))
 
 
-def _draw_inputs(entry, stream, pstream, index, config):
-    """Evaluator keyword arguments for one sample; a sampled quad goes as ``quad``."""
-    arity = entry.arity
-    if arity == "quad":
-        return {"quad": sample_quad(stream, index, sign=config.sign, bounds=config.bounds)}
-    if arity == "quad_pq":
-        quad = sample_quad(stream, index, sign=config.sign, bounds=config.bounds)
-        p = sample_exponent(pstream, index, salt0=1)
-        q = sample_exponent(pstream, index, salt0=2)
-        return {"quad": quad, "p": p, "q": q}
-    if arity == "pair":
-        a, b = sample_pair(stream, index, bounds=config.bounds, min_ratio=entry.min_ratio)
-        return {"a": a, "b": b}
-    if arity == "seq_n":
-        return {"n": _draw_n(stream, index)}
-    raise AssertionError(f"unhandled arity {arity}")
-
-
 def _public_inputs(inputs):
     """The inputs as reports and CSV rows echo them: the quad's coordinates in
     place of the quad."""
@@ -206,9 +188,29 @@ class _Group(NamedTuple):
 def _catalog_group(entry, config):
     stream = SampleStream(config.seed, f"catalog/{entry.id}")
     pstream = SampleStream(config.seed, f"catalog/{entry.id}/exponents")
+    sign, bounds = config.sign, config.bounds
+    # one draw per arity, picked here once; each calls its samplers by their
+    # module names on every sample, so wrapping those names sees every draw
+    arity = entry.arity
+    if arity == "quad":
+        def draw(index):
+            return {"quad": sample_quad(stream, index, sign=sign, bounds=bounds)}
+    elif arity == "quad_pq":
+        def draw(index):
+            return {"quad": sample_quad(stream, index, sign=sign, bounds=bounds),
+                    "p": sample_exponent(pstream, index, salt0=1),
+                    "q": sample_exponent(pstream, index, salt0=2)}
+    elif arity == "pair":
+        min_ratio = entry.min_ratio
 
-    def draw(index):
-        return _draw_inputs(entry, stream, pstream, index, config)
+        def draw(index):
+            a, b = sample_pair(stream, index, bounds=bounds, min_ratio=min_ratio)
+            return {"a": a, "b": b}
+    elif arity == "seq_n":
+        def draw(index):
+            return {"n": _draw_n(stream, index)}
+    else:
+        raise AssertionError(f"unhandled arity {arity}")
 
     def evaluate(inputs):
         return ((entry.id, entry.evaluate(**inputs)),)

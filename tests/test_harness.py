@@ -1,15 +1,16 @@
+import hashlib
 import math
 
 import pytest
 
 from meanineq.ratio import DiscClass
 from meanineq.report import dumps
-from meanineq.rng import (B_EQ_C_PROB, KYFAN_EPS, SampleStream, SamplingError,
-                          sample_exponent, sample_int, sample_kyfan_values,
-                          sample_pair, sample_quad)
+from meanineq.rng import (B_EQ_C_PROB, DEFAULT_RANGE, KYFAN_EPS, SampleStream,
+                          SamplingError, sample_exponent, sample_int,
+                          sample_kyfan_values, sample_pair, sample_quad)
 from meanineq.sweep import (SweepConfig, resolve_ids, run_kyfan_sweep,
                             run_sweep)
-from meanineq import catalog
+from meanineq import catalog, sweep
 
 
 class TestStreams:
@@ -32,6 +33,86 @@ class TestStreams:
         assert all(0.0 <= f < 1.0 for f in fs)
         fo = s.floats_open(0, 1000)
         assert all(0.0 < f <= 1.0 for f in fo)
+
+
+def _quad_state(q):
+    return (q.a, q.b, q.c, q.d, q.ln_a, q.ln_b, q.ln_c, q.ln_d, q.r_ab, q.r_cd,
+            q.h_ab, q.h_cd, q.disc_class.value, q.relaxed)
+
+
+def _contract_draws():
+    """name -> draw(i) for every sampler a sweep uses, each on its own stream."""
+    def stream(label):
+        return SampleStream(2024, f"contract/{label}")
+
+    draws = {}
+    for sign in ("any", "positive", "negative", "zero"):
+        for tag, bounds in (("default", DEFAULT_RANGE), ("wide", (1e-30, 1e30))):
+            s = stream(f"quad/{sign}/{tag}")
+            draws[f"quad/{sign}/{tag}"] = (
+                lambda i, s=s, sign=sign, bounds=bounds:
+                _quad_state(sample_quad(s, i, sign=sign, bounds=bounds)))
+    s_pair, s_n, s_int, s_kf, s_words = (stream(label) for label in
+                                          ("pair", "n", "int", "kyfan", "words"))
+    draws["pair"] = lambda i: sample_pair(s_pair, i, min_ratio=catalog.EQ10_MIN_RATIO)
+    for salt0 in (1, 2):
+        s = stream(f"exponent/{salt0}")
+        draws[f"exponent/{salt0}"] = lambda i, s=s, salt0=salt0: sample_exponent(
+            s, i, salt0=salt0)
+    draws["n"] = lambda i: sweep._draw_n(s_n, i)
+    draws["int"] = lambda i: sample_int(s_int, i, 2, 20)
+    draws["kyfan"] = lambda i: sample_kyfan_values(s_kf, i, 7)
+    draws["words"] = lambda i: [s_words.words(i, count, salt=i % 3)
+                                for count in (0, 1, 2, 3, 4, 5, 8, 9)]
+    draws["floats"] = lambda i: (s_words.floats(i, 3), s_words.floats_open(i, 6, 1))
+    return draws
+
+
+class TestSamplingContract:
+    """The first 256 draws of every sampler, frozen as a hash of their reprs.
+
+    A quad enters with every field it caches.  Any change to the word stream,
+    the order of draws, the acceptance rule or the rounding of a coordinate
+    moves a hash here, and with it every report.
+    """
+
+    FROZEN = {
+        "quad/any/default": "a439707dd962c410",
+        "quad/any/wide": "183d1cf131c3f3ca",
+        "quad/positive/default": "effdd6c09d32f661",
+        "quad/positive/wide": "4633c54628f8b25c",
+        "quad/negative/default": "5737e1de08e4105f",
+        "quad/negative/wide": "2a6654d9fc3ee42a",
+        "quad/zero/default": "2a52f5d2154b8e39",
+        "quad/zero/wide": "fbe14f4e43bf757b",
+        "pair": "20862d906927a176",
+        "exponent/1": "14f7ef9681ae695f",
+        "exponent/2": "8008c95dbdcbb37c",
+        "n": "be50142cb7329fb4",
+        "int": "462a999ff0833197",
+        "kyfan": "f76f2bf7a390c131",
+        "words": "295a5c7a55b84271",
+        "floats": "80accb1834c19578",
+    }
+
+    def test_every_sampler_is_frozen(self):
+        assert set(_contract_draws()) == set(self.FROZEN)
+
+    @pytest.mark.parametrize("name", sorted(FROZEN))
+    def test_first_draws_hash(self, name):
+        draw = _contract_draws()[name]
+        h = hashlib.sha256()
+        for i in range(256):
+            h.update(repr(draw(i)).encode() + b"\n")
+        assert h.hexdigest()[:16] == self.FROZEN[name]
+
+    def test_list_bounds_draw_as_a_tuple(self):
+        stream = SampleStream(2024, "contract/list")
+        for i in range(20):
+            assert (_quad_state(sample_quad(stream, i, bounds=[1e-30, 1e30]))
+                    == _quad_state(sample_quad(stream, i, bounds=(1e-30, 1e30))))
+            assert (sample_pair(stream, i, bounds=[0.5, 8.0])
+                    == sample_pair(stream, i, bounds=(0.5, 8.0)))
 
 
 class TestQuadSampling:

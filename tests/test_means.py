@@ -8,7 +8,8 @@ from meanineq.means import (arithmetic_mean, geometric_mean, harmonic_mean,
                             identric_mean, ln_identric, logarithmic_mean,
                             mean_chain_slacks, p_logarithmic_mean,
                             ExponentKind, PExponent)
-from meanineq.oracle import oracle_eval, oracle_rel_err
+from meanineq.oracle import PUBLISHED_BOUNDS, oracle_eval, oracle_rel_err
+from meanineq.rng import SampleStream
 
 E = math.e
 
@@ -103,6 +104,25 @@ class TestOracleAgreement:
         for (a, b) in [(4.0, 2.0), (123.456, 0.789), (1.5, 1.499), (900.0, 0.002)]:
             res = oracle_eval(op, {"a": a, "b": b}, digits=40)
             assert oracle_rel_err(fn(a, b), res) < 1e-14
+
+    def test_geometric_near_the_top_of_binary64(self):
+        # a*b overflows here; the log-domain form read rel_err 1.1e-13
+        a, b = 4.590245959685731e+301, 7.379926593465333e+294
+        res = oracle_eval("G", {"a": a, "b": b}, digits=40)
+        assert oracle_rel_err(geometric_mean(a, b), res) < 1e-15
+
+    def test_geometric_across_binary64(self):
+        # 2000 pairs log-uniform over 10^[-307, 308], a quarter of them on
+        # the branch where a*b leaves [1e-300, 1e300]: a few ulp everywhere
+        stream = SampleStream(5, "test/geometric")
+        worst = 0.0
+        for i in range(2000):
+            u, v = stream.floats(i, 2)
+            a, b = 10.0 ** (-307.0 + 615.0 * u), 10.0 ** (-307.0 + 615.0 * v)
+            res = oracle_eval("G", {"a": a, "b": b}, digits=30)
+            worst = max(worst, oracle_rel_err(geometric_mean(a, b), res))
+        assert worst < PUBLISHED_BOUNDS["G"]
+        assert worst < 1e-15
 
     def test_identric_series_window_vs_oracle(self):
         # pairs (1+t)/(1-t) land inside the even-series branch for |t| < 1e-3

@@ -35,6 +35,94 @@ class TestConstruction:
         with pytest.raises(ValueError):
             OrderedQuad(4, 4, 2, 1)        # a = b needs relaxed mode
 
+    ORDER = "require a > b >= c > d > 0, got "
+    RELAXED_ORDER = "require a >= b >= c >= d > 0, got "
+    NAN, INF = math.nan, math.inf
+
+    # (coordinates, relaxed, the ValueError's message), as the per-coordinate
+    # checks have always worded them: a fast test that accepts the common
+    # case must leave every one of these to them
+    REJECTED = [
+        ((NAN, 3.0, 2.0, 1.0), False, "a must be a finite positive real, got nan"),
+        ((4.0, NAN, 2.0, 1.0), False, "b must be a finite positive real, got nan"),
+        ((4.0, 3.0, 2.0, NAN), False, "d must be a finite positive real, got nan"),
+        ((NAN, 3.0, 2.0, 1.0), True, "a must be a finite positive real, got nan"),
+        ((INF, 3.0, 2.0, 1.0), False, "a must be a finite positive real, got inf"),
+        ((-INF, 3.0, 2.0, 1.0), False, "a must be a finite positive real, got -inf"),
+        ((4.0, 3.0, 2.0, -INF), False, "d must be a finite positive real, got -inf"),
+        ((4.0, 3.0, 2.0, 0.0), False, "d must be a finite positive real, got 0.0"),
+        ((4.0, 3.0, 2.0, 0.0), True, "d must be a finite positive real, got 0.0"),
+        ((4.0, 3.0, 2.0, -0.0), False, "d must be a finite positive real, got -0.0"),
+        ((4.0, 3.0, -2.0, 1.0), False, "c must be a finite positive real, got -2.0"),
+        ((4, 3, 2, 0), False, "d must be a finite positive real, got 0"),
+        ((4.0, 3.0, 2.0, False), False, "d must be a finite positive real, got False"),
+        ((4.0, 3.0, 2.0, "1"), False, "d must be a finite positive real, got '1'"),
+        ((4.0, 3.0, 2.0, None), False, "d must be a finite positive real, got None"),
+        ((4.0, 5.0, 2.0, 1.0), False, ORDER + "(4.0, 5.0, 2.0, 1.0)"),
+        ((1.0, 2.0, 3.0, 4.0), False, ORDER + "(1.0, 2.0, 3.0, 4.0)"),
+        ((4.0, 3.0, 2.0, 3.0), False, ORDER + "(4.0, 3.0, 2.0, 3.0)"),
+        ((4, 3, 2, 3), False, ORDER + "(4.0, 3.0, 2.0, 3.0)"),
+        ((4.0, 4.0, 2.0, 1.0), False, ORDER + "(4.0, 4.0, 2.0, 1.0)"),
+        ((4.0, 3.0, 2.0, 2.0), False, ORDER + "(4.0, 3.0, 2.0, 2.0)"),
+        ((4.0, 4.0, 4.0, 4.0), False, ORDER + "(4.0, 4.0, 4.0, 4.0)"),
+        ((4.0, 3.0, 5.0, 1.0), True, RELAXED_ORDER + "(4.0, 3.0, 5.0, 1.0)"),
+        ((4.0, 3.0, 2.0, 3.0), True, RELAXED_ORDER + "(4.0, 3.0, 2.0, 3.0)"),
+    ]
+
+    @pytest.mark.parametrize("coords,relaxed,message", REJECTED)
+    def test_rejections_keep_their_messages(self, coords, relaxed, message):
+        with pytest.raises(ValueError) as info:
+            OrderedQuad(*coords, relaxed=relaxed)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    def test_numpy_rejections_keep_their_messages(self):
+        np = pytest.importorskip("numpy")
+        for coords, bad in (((np.float64(4.0), 3.0, 2.0, np.float64(math.nan)), "d"),
+                            ((4.0, 3.0, 2.0, np.float64(-1.0)), "d"),
+                            ((np.float64(math.inf), 3.0, 2.0, 1.0), "a")):
+            with pytest.raises(ValueError) as info:
+                OrderedQuad(*coords)
+            value = coords["abcd".index(bad)]
+            assert str(info.value) == f"{bad} must be a finite positive real, got {value!r}"
+
+    @pytest.mark.parametrize("coords,relaxed", [
+        ((4.0, 3.0, 3.0, 1.0), False), ((4.0, 3.0, 2.0, 1.0), True),
+        ((4.0, 4.0, 2.0, 1.0), True), ((4.0, 3.0, 2.0, 2.0), True),
+        ((4.0, 4.0, 4.0, 4.0), True)])
+    def test_ties_build_where_allowed(self, coords, relaxed):
+        quad = OrderedQuad(*coords, relaxed=relaxed)
+        assert (quad.a, quad.b, quad.c, quad.d) == coords
+
+    def test_int_and_numpy_inputs_build_the_float_quad(self):
+        floats = OrderedQuad(4.0, 3.0, 2.0, 1.0)
+        same = [OrderedQuad(4, 3, 2, 1), OrderedQuad(4.0, 3, 2.0, 1)]
+        np = None
+        try:
+            import numpy as np
+        except ImportError:
+            pass
+        if np is not None:
+            same.append(OrderedQuad(*map(np.float64, (4.0, 3.0, 2.0, 1.0))))
+        for quad in same:
+            assert repr(quad) == repr(floats)
+            assert all(type(getattr(quad, k)) is float for k in "abcd")
+            assert ([getattr(quad, k) for k in quad.__slots__]
+                    == [getattr(floats, k) for k in floats.__slots__])
+
+    def test_disc_class_matches_the_max_scaled_form(self):
+        # the discriminant divides by max(a, b, c, d), which is a in every
+        # ordered quad; the classes equal those of the explicit form
+        for quad in rand_quads(300) + rand_quads(100, sign="zero"):
+            a, b, c, d = quad.a, quad.b, quad.c, quad.d
+            m = max(a, b, c, d)
+            x1, x2 = (a / m) * d, (b / m) * c
+            if abs(x1 - x2) <= 1e-12 * (x1 + x2):
+                want = DiscClass.ZERO
+            else:
+                want = DiscClass.POSITIVE if x1 > x2 else DiscClass.NEGATIVE
+            assert quad.disc_class is want
+
     def test_disc_classes(self):
         assert OrderedQuad(8, 2, 2, 1).disc_class is DiscClass.POSITIVE
         assert OrderedQuad(4, 3, 2, 1).disc_class is DiscClass.NEGATIVE
