@@ -2,9 +2,12 @@
 
 The oracle recomputes the closed forms with the stdlib ``decimal`` module.
 Guard digits cover both the requested precision and any cancellation the
-inputs cause (nearly equal members of either pair, exponents near removable
-points, x near 0), so the returned value is trusted to a relative error below
-10**(1 - digits).
+inputs cause, so the returned value is trusted to a relative error below
+10**(1 - digits).  A pair whose members agree to k digits adds k guard
+digits, and an exponent p within 10**-k of 0 or -1 adds k.  An exponent x
+within 10**-k of 0 adds k to f and g, where E - 1 below cancels k digits,
+and 2k to f' and g', where h(r1, E1) - h(r2, E2) cancels them again.  No
+binary64 x adds more than 648 digits, so the precision stays bounded.
 
 Logarithms are the cost, so each op takes one per pair ratio.  The means and
 f are homogeneous of degree 1 in each pair, so with r1 = ln(a/b),
@@ -25,12 +28,13 @@ a few thousandths from the reduction.  Arguments within 1e-3 of 1 or of a
 power of ten, where libmpdec's ln is already fast, skip the reduction.  exp
 and sqrt are libmpdec's, correctly rounded.
 
-The pair-ratio forms cover inputs with every coordinate positive and finite
-and x, p finite.  At the edge of that domain (a zero, negative or non-finite
-input, c == d, f <= 0 under g) the closed forms are evaluated one coordinate
-at a time, where Decimal's ln(0) = -Infinity and its signed infinities carry
-a limit value, such as L(0, b) = 0.  An input that has no value raises
-``ValueError`` naming the op and the condition it breaks.
+Each op has this one form.  For L, I, Lp and the ratio ops its domain is
+every coordinate positive and finite, x and p finite, c != d for f, g and
+f', and (a - b)(c - d) > 0, that is f > 0, for g.  The form keeps the
+limits inside it: the means at a == b, f and f' at a == b, g' at a == b or
+c == d, and each ratio op at x == 0, where g' is taken before f.  An input
+outside the domain raises ``ValueError`` naming the op and the condition it
+breaks.
 
 Supported operation tags: A, G, H, L, I, Lp, f, g, f_prime, g_prime, where f
 is the power-difference ratio (a^x - b^x)/(c^x - d^x) and g = ln f.
@@ -78,7 +82,7 @@ def _cancel_guard(*magnitudes):
     for m in magnitudes:
         if m > 0.0 and m < 1.0:
             extra = max(extra, int(math.ceil(-math.log10(m))))
-    return min(extra, 60)
+    return extra
 
 
 def _ln(y):
@@ -117,10 +121,12 @@ def _pair_ratio_core(op, a, b, c=None, d=None, x=None, p=None):
         return b * (a * r / (a - b) - 1).exp()    # I, and Lp at p = 0
     r0, r1, r2 = _ln(b / d), _ln(a / b), _ln(c / d)
     if x == 0:
+        gp = r0 + (r1 - r2) / 2
+        if op == "g_prime":
+            return gp
         f = r1 / r2
         if op == "g":
             return _ln(f)
-        gp = r0 + (r1 - r2) / 2
     else:
         e1, e2 = (x * r1).exp(), (x * r2).exp()
         if op == "g":
@@ -131,54 +137,6 @@ def _pair_ratio_core(op, a, b, c=None, d=None, x=None, p=None):
         f = (x * r0).exp() * (e1 - 1) / (e2 - 1)
     if op == "f":
         return f
-    return gp if op == "g_prime" else f * gp
-
-
-def _direct_mean(op, a, b, p=None):
-    if a == b:
-        return a
-    if op == "L":
-        return (a - b) / (a.ln() - b.ln())
-    if op == "I":
-        return (-1 + (a * a.ln() - b * b.ln()) / (a - b)).exp()
-    if p == 0:
-        return _direct_mean("I", a, b)
-    if p == -1:
-        return _direct_mean("L", a, b)
-    q = p + 1
-    base = ((q * a.ln()).exp() - (q * b.ln()).exp()) / (q * (a - b))
-    return (base.ln() / p).exp()
-
-
-def _identric_of_powers(u, v, u_ln, v_ln):
-    """ln I(u, v) in decimal, given u = e^u_ln and v = e^v_ln."""
-    if u == v:
-        return u_ln
-    return -1 + (u * u_ln - v * v_ln) / (u - v)
-
-
-def _direct_core(op, a, b, c=None, d=None, x=None, p=None):
-    """The op one coordinate at a time, with Decimal's ln and its infinities."""
-    if op in ("L", "I", "Lp"):
-        return _direct_mean(op, a, b, p)
-    ln_a, ln_b, ln_c, ln_d = a.ln(), b.ln(), c.ln(), d.ln()
-    if x == 0:
-        f0 = (ln_a - ln_b) / (ln_c - ln_d)
-        if op == "f":
-            return f0
-        if op == "g":
-            return f0.ln()
-        gp0 = (ln_a + ln_b - ln_c - ln_d) / 2
-        return gp0 if op == "g_prime" else f0 * gp0
-    xa, xb, xc, xd = x * ln_a, x * ln_b, x * ln_c, x * ln_d
-    pa, pb, pc, pd = xa.exp(), xb.exp(), xc.exp(), xd.exp()
-    if op != "g_prime":
-        f = (pa - pb) / (pc - pd)
-        if op == "f":
-            return f
-        if op == "g":
-            return f.ln()
-    gp = (_identric_of_powers(pa, pb, xa, xb) - _identric_of_powers(pc, pd, xc, xd)) / x
     return gp if op == "g_prime" else f * gp
 
 
@@ -194,10 +152,8 @@ def _broken_condition(op, inputs):
         checks = [(f"{k} > 0", inputs[k] > 0) for k in keys]
         if op in ("f", "g", "f_prime"):
             checks.append(("c != d", inputs["c"] != inputs["d"]))
-        if op == "g_prime":      # at x = 0 it goes through f
-            checks.append(("c != d or x != 0", inputs["c"] != inputs["d"] or inputs["x"] != 0))
         if op == "g":
-            checks.append(("f >= 0", (a - b) * (inputs["c"] - inputs["d"]) >= 0))
+            checks.append(("f > 0", (a - b) * (inputs["c"] - inputs["d"]) > 0))
     checks += [(f"finite {k}", math.isfinite(v)) for k, v in inputs.items()]
     return next((name for name, ok in checks if not ok),
                 "inputs its closed form can evaluate at this precision")
@@ -227,7 +183,8 @@ def oracle_eval(op, inputs, digits=50) -> OracleResult:
     x = inputs.get("x")
     p = inputs.get("p")
     if op in _RATIO_OPS and x is not None and x != 0.0:
-        guard += _cancel_guard(abs(x))
+        # E - 1 cancels -log10|x| digits; h(r1, E1) - h(r2, E2) cancels them again
+        guard += _cancel_guard(abs(x)) * (2 if op in ("f_prime", "g_prime") else 1)
     if op == "Lp" and p is not None:
         guard += _cancel_guard(abs(p), abs(p + 1.0))
 
@@ -258,13 +215,9 @@ def _oracle_core(op, inputs):
     if op == "H":
         return 2 / (1 / a + 1 / b)
     keys = _INPUT_KEYS[op]
-    args = {k: Decimal(inputs[k]) for k in keys}
-    if all(math.isfinite(inputs[k]) and (k in "xp" or inputs[k] > 0) for k in keys):
-        try:
-            return _pair_ratio_core(op, **args)
-        except (ArithmeticError, ValueError):
-            pass                                     # c == d, f <= 0, ...: the edge
-    return _direct_core(op, **args)
+    if not all(math.isfinite(inputs[k]) and (k in "xp" or inputs[k] > 0) for k in keys):
+        raise ValueError(f"{op} needs positive finite coordinates and finite x, p")
+    return _pair_ratio_core(op, **{k: Decimal(inputs[k]) for k in keys})
 
 
 def oracle_rel_err(fast_value, result: OracleResult) -> float:

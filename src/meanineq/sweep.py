@@ -94,6 +94,8 @@ class SweepConfig(_SweepFields):
             raise ValueError("samples must be >= 1")
         if not (0.0 < self.bounds[0] < self.bounds[1]):
             raise ValueError("bounds lower bound must be positive and below the upper")
+        if self.bounds[1] == math.inf:       # every draw would be inf
+            raise ValueError("bounds upper bound must be finite")
         nlo, nhi = self.kyfan_n_range
         if nlo < 1 or nhi < nlo:
             raise ValueError("kyfan_n_range must satisfy 1 <= lo <= hi")

@@ -154,6 +154,16 @@ class TestOracleCompare:
         data = parse(out)
         assert code == 0 and data["rel_err"] <= 1e-12
 
+    @pytest.mark.parametrize("op,flags", [
+        ("g_prime", ("--c", "2", "--d", "1", "--x", "1e-70")),
+        ("f_prime", ("--c", "2", "--d", "1", "--x=-5e-324")),
+        ("Lp", ("--p", "1e-200")),
+    ])
+    def test_next_to_removable_points(self, capsys, op, flags):
+        code, out, _ = run_cli(capsys, "oracle-compare", "--op", op, "--a", "4", "--b", "3",
+                               *flags)
+        assert code == 0 and parse(out)["rel_err"] < 1e-15
+
     def test_logarithmic(self, capsys):
         code, out, _ = run_cli(capsys, "oracle-compare", "--op", "L",
                                "--a", "4", "--b", "2")
@@ -240,6 +250,12 @@ def test_workers_below_one_exit_2(capsys, command, workers):
      "error: kyfan_n_range must satisfy 1 <= lo <= hi"),
     (("kyfan-sweep", "--n-min", "5", "--n-max", "2", "--workers", "2"),
      "error: kyfan_n_range must satisfy 1 <= lo <= hi"),
+    (("sweep", "--ids", "EQ5", "--samples", "5", "--range-hi", "inf"),
+     "error: bounds upper bound must be finite"),
+    # the binary64 path returns nan here; the oracle's refusal keeps it from a false violation
+    (("oracle-compare", "--op", "f", "--a", "4", "--b", "3", "--c", "2", "--d", "1", "--x", "nan"),
+     "error: oracle f has no value at {'a': 4.0, 'b': 3.0, 'c': 2.0, 'd': 1.0, 'x': nan}: "
+     "it needs finite x"),
 ])
 def test_rejected_input_exits_2_with_one_line(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err + "\n")

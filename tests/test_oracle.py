@@ -121,10 +121,16 @@ class TestDomain:
         ("H", {"a": 2.0, "b": -2.0}, "a + b != 0"),
         ("f", {"a": 4.0, "b": 3.0, "c": 2.0, "d": 2.0, "x": 1.0}, "c != d"),
         ("f_prime", {"a": 4.0, "b": 3.0, "c": 2.0, "d": 2.0, "x": 0.0}, "c != d"),
-        ("g", {"a": 1.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 1.0}, "f >= 0"),
-        ("g", {"a": 1.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 0.0}, "f >= 0"),
+        ("g", {"a": 1.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 1.0}, "f > 0"),
+        ("g", {"a": 1.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 0.0}, "f > 0"),
         ("g_prime", {"a": 4.0, "b": -3.0, "c": 2.0, "d": 1.0, "x": 1.0}, "b > 0"),
         ("L", {"a": math.inf, "b": 2.0}, "finite a"),
+        # limits at a zero coordinate, and g = ln 0, are outside the one form's domain
+        ("L", {"a": 0.0, "b": 2.0}, "a > 0"),
+        ("Lp", {"a": 0.0, "b": 2.0, "p": 0.5}, "a > 0"),
+        ("f", {"a": 0.0, "b": 2.0, "c": 3.0, "d": 2.0, "x": 1.0}, "a > 0"),
+        ("g", {"a": 3.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 1.5}, "f > 0"),
+        ("f", {"a": 4.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": math.nan}, "finite x"),
     ])
     def test_value_error_names_op_and_condition(self, op, inputs, condition):
         with pytest.raises(ValueError) as err:
@@ -132,17 +138,16 @@ class TestDomain:
         assert str(err.value) == f"oracle {op} has no value at {inputs}: it needs {condition}"
 
     @pytest.mark.parametrize("op,inputs,value", [
-        # limits the closed forms reach at the edge of the positive domain
+        # limits the closed forms reach inside the positive domain
         ("g_prime", {"a": 3.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 1.5},
          "0.69303699370382537823"),
         ("g_prime", {"a": 4.0, "b": 3.0, "c": 2.0, "d": 2.0, "x": 1.5},
          "0.55961930140989418832"),
         ("f_prime", {"a": 3.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 1.5}, "0"),
         ("f", {"a": 3.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 0.0}, "0"),
-        ("g", {"a": 3.0, "b": 3.0, "c": 2.0, "d": 1.0, "x": 1.5}, "-Infinity"),
-        ("L", {"a": 0.0, "b": 2.0}, "0"),
-        ("Lp", {"a": 0.0, "b": 2.0, "p": 0.5}, "0.88888888888888888888"),
-        ("f", {"a": 0.0, "b": 2.0, "c": 3.0, "d": 2.0, "x": 1.0}, "-2"),
+        # g'(0) = (ln a + ln b - 2 ln c)/2 at c == d, taken without f
+        ("g_prime", {"a": 4.0, "b": 3.0, "c": 2.0, "d": 2.0, "x": 0.0},
+         "0.549306144334054845697622618461"),
     ])
     def test_limits_kept(self, op, inputs, value):
         got = oracle_eval(op, inputs, digits=50).value
@@ -153,7 +158,7 @@ class TestDomain:
         ("f_prime", 3, 3, 2, 1),
     ])
     def test_pair_ratio_forms_take_the_equal_pair_limits(self, op, a, b, c, d):
-        # r E/(E - 1) -> 1/x as r -> 0, without the per-coordinate forms
+        # r E/(E - 1) -> 1/x as r -> 0
         inputs = {"a": a, "b": b, "c": c, "d": d, "x": 1.5}
         with localcontext() as ctx:
             ctx.prec = 65
@@ -161,8 +166,8 @@ class TestDomain:
         assert abs(got - oracle_eval(op, inputs, digits=50).value) < Decimal("1e-49")
 
 
-#: 50-digit values of the per-coordinate closed forms, one ln per coordinate:
-#: the pair-ratio forms must round to the same digits.
+#: 50-digit values once computed from per-coordinate closed forms, one ln per
+#: coordinate: the pair-ratio forms must round to the same digits.
 GOLDEN = [
     ("L", {"a": 7.25, "b": 0.3},
      "2.1821212367387619576553073214180972281119277632989"),
@@ -207,7 +212,8 @@ class TestAgainstMpmath:
     Binary64 inputs convert exactly to both Decimal and mpf, so the two sides
     evaluate the same point and the oracle must meet its own 10**-49 bound.
     The references take 400 digits: at 1e-200, a^a/b^b in I's textbook form
-    differs from 1 only in its 197th digit.
+    differs from 1 only in its 197th digit.  An x or p within 10**-k of 0
+    takes 2k more, since g''s textbook form cancels about 2k digits there.
     """
 
     PAIRS = {
@@ -216,7 +222,7 @@ class TestAgainstMpmath:
         "near 1e200": (3e200, 1e200),
         "near 1e-200": (3e-200, 1e-200),
     }
-    PS = (2.5, 1e-5, -1e-5, -1.0 + 1e-5, -1.0 - 1e-5)
+    PS = (2.5, 1e-5, -1e-5, -1.0 + 1e-5, -1.0 - 1e-5, 1e-200, -1e-200)
     QUADS = {
         "separated": (4.0, 3.0, 2.0, 1.0),
         "a/b-1=1e-12": (3.0 * (1.0 + 1e-12), 3.0, 2.0, 1.0),
@@ -224,7 +230,7 @@ class TestAgainstMpmath:
         "near 1e-200": (4e-200, 3e-200, 2e-200, 1e-200),
         "1e200 over 1e-200": (4e200, 3e200, 2e-200, 1e-200),
     }
-    XS = (1e-9, 0.0, -3.7, 2.5)
+    XS = (1e-9, 0.0, -3.7, 2.5, 1e-30, -1e-30, 1e-70, -1e-150, 1e-300, 5e-324)
 
     @staticmethod
     def _exact(op, inputs):
@@ -246,8 +252,10 @@ class TestAgainstMpmath:
             return ((a ** q - b ** q) / (q * (a - b))) ** (1 / v["p"])
         c, d, x = v["c"], v["d"], v["x"]
         if x == 0:                      # the limits at x = 0
-            f = log(a / b) / log(c / d)
             gp = (log(a) + log(b) - log(c) - log(d)) / 2
+            if op == "g_prime":         # defined at c == d too
+                return gp
+            f = log(a / b) / log(c / d)
         else:
             ax, bx, cx, dx = a ** x, b ** x, c ** x, d ** x
             f = (ax - bx) / (cx - dx)
@@ -257,7 +265,8 @@ class TestAgainstMpmath:
 
     def _check(self, op, inputs, absolute=False):
         got = oracle_eval(op, inputs, digits=50).value
-        with mpmath.workdps(400):
+        small = min(abs(inputs.get(k) or 1.0) for k in "xp")
+        with mpmath.workdps(400 + 2 * max(0, math.ceil(-math.log10(small)))):
             exact = self._exact(op, inputs)
             err = abs(mpmath.mpf(str(got)) - exact)
             bound = mpmath.mpf(10) ** -49 * (1 if absolute else abs(exact))
@@ -285,6 +294,10 @@ class TestAgainstMpmath:
             for x in self.XS:
                 self._check(op, {"a": 4.0, "b": 3.0, "c": math.nextafter(d, math.inf), "d": d,
                                  "x": x})
+
+    def test_g_prime_at_zero_with_equal_lower_pair(self):
+        for a, b, c in ((4.0, 3.0, 2.0), (3e200, 1e200, 2e-200), (7.5, 0.3, 7.5)):
+            self._check("g_prime", {"a": a, "b": b, "c": c, "d": c, "x": 0.0})
 
     def test_intermediates_past_binary64(self):
         # 500**120 and 1000**-150 lie outside binary64; Decimal's exponents hold them
