@@ -31,6 +31,36 @@ class CliError(Exception):
     """Usage-level failure; maps to exit code 2."""
 
 
+#: The flags that take a float, in any subcommand.
+_FLOAT_FLAGS = frozenset(["--a", "--b", "--c", "--d", "--p", "--q", "--x", "--y",
+                          "--range-lo", "--range-hi"])
+
+
+def _join_negative_floats(argv):
+    """``--p -1e-5`` as ``--p=-1e-5``.
+
+    argparse reads a token that starts with "-" as a flag unless it is a plain
+    decimal such as -1.5, so a negative float in exponent notation would
+    leave its flag without a value.  Joined to its flag, the value parses as
+    any other; a token that is not a float, such as a real flag, stays apart.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _FLOAT_FLAGS and tok.startswith("-") and _is_float(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _emit(obj):
     sys.stdout.write(dumps(obj) + "\n")
 
@@ -268,7 +298,8 @@ def _parser():
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(
+            _join_negative_floats(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0,) else 0

@@ -14,6 +14,12 @@ complements 1 - x_i, then evaluates:
 Strict chains (EQ23 .. EQ31) require a not-all-equal sample; EQ21/EQ22 are
 non-strict and collapse to equality on constant samples.  Everything is a
 pure function of the sample.
+
+Each id's slacks, tolerance and equality predicate come from one table of
+rows, where each formula is written once.  ``classic_slacks``,
+``refinement_slacks`` and ``all_slacks`` build SlackReports from the rows,
+for callers that show them; ``margins`` judges the same rows to
+``(id, margin, verdict)`` without a report, which is all a sweep folds.
 """
 
 from __future__ import annotations
@@ -24,12 +30,12 @@ from typing import NamedTuple
 
 from .means import ln_identric, ln_logarithmic
 from .ratio import OrderedQuad, log_ratio_value, ratio_value
-from .report import HypothesisViolation, build_report, check_finite_positive
+from .report import TOL_V, HypothesisViolation, build_report, judge
 from . import catalog
 
 __all__ = [
     "KyFanSample", "KyFanStats", "KYFAN_IDS",
-    "compute_stats", "classic_slacks", "refinement_slacks", "all_slacks",
+    "compute_stats", "classic_slacks", "refinement_slacks", "all_slacks", "margins",
     "complement_ratio_probe", "bridge_slacks",
 ]
 
@@ -58,21 +64,13 @@ class KyFanSample(_KyFanSampleFields):
     __slots__ = ()
 
     def __new__(cls, values):
-        vals = tuple(float(v) for v in values)
-        if len(vals) < 1:
+        vals = tuple(map(float, values))
+        if not vals:
             raise ValueError("sample needs at least one value")
         for v in vals:
-            if not (math.isfinite(v) and 0.0 < v <= 0.5):
+            if not 0.0 < v <= 0.5:          # false for NaN and +-inf too
                 raise ValueError(f"sample values must lie in (0, 1/2], got {v!r}")
         return super().__new__(cls, vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def all_equal(self) -> bool:
-        return max(self.values) - min(self.values) <= 0.0
 
 
 class KyFanStats(NamedTuple):
@@ -106,29 +104,24 @@ def compute_stats(sample: KyFanSample) -> KyFanStats:
     """A, A' by exact summation; G, G' through means of logarithms."""
     if not isinstance(sample, KyFanSample):
         sample = KyFanSample(sample)
-    n = sample.n
     xs = sample.values
-    if sample.all_equal:
+    n = len(xs)
+    width = max(xs) - min(xs)
+    if width <= 0.0:
         x = xs[0]
-        comp = 1.0 - x
-        return KyFanStats(n=n, a=x, g=x, a_prime=comp, g_prime=comp,
-                          ln_a=math.log(x), ln_g=math.log(x),
-                          ln_a_prime=math.log1p(-x), ln_g_prime=math.log1p(-x),
-                          r=0.0, r_prime=0.0, all_equal=True, spread=0.0)
+        ln_x, ln_comp = math.log(x), math.log1p(-x)
+        return KyFanStats(n, x, x, 1.0 - x, 1.0 - x, ln_x, ln_x, ln_comp, ln_comp,
+                          0.0, 0.0, True, 0.0)
     a = math.fsum(xs) / n
-    ln_g = math.fsum(math.log(x) for x in xs) / n
-    a_prime = math.fsum(1.0 - x for x in xs) / n
-    ln_g_prime = math.fsum(math.log1p(-x) for x in xs) / n
+    ln_g = math.fsum(map(math.log, xs)) / n
+    a_prime = math.fsum([1.0 - x for x in xs]) / n
+    ln_g_prime = math.fsum([math.log1p(-x) for x in xs]) / n
     g = math.exp(ln_g)
     g_prime = math.exp(ln_g_prime)
-    spread = (max(xs) - min(xs)) / a
-    return KyFanStats(n=n, a=a, g=g,
-                      a_prime=a_prime, g_prime=g_prime,
-                      ln_a=math.log(a), ln_g=ln_g,
-                      ln_a_prime=math.log(a_prime), ln_g_prime=ln_g_prime,
-                      r=math.log1p((a - g) / g),
-                      r_prime=math.log1p((a_prime - g_prime) / g_prime),
-                      all_equal=False, spread=spread)
+    return KyFanStats(n, a, g, a_prime, g_prime,
+                      math.log(a), ln_g, math.log(a_prime), ln_g_prime,
+                      math.log1p((a - g) / g), math.log1p((a_prime - g_prime) / g_prime),
+                      False, width / a)
 
 
 def _ln_pow_diff(ln_u, r, k):
@@ -145,23 +138,33 @@ def _on_manifold(stats):
     return stats.all_equal or stats.spread <= SPREAD_EQUALITY
 
 
-def _powers_underflow(stats):
-    # A^n, G^n below the binary64 range make EQ20's additive slack vacuous
-    return stats.n * stats.ln_a < -700.0
+#: id -> (link names, margin domain), in KYFAN_IDS order.
+_LINKS = {
+    "EQ18": (("ratio",), "log_ratio"),
+    "EQ19": (("difference",), "additive"),
+    "EQ20": (("power_difference",), "additive"),
+    "EQ21": (("exponent_sum",), "log_ratio"),
+    "EQ22": (("exponent_cross",), "log_ratio"),
+    "EQ23": (("first", "second", "third", "fourth"), "log_ratio"),
+    "EQ24": (("max_pair", "combined", "upper"), "log_ratio"),
+    "EQ25": (("inverse_power",), "log_ratio"),
+    "EQ26": (("lower_max", "middle", "upper_min", "below_one"), "log_ratio"),
+    "EQ27": (("first", "second", "third", "inverse_tail"), "log_ratio"),
+    "EQ28": (("lower", "upper"), "log_ratio"),
+    "EQ29": (("first", "min_pair", "upper"), "log_ratio"),
+    "EQ30": (("lower", "upper"), "log_ratio"),
+    "EQ31": (("min_pair", "below_one"), "log_ratio"),
+}
 
 
-def classic_slacks(stats: KyFanStats) -> dict:
-    """Reports for EQ18, EQ19, EQ20, keyed by id."""
+def _classic_rows(stats: KyFanStats) -> list:
+    """Rows ``(id, slacks, tolerance, on_equality_manifold)`` of EQ18, EQ19, EQ20."""
     eq = _on_manifold(stats)
-    inputs = stats.as_dict()
-    s18 = stats.r - stats.r_prime
-    rep18 = build_report("EQ18", inputs, ("ratio",), (s18,), "log_ratio",
-                         on_equality_manifold=eq)
     d = (stats.a - stats.g)
     dp = (stats.a_prime - stats.g_prime)
-    rep19 = build_report("EQ19", inputs, ("difference",), (d - dp,), "additive",
-                         scale=max(d, dp, 1e-300), on_equality_manifold=eq)
-    if stats.all_equal or _powers_underflow(stats):
+    # A^n, G^n below the binary64 range make EQ20's additive slack vacuous
+    underflow = stats.n * stats.ln_a < -700.0
+    if stats.all_equal or underflow:
         pd = pdp = 0.0
     else:
         pd = _pow_diff(stats.ln_a, stats.r, stats.n)
@@ -170,57 +173,63 @@ def classic_slacks(stats: KyFanStats) -> dict:
     # difference, so the tolerance carries that floor (the n <= 2 identity
     # evaluates to pure roundoff of exactly this size)
     tol20 = max(1e-9 * max(pd, pdp, 1e-300), stats.n * 5e-16)
-    rep20 = build_report("EQ20", inputs, ("power_difference",), (pdp - pd,), "additive",
-                         tolerance=tol20,
-                         on_equality_manifold=eq or stats.n <= 2 or _powers_underflow(stats))
-    return {"EQ18": rep18, "EQ19": rep19, "EQ20": rep20}
+    return [
+        ("EQ18", (stats.r - stats.r_prime,), TOL_V, eq),
+        ("EQ19", (d - dp,), TOL_V * max(d, dp, 1e-300), eq),
+        ("EQ20", (pdp - pd,), tol20, eq or stats.n <= 2 or underflow),
+    ]
 
 
-def _refinement_links(stats: KyFanStats) -> dict:
-    """Raw link slacks of EQ21 .. EQ31 in the log domain, keyed by id."""
+def _refinement_rows(stats: KyFanStats) -> list:
+    """Rows of EQ21 .. EQ31, every slack in the log domain.
+
+    EQ21/EQ22 accept constant samples (non-strict) and read 0 there; the
+    strict chains EQ23 .. EQ31 have no row for them.
+    """
+    if stats.all_equal:
+        return [("EQ21", (0.0,), TOL_V, True), ("EQ22", (0.0,), TOL_V, True)]
+    eq = _on_manifold(stats)
     n = stats.n
     a, g, ap, gp = stats.a, stats.g, stats.a_prime, stats.g_prime
     r, rp = stats.r, stats.r_prime
-    ln_a, ln_g, ln_ap, ln_gp = stats.ln_a, stats.ln_g, stats.ln_a_prime, stats.ln_g_prime
+    ln_a, ln_ap = stats.ln_a, stats.ln_a_prime
 
     secant = (ap - gp) / (a - g)                   # (A'-G')/(A-G)
-    ln_s = 0.5 * ((ln_ap + ln_gp) - (ln_a + ln_g))  # ln sqrt(A'G'/(AG)) > 0
+    dl = (ln_ap + stats.ln_g_prime) - (ln_a + stats.ln_g)   # ln(A'G'/(AG)) > 0
+    ln_s = 0.5 * dl                                # ln sqrt(A'G'/(AG))
     ln_ir = ln_identric(ap, gp) - ln_identric(a, g)
     ln_pd = _ln_pow_diff(ln_a, r, n)
     ln_pdp = _ln_pow_diff(ln_ap, rp, n)
-
-    out = {}
-    out["EQ21"] = ((a + g) * r - (ap + gp) * rp,)
-    out["EQ22"] = ((ap - gp) * r - (a - g) * rp,)
+    # each log once; the sums keep the grouping that fixes their rounding
+    ln_rp, ln_r = math.log(rp), math.log(r)
+    ln_rp_r = ln_rp - ln_r                         # ln(R'/R)
+    ln_secant = math.log(secant)
+    lln_ir, lln_s = math.log(ln_ir), math.log(ln_s)
+    ln_ir_s = lln_ir - lln_s                       # ln(ln_ir / ln_s)
 
     # EQ23: A'/G' < (A/G)^e1 < (A/G)^e2 < (A/G)^e3 < A/G
-    l1 = secant * r - rp * ln_s - rp
-    l2 = 0.5 * rp * (r - rp)
-    l3 = r * ((a - g) - (ap - gp)) / (a - g)
-    l4 = rp * (ln_ap - ln_a)
-    out["EQ23"] = (l1, l2, l3, l4)
+    eq23 = (secant * r - rp * ln_s - rp,
+            0.5 * rp * (r - rp),
+            r * ((a - g) - (ap - gp)) / (a - g),
+            rp * (ln_ap - ln_a))
 
     # EQ24: A'/G' < max{T1, T2} < T3 < A/G
     ln_t1 = rp * (1.0 + ln_s)
-    ln_t2 = rp / secant
-    ln_t3 = rp * (1.0 + ln_s) / secant
-    mx = max(ln_t1, ln_t2)
-    out["EQ24"] = (mx - rp, ln_t3 - mx, r - ln_t3)
+    ln_t3 = ln_t1 / secant
+    mx = max(ln_t1, rp / secant)
+    eq24 = (mx - rp, ln_t3 - mx, r - ln_t3)
 
     # EQ25: power-difference ratio < (A'^n G'^n R') / (A^n G^n R)
     lhs = ln_pdp - ln_pd
-    rhs = n * ((ln_ap + ln_gp) - (ln_a + ln_g)) + math.log(rp) - math.log(r)
-    out["EQ25"] = (rhs - lhs,)
+    eq25 = (n * dl + ln_rp - ln_r - lhs,)
 
     # EQ26: max{M0a, M0b} < R'/R < M2 < min{M3a, M3b} < 1 (logs of members)
-    m0a = (ln_pdp - ln_pd) + 0.5 * n * ((ln_a + ln_g) - (ln_ap + ln_gp))
-    m0b = math.log(secant) - ln_s
-    m1 = math.log(rp) - math.log(r)
-    m2 = math.log(secant) + math.log(ln_ir) - math.log(ln_s)
-    m3a = math.log(secant)
-    m3b = math.log(ln_ir) - math.log(ln_s)
-    mn = min(m3a, m3b)
-    out["EQ26"] = (m1 - max(m0a, m0b), m2 - m1, mn - m2, -mn)
+    k2 = 0.5 * n * dl
+    m0a = lhs - k2
+    m0b = ln_secant - ln_s
+    m2 = ln_secant + lln_ir - lln_s
+    mn = min(ln_secant, ln_ir_s)
+    eq26 = (ln_rp_r - max(m0a, m0b), m2 - ln_rp_r, mn - m2, -mn)
 
     # EQ27: A'/G' < (A'/G')^(ln_s/ln_ir) < (A/G)^secant < A/G < (A'/G')^((A'G'/AG)^(n/2))
     ln_d1 = rp * ln_s / ln_ir
@@ -231,73 +240,79 @@ def _refinement_links(stats: KyFanStats) -> dict:
     else:   # e^t is past binary64 but rp < 1 may bring rp e^t back; +inf if not
         u = t + math.log(rp)
         ln_d4 = math.exp(u) if u <= _LN_MAX else math.inf
-    out["EQ27"] = (ln_d1 - rp, ln_d2 - ln_d1, r - ln_d2, ln_d4 - r)
+    eq27 = (ln_d1 - rp, ln_d2 - ln_d1, r - ln_d2, ln_d4 - r)
 
     # EQ28: pd-ratio < ((A'G')^(n/2) R') / ((AG)^(n/2) R) < (A'G'/(AG))^(n/2)
-    k1 = 0.5 * n * ((ln_ap + ln_gp) - (ln_a + ln_g)) + math.log(rp) - math.log(r)
-    k2 = 0.5 * n * ((ln_ap + ln_gp) - (ln_a + ln_g))
-    out["EQ28"] = (k1 - lhs, k2 - k1)
+    k1 = k2 + ln_rp - ln_r
+    eq28 = (k1 - lhs, k2 - k1)
 
     # EQ29: A'/G' < (A/G)^(sumratio*secant) < min pair < A/G
     sumratio = (a + g) / (ap + gp)
     ln_m1 = r * sumratio * secant
     mn29 = min(r * sumratio, r * secant)
-    out["EQ29"] = (ln_m1 - rp, mn29 - ln_m1, r - mn29)
 
     # EQ30: A'/G' < (A'/G')^(Ir/secant) < A/G with Ir = I(A',G')/I(A,G)
-    ln_d1 = rp * math.exp(ln_ir) / secant
-    out["EQ30"] = (ln_d1 - rp, r - ln_d1)
+    ln_e1 = rp * math.exp(ln_ir) / secant
 
     # EQ31: AG/(A'G') < min{ (L(A,G)/L(A',G'))^2, powered analogue } < 1
-    v0 = (ln_a + ln_g) - (ln_ap + ln_gp)
     v1a = 2.0 * (ln_logarithmic(a, g) - ln_logarithmic(ap, gp))
-    v1b = (2.0 / n) * ((math.log(rp) - math.log(r)) + (ln_pd - ln_pdp))
+    v1b = (2.0 / n) * (ln_rp_r + (ln_pd - ln_pdp))
     mn31 = min(v1a, v1b)
-    out["EQ31"] = (mn31 - v0, -mn31)
+
+    return [
+        ("EQ21", ((a + g) * r - (ap + gp) * rp,), TOL_V, eq),
+        ("EQ22", ((ap - gp) * r - (a - g) * rp,), TOL_V, eq),
+        ("EQ23", eq23, TOL_V, eq),
+        ("EQ24", eq24, TOL_V, eq),
+        ("EQ25", eq25, TOL_V, eq),
+        ("EQ26", eq26, TOL_V, eq),
+        ("EQ27", eq27, TOL_V, eq),
+        ("EQ28", eq28, TOL_V, eq),
+        ("EQ29", (ln_m1 - rp, mn29 - ln_m1, r - mn29), TOL_V, eq),
+        ("EQ30", (ln_e1 - rp, r - ln_e1), TOL_V, eq),
+        ("EQ31", (mn31 + dl, -mn31), TOL_V, eq),
+    ]
+
+
+def _rows(stats: KyFanStats) -> list:
+    """The table: every row the sample admits, in KYFAN_IDS order."""
+    return _classic_rows(stats) + _refinement_rows(stats)
+
+
+def _reports(stats, rows) -> dict:
+    """The rows' SlackReports keyed by id, all echoing one inputs dict."""
+    inputs = stats.as_dict()
+    out = {}
+    for id, slacks, tolerance, eq in rows:
+        links, domain = _LINKS[id]
+        out[id] = build_report(id, inputs, links, slacks, domain, tolerance=tolerance,
+                               on_equality_manifold=eq)
     return out
 
 
-_REFINEMENT_LINK_NAMES = {
-    "EQ21": ("exponent_sum",),
-    "EQ22": ("exponent_cross",),
-    "EQ23": ("first", "second", "third", "fourth"),
-    "EQ24": ("max_pair", "combined", "upper"),
-    "EQ25": ("inverse_power",),
-    "EQ26": ("lower_max", "middle", "upper_min", "below_one"),
-    "EQ27": ("first", "second", "third", "inverse_tail"),
-    "EQ28": ("lower", "upper"),
-    "EQ29": ("first", "min_pair", "upper"),
-    "EQ30": ("lower", "upper"),
-    "EQ31": ("min_pair", "below_one"),
-}
+def classic_slacks(stats: KyFanStats) -> dict:
+    """Reports for EQ18, EQ19, EQ20, keyed by id."""
+    return _reports(stats, _classic_rows(stats))
 
 
 def refinement_slacks(stats: KyFanStats) -> dict:
     """Reports for EQ21 .. EQ31, keyed by id.
 
     EQ21/EQ22 accept constant samples (non-strict); the strict chains
-    EQ23 .. EQ31 reject them with HypothesisViolation.
+    EQ23 .. EQ31 are skipped for them.
     """
-    inputs = stats.as_dict()
-    out = {}
-    if stats.all_equal:
-        for id in ("EQ21", "EQ22"):
-            links = _REFINEMENT_LINK_NAMES[id]
-            out[id] = build_report(id, inputs, links, (0.0,) * len(links),
-                                   "log_ratio", on_equality_manifold=True)
-        return out
-    eq = _on_manifold(stats)
-    for id, slacks in _refinement_links(stats).items():
-        out[id] = build_report(id, inputs, _REFINEMENT_LINK_NAMES[id], slacks,
-                               "log_ratio", on_equality_manifold=eq)
-    return out
+    return _reports(stats, _refinement_rows(stats))
 
 
 def all_slacks(stats: KyFanStats) -> dict:
     """EQ18 .. EQ31 in one dict; strict ids are skipped for constant samples."""
-    out = classic_slacks(stats)
-    out.update(refinement_slacks(stats))
-    return out
+    return _reports(stats, _rows(stats))
+
+
+def margins(stats: KyFanStats) -> list:
+    """``(id, margin, verdict)`` for each id of ``all_slacks(stats)``, in its
+    order, from the same rows and verdict rule, without building a report."""
+    return [(id, *judge(slacks, tolerance, eq)) for id, slacks, tolerance, eq in _rows(stats)]
 
 
 def _stats_quad(stats: KyFanStats) -> OrderedQuad:
@@ -324,7 +339,7 @@ def bridge_slacks(stats: KyFanStats) -> dict:
     """
     quad = _stats_quad(stats)
     n = stats.n
-    links = _refinement_links(stats)
+    links = {id: slacks for id, slacks, _, _ in _refinement_rows(stats)}
     out = {}
 
     # mean-ratio chain on the quadruple: catalog EQ14 vs stats-level formulas

@@ -299,8 +299,12 @@ def _lp_sinhc_form(hi, lo, p):
     ln_hi = math.log(hi)
     ln_lo = math.log(lo)
     d = (hi - lo) / lo
-    r = math.log1p(d)
-    ln_l = ln_lo + math.log(d / r)
+    if math.isfinite(d):
+        r = math.log1p(d)
+        ln_l = ln_lo + math.log(d / r)
+    else:   # hi/lo past binary64: ln L from the difference, as _logarithmic_mean
+        r = ln_hi - ln_lo
+        ln_l = math.log(hi - lo) - math.log(r)
     bracket = q * (0.5 * (ln_hi + ln_lo)) + _ln_sinhc(0.5 * q * r) - ln_l
     return math.exp(bracket / p)
 

@@ -102,21 +102,27 @@ def build_report(id, inputs, links, slacks, domain, scale=1.0, on_equality_manif
         raise ValueError("links and slacks length mismatch")
     if tolerance is None:
         tolerance = TOL_V if domain == "log_ratio" else TOL_V * max(scale, 0.0)
-    margin = _margin(slacks)
-    if margin != margin:
-        verdict = VIOLATED
-    elif margin > tolerance:
-        verdict = HOLDS
-    elif margin < -tolerance:
-        verdict = VIOLATED
-    elif on_equality_manifold:
-        verdict = EQUALITY
-    elif margin >= 0.0:
-        verdict = HOLDS
-    else:
-        verdict = VIOLATED
+    margin, verdict = judge(slacks, tolerance, on_equality_manifold)
     return tuple.__new__(SlackReport, (str(id), dict(inputs), links, slacks, domain,
                                        float(tolerance), verdict, margin))
+
+
+def judge(slacks, tolerance, on_equality_manifold) -> tuple:
+    """``(margin, verdict)`` of float slacks against a tolerance: the verdict rule.
+
+    A report's margin and verdict come from here, and so do a sweep's, which
+    folds them without building the report.
+    """
+    margin = _margin(slacks)
+    if margin != margin:
+        return margin, VIOLATED
+    if margin > tolerance:
+        return margin, HOLDS
+    if margin < -tolerance:
+        return margin, VIOLATED
+    if on_equality_manifold:
+        return margin, EQUALITY
+    return margin, HOLDS if margin >= 0.0 else VIOLATED
 
 
 def dumps(obj) -> str:

@@ -10,9 +10,11 @@ reported argmin inputs reproduces the minimum margin bit-for-bit.
 Both sweeps run through one driver over a list of groups: a group is a set
 of ids evaluated from one draw per sample, one id per group for the catalog
 and EQ18..EQ31 together for Ky Fan.  Samples are streamed: each is drawn,
-evaluated, folded into the aggregate and dropped before the next.  The
-sampled quad goes to the evaluator as is; the echoed input dict is built
-only where a report or CSV row shows it.
+evaluated to ``(id, margin, verdict)`` triples, folded into the aggregate and
+dropped before the next.  A Ky Fan sample is judged by ``kyfan.margins``
+without building its SlackReports; a report is built only where a caller
+shows one.  The sampled quad goes to the evaluator as is; the echoed input
+dict is built only where a report or CSV row shows it.
 
 A chunk of up to ``_CHUNK`` samples of one group is the unit of work.  Its
 task is plain data (sweep kind, config, group position, first index, whether
@@ -184,7 +186,7 @@ class _Group(NamedTuple):
     """Ids evaluated together from one draw per sample."""
     ids: tuple
     draw: Callable                    # index -> inputs; the argmin replay uses it too
-    evaluate: Callable                # inputs -> iterable of (id, SlackReport)
+    evaluate: Callable                # inputs -> iterable of (id, margin, verdict)
 
 
 def _catalog_group(entry, config):
@@ -215,7 +217,8 @@ def _catalog_group(entry, config):
         raise AssertionError(f"unhandled arity {arity}")
 
     def evaluate(inputs):
-        return ((entry.id, entry.evaluate(**inputs)),)
+        *_, verdict, margin = entry.evaluate(**inputs)     # a SlackReport's last fields
+        return ((entry.id, margin, verdict),)
 
     return _Group((entry.id,), draw, evaluate)
 
@@ -230,8 +233,7 @@ def _kyfan_group(config):
         return {"n": n, "values": sample_kyfan_values(stream, index, n)}
 
     def evaluate(inputs):
-        stats = kyfan.compute_stats(kyfan.KyFanSample(inputs["values"]))
-        return kyfan.all_slacks(stats).items()
+        return kyfan.margins(kyfan.compute_stats(kyfan.KyFanSample(inputs["values"])))
 
     return _Group(kyfan.KYFAN_IDS, draw, evaluate)
 
@@ -257,11 +259,10 @@ def _run_chunk(task):
     for index in range(start, min(start + _CHUNK, config.samples)):
         inputs = group.draw(index)
         text = dumps(_public_inputs(inputs)) if rows is not None else None
-        for id, rep in group.evaluate(inputs):
-            margin = rep.margin
-            aggs[id].update(index, margin, rep.verdict, inputs)
+        for id, margin, verdict in group.evaluate(inputs):
+            aggs[id].update(index, margin, verdict, inputs)
             if rows is not None:
-                rows.append((id, index, text, repr(margin), rep.verdict))
+                rows.append((id, index, text, repr(margin), verdict))
     if rows is None:
         return aggs, None
     block = io.StringIO()
@@ -341,9 +342,10 @@ def _run_groups(kind, config, n_groups, csv_path):
             else:
                 if index not in replays:
                     inputs = group.draw(index)
-                    replays[index] = _public_inputs(inputs), dict(group.evaluate(inputs))
-                echo, reps = replays[index]
-                replay = reps[id].margin
+                    replays[index] = _public_inputs(inputs), {
+                        k: margin for k, margin, _ in group.evaluate(inputs)}
+                echo, margins = replays[index]
+                replay = margins[id]
             results[id] = {
                 "samples_run": agg.samples_run,
                 "min_margin": agg.min_margin if index >= 0 else None,

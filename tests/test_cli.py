@@ -273,3 +273,27 @@ def test_kyfan_check_writes_strict_json(capsys):
     data = json.loads(out, parse_constant=reject)
     assert code == 0
     assert data["reports"]["EQ27"]["slacks"][-1] == "inf"
+
+
+@pytest.mark.parametrize("argv", [
+    ("means-eval", "--mean", "Lp", "--a", "4", "--b", "3", "--p", "-1e-5"),
+    ("oracle-compare", "--op", "f", "--a", "4", "--b", "3", "--c", "2", "--d", "1",
+     "--x", "-5e-324"),
+    ("ineq-check", "--id", "EQ4", "--a", "4", "--b", "3", "--c", "2", "--d", "1",
+     "--p", "-1.5e0", "--q", "2"),
+])
+def test_negative_float_in_exponent_notation(capsys, argv):
+    # argparse alone reads "-1e-5" as a flag and exits 2 with "expected one argument"
+    code, out, err = run_cli(capsys, *argv)
+    k = next(k for k, tok in enumerate(argv) if tok[:2] in ("-1", "-5"))
+    joined = (*argv[:k - 1], f"{argv[k - 1]}={argv[k]}", *argv[k + 1:])
+    assert code == 0 and out
+    assert run_cli(capsys, *joined) == (code, out, err)
+
+
+@pytest.mark.parametrize("value", ["--a", "-h"])
+def test_a_flag_after_a_float_flag_is_still_a_usage_error(capsys, value):
+    code, out, err = run_cli(capsys, "means-eval", "--mean", "Lp", "--b", "3", "--p", value,
+                             "4")
+    assert code == 2 and out == ""
+    assert "argument --p: expected one argument" in err

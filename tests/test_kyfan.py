@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -8,12 +9,14 @@ import pytest
 
 from meanineq import catalog
 from meanineq.cli import main
-from meanineq.kyfan import (KYFAN_IDS, KyFanSample, all_slacks, bridge_slacks,
-                            classic_slacks, complement_ratio_probe,
-                            compute_stats, refinement_slacks)
+from meanineq.kyfan import (KYFAN_IDS, SPREAD_EQUALITY, KyFanSample, all_slacks,
+                            bridge_slacks, classic_slacks, complement_ratio_probe,
+                            compute_stats, margins, refinement_slacks)
 from meanineq.ratio import OrderedQuad, ratio_value
 from meanineq.report import EQUALITY, HOLDS, VIOLATED, HypothesisViolation
+from meanineq.report import dumps
 from meanineq.rng import SampleStream, sample_kyfan_values
+from meanineq.sweep import SweepConfig, run_kyfan_sweep
 
 
 def stats_of(values):
@@ -242,3 +245,74 @@ def test_eq27_tail_near_and_past_binary64(n):
             assert tail == math.inf
         else:
             assert abs(tail - exact) <= 1e-12 * exact
+
+
+class TestMarginsMatchReports:
+    """``margins`` judges the rows ``all_slacks`` builds its reports from: the
+    same ids in the same order, each with the report's margin and verdict."""
+
+    @staticmethod
+    def assert_same(stats):
+        folded = [(id, repr(margin), verdict) for id, margin, verdict in margins(stats)]
+        shown = [(id, repr(rep.margin), rep.verdict) for id, rep in all_slacks(stats).items()]
+        assert folded == shown
+
+    def test_sampled(self):
+        stream = SampleStream(44, "test/margins")
+        nstream = SampleStream(44, "test/margins-n")
+        for i in range(2000):
+            n = 1 + nstream.words(i, 1)[0] % 20
+            self.assert_same(compute_stats(KyFanSample(sample_kyfan_values(stream, i, n))))
+
+    @pytest.mark.parametrize("values", [
+        [0.3], [0.37, 0.37, 0.37], [0.5, 0.5],
+        [0.3, 0.3 * (1 + 1e-3), 0.3 * (1 + 2e-3)],        # spread inside SPREAD_EQUALITY
+        [0.5] + [0.01] * 199,                             # A^n, G^n underflow: EQ20's branch
+        [0.001 + 0.499 * i / 9999 for i in range(10000)],  # EQ27's inverse tail is +inf
+    ])
+    def test_edge_samples(self, values):
+        stats = compute_stats(KyFanSample(values))
+        self.assert_same(stats)
+        if len(values) == 3 and not stats.all_equal:
+            assert 0.0 < stats.spread <= SPREAD_EQUALITY
+        if len(values) == 200:
+            assert stats.n * stats.ln_a < -700.0
+        if len(values) == 10000:
+            assert all_slacks(stats)["EQ27"].slacks[3] == math.inf
+
+    def test_nan_statistic(self):
+        stats = stats_of([0.1, 0.2, 0.4])._replace(r=math.nan)
+        self.assert_same(stats)
+        assert dict((id, verdict) for id, _, verdict in margins(stats))["EQ18"] == VIOLATED
+
+
+#: sha256 of ``kyfan-sweep --samples 3000 --seed 42``: the report less
+#: wall_time_s as ``report.dumps`` writes it, and the CSV, from before the
+#: sweep folded margins instead of reports.
+SWEEP_REPORT_SHA = "a34c1330409db125b55a5c625bcf1bce64a1015d920c94f2e4f70aedd7dd7ad5"
+SWEEP_CSV_SHA = "9a236335aace7beadb0686b887af548d7549a62031f153d4c9f2898359096250"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_bytes_pinned(tmp_path, workers):
+    rows = tmp_path / "rows.csv"
+    rep = run_kyfan_sweep(SweepConfig(samples=3000, seed=42, workers=workers),
+                          csv_path=str(rows))
+    rep.pop("wall_time_s")
+    assert hashlib.sha256(dumps(rep).encode()).hexdigest() == SWEEP_REPORT_SHA
+    assert hashlib.sha256(rows.read_bytes()).hexdigest() == SWEEP_CSV_SHA
+
+
+#: sha256 of ``kyfan-check --x X`` stdout: every link name and slack of every
+#: id, pinned from before the reports were built from the shared rows.
+CHECK_SHA = {
+    "0.1,0.2,0.35": "b979710c592a26522cedddfa3cca88cd0171d529d2f05b11afb30d89635ef1de",
+    "0.25,0.2500001,0.25": "3a18f3f8691462f5bea2a61e095292debcb32c8bf36ff6b48734424dae070e1f",
+    "[1e-300, 0.5, 0.4]": "336bbaf08bd4dbb587af8a96f58b6db5e5549f86506d1dc3dd1d95c1ff2048de",
+}
+
+
+@pytest.mark.parametrize("x", CHECK_SHA)
+def test_check_output_pinned(capsys, x):
+    assert main(["kyfan-check", "--x", x]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHECK_SHA[x]

@@ -140,6 +140,16 @@ class TestOracleAgreement:
                 rel = oracle_rel_err(p_logarithmic_mean(a, b, p), res)
                 assert rel < 1e-13, (a, b, p, rel)
 
+    @pytest.mark.parametrize("a,b", [(1e200, 1e-200), (1.7e308, 1e-300), (1e155, 1e-160)])
+    def test_lp_past_a_binary64_ratio(self, a, b):
+        # a/b overflows here, so the sinhc form cannot take ln L through
+        # log1p(a/b - 1); it read NaN at every p below -0.3
+        for p in (-1.5, -1.2, -0.9, -0.6674939363144201, -0.5, -0.3):
+            value = p_logarithmic_mean(a, b, p)
+            assert b <= value <= a, (p, value)
+            res = oracle_eval("Lp", {"a": a, "b": b, "p": p}, digits=40)
+            assert oracle_rel_err(value, res) < PUBLISHED_BOUNDS["Lp"], p
+
 
 class TestProperties:
     @given(a=pos, b=pos)

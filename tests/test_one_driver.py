@@ -3,7 +3,8 @@
 Every catalog id resolves, validates its named inputs and reports missing
 ones through its ``REGISTRY`` row; catalog and Ky Fan sweeps run through the
 same driver, which draws and evaluates once per (id, sample) plus once per
-argmin replay, at the seams the benchmark's tracer wraps.
+argmin replay, at the seams the benchmark's tracer wraps; a Ky Fan sweep
+judges its samples through ``kyfan.margins`` and builds no report.
 """
 
 import json
@@ -144,7 +145,7 @@ def seams(monkeypatch):
     monkeypatch.setattr(catalog.InequalityEntry, "evaluate",
                         counted(catalog.InequalityEntry.evaluate,
                                 lambda entry: ("evaluate", entry.id)))
-    for name in ("compute_stats", "all_slacks"):
+    for name in ("compute_stats", "margins", "all_slacks"):
         monkeypatch.setattr(kyfan, name, counted(getattr(kyfan, name), lambda _, n=name: (n,)))
     return calls
 
@@ -177,7 +178,7 @@ def test_catalog_sweep_seams(seams, workers):
             want["sample_pair"] += _expected(f"catalog/{id}", seed, samples, argmin)
     for name in SAMPLERS:
         assert _by_stream(seams, name) == want[name], name
-    assert seams["compute_stats",] == seams["all_slacks",] == 0
+    assert seams["compute_stats",] == seams["margins",] == seams["all_slacks",] == 0
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -188,7 +189,9 @@ def test_kyfan_sweep_seams(seams, workers):
     assert _by_stream(seams, "sample_int") == _expected("kyfan/n", seed, samples, argmins)
     assert (_by_stream(seams, "sample_kyfan_values")
             == _expected("kyfan/values", seed, samples, argmins))
-    assert seams["compute_stats",] == seams["all_slacks",] == samples + len(argmins)
+    # the sweep folds (id, margin, verdict) triples and builds no SlackReport
+    assert seams["compute_stats",] == seams["margins",] == samples + len(argmins)
+    assert seams["all_slacks",] == 0
     assert not any(key[0] == "evaluate" for key in seams)
     for name in ("sample_quad", "sample_pair", "sample_exponent"):
         assert not _by_stream(seams, name)

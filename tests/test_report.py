@@ -3,7 +3,8 @@ import pickle
 
 import pytest
 
-from meanineq.report import EQUALITY, HOLDS, VIOLATED, SlackReport, build_report, dumps
+from meanineq.report import (EQUALITY, HOLDS, VIOLATED, SlackReport, build_report, dumps,
+                             judge)
 from meanineq.sweep import _Agg
 
 
@@ -48,6 +49,25 @@ class TestNanVerdicts:
         rep = build_report("X", {"a": 1.0}, ("s",), (1.0,), "log_ratio")
         with pytest.raises(AttributeError):
             rep.verdict = VIOLATED
+
+
+@pytest.mark.parametrize("slacks,tolerance,manifold,verdict", [
+    ((2.0, 1.5), 1.0, False, HOLDS),               # clear of the tolerance
+    ((-2.0, 1.5), 1.0, True, VIOLATED),            # below it, manifold or not
+    ((0.5,), 1.0, False, HOLDS),                   # inside it, nonnegative
+    ((-0.5,), 1.0, False, VIOLATED),               # inside it, negative, no manifold
+    ((-0.5, 3.0), 1.0, True, EQUALITY),            # inside it, on the manifold
+    ((0.0,), 0.0, True, EQUALITY),
+    ((1.0, math.nan), 1.0, False, VIOLATED),
+    ((math.nan,), 1.0, True, VIOLATED),
+])
+def test_judge_is_the_verdict_rule(slacks, tolerance, manifold, verdict):
+    margin, got = judge(slacks, tolerance, manifold)
+    assert got == verdict
+    assert repr(margin) == repr(math.nan if any(map(math.isnan, slacks)) else min(slacks))
+    rep = build_report("X", {}, ("s",) * len(slacks), slacks, "log_ratio",
+                       tolerance=tolerance, on_equality_manifold=manifold)
+    assert (repr(rep.margin), rep.verdict) == (repr(margin), got)
 
 
 class TestStoredMargin:
