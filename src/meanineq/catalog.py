@@ -1,12 +1,18 @@
 """Registry of the mean-inequality catalog, evaluated as slack reports.
 
-Each entry maps a stable id (EQ4 .. EQ17, SLOPE_3) to a slack-valued
-predicate: hypotheses are validated, every chain link is reported separately,
-and direction-keyed entries (EQ13, EQ14) orient their slacks by the
+Each entry maps a stable id (EQ4 .. EQ17, SLOPE_3) to a row: a function of
+the id's arguments that validates its hypotheses and returns one slack per
+chain link, the verdict tolerance and the id's equality predicate.
+Direction-keyed entries (EQ13, EQ14) orient their slacks by the
 discriminant class so a positive slack always means "the stated inequality
 holds".  Sequence entries (EQ15, EQ16, EQ17) instantiate the quadruple
 (n+2, n+1, n+1, n) and are evaluated through cancellation-free forms that
 stay positive in binary64 up to n = 10**6 and beyond.
+
+Each formula is written once, in its row.  ``InequalityEntry.report`` and
+``evaluate`` build a SlackReport from the row, for callers that show one;
+``InequalityEntry.margin`` judges the same row to ``(margin, verdict)``
+through ``report.judge`` without a report, which is all a sweep folds.
 """
 
 from __future__ import annotations
@@ -24,7 +30,10 @@ from .means import (_ln_identric as ln_identric, _logarithmic_mean as logarithmi
                     ExponentKind)
 from .ratio import (DiscClass, OrderedQuad, ln_identric_ratio_pow,
                     log_secant_slope_gap)
-from .report import HypothesisViolation, build_report, check_finite_positive
+# The report builder that keeps the echo dict it is handed, which each
+# report builds for itself; it keeps the public name the tracer wraps.
+from .report import (TOL_V, HypothesisViolation, _owned_report as build_report,
+                     check_finite_positive, judge)
 
 __all__ = [
     "INEQUALITY_IDS", "REGISTRY", "ARITY_INPUTS", "InequalityEntry", "UnknownIdError",
@@ -75,7 +84,16 @@ def _ln_lp_ratio(quad, px):
             - math.log(p_logarithmic_mean(quad.c, quad.d, px)))
 
 
-def slack_eq4(quad: OrderedQuad, p, q):
+# --- rows: each id's slacks, tolerance and equality predicate, written once ---
+#
+# A row takes its arity's arguments (an OrderedQuad, plus p and q for
+# quad_pq; a, b for pair; n for seq_n), checks the id's hypotheses and
+# returns ``(slacks, tolerance, on_equality_manifold)``.  Additive-domain
+# tolerances are TOL_V times the scale of the compared quantities;
+# log-ratio ones are TOL_V.  A report and a sweep's judgement read the same
+# row, so they cannot drift apart.
+
+def _eq4(quad: OrderedQuad, p, q):
     """Tangent-line bound of the p-logarithmic power ratio at exponent q.
 
     slack = Lp^p(a,b)/Lp^p(c,d)
@@ -89,14 +107,11 @@ def slack_eq4(quad: OrderedQuad, p, q):
     lhs = math.exp(p * _ln_lp_ratio(quad, px))
     tq = math.exp(q * _ln_lp_ratio(quad, qx))
     rhs = tq * (1.0 + ((p - q) / (q + 1.0)) * ln_identric_ratio_pow(quad, q + 1.0))
-    return build_report(
-        "EQ4", {**quad.as_dict(), "p": p, "q": q}, ("tangent",), (lhs - rhs,),
-        domain="additive", scale=max(abs(lhs), abs(rhs), 1e-300),
-        on_equality_manifold=(abs(p - q) <= EQ_MANIFOLD_DIST
-                              or _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST))
+    return ((lhs - rhs,), TOL_V * max(abs(lhs), abs(rhs), 1e-300),
+            abs(p - q) <= EQ_MANIFOLD_DIST or _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
 
 
-def slack_eq5(quad: OrderedQuad):
+def _eq5(quad: OrderedQuad):
     """exp(1 - L(c,d)/L(a,b)) < I(a,b)/I(c,d) < exp(L(a,b)/L(c,d) - 1), in logs."""
     quad.require_strict()
     lab = logarithmic_mean(quad.a, quad.b)
@@ -104,13 +119,10 @@ def slack_eq5(quad: OrderedQuad):
     ln_ir = ln_identric(quad.a, quad.b) - ln_identric(quad.c, quad.d)
     s_lower = ln_ir - (1.0 - lcd / lab)
     s_upper = (lab / lcd - 1.0) - ln_ir
-    return build_report(
-        "EQ5", quad.as_dict(), ("lower", "upper"), (s_lower, s_upper),
-        domain="log_ratio",
-        on_equality_manifold=_quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
+    return (s_lower, s_upper), TOL_V, _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST
 
 
-def slack_eq6(a, b):
+def _eq6(a, b):
     """exp(1 - b/L(a,b)) < I(a,b)/b < exp(L(a,b)/b - 1) for a > b > 0, in logs."""
     a = check_finite_positive("a", a)
     b = check_finite_positive("b", b)
@@ -119,40 +131,32 @@ def slack_eq6(a, b):
     ln_i_over_b = ln_identric(a, b) - math.log(b)
     s_lower = ln_i_over_b - (1.0 - 1.0 / l_over_b)
     s_upper = (l_over_b - 1.0) - ln_i_over_b
-    return build_report(
-        "EQ6", {"a": a, "b": b}, ("lower", "upper"), (s_lower, s_upper),
-        domain="log_ratio",
-        on_equality_manifold=(a - b) / b <= EQ_MANIFOLD_DIST)
+    return (s_lower, s_upper), TOL_V, (a - b) / b <= EQ_MANIFOLD_DIST
 
 
-def slack_eq8(quad: OrderedQuad):
+def _eq8(quad: OrderedQuad):
     """L(a,b)/L(c,d) > 1 + ln(G(a,b)/G(c,d)) > 2ab/(ab + cd)."""
     quad.require_strict()
     l_ratio = logarithmic_mean(quad.a, quad.b) / logarithmic_mean(quad.c, quad.d)
     ln_gr = quad.log_g_ratio()
     # 2ab/(ab+cd) = 2/(1 + cd/ab), overflow-safe through logs
     third = 2.0 / (1.0 + math.exp((quad.ln_c + quad.ln_d) - (quad.ln_a + quad.ln_b)))
-    return build_report(
-        "EQ8", quad.as_dict(), ("L_vs_G", "G_vs_product"),
-        (l_ratio - 1.0 - ln_gr, 1.0 + ln_gr - third),
-        domain="additive", scale=max(l_ratio, 1.0),
-        on_equality_manifold=_quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
+    return ((l_ratio - 1.0 - ln_gr, 1.0 + ln_gr - third), TOL_V * max(l_ratio, 1.0),
+            _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
 
 
-def slack_eq9(quad: OrderedQuad):
+def _eq9(quad: OrderedQuad):
     """L(a,b)/L(c,d) > ln(G(a,b)/G(c,d)) / ln(I(a,b)/I(c,d))."""
     quad.require_strict()
     l_ratio = logarithmic_mean(quad.a, quad.b) / logarithmic_mean(quad.c, quad.d)
     ln_gr = quad.log_g_ratio()
     ln_ir = ln_identric(quad.a, quad.b) - ln_identric(quad.c, quad.d)
     rhs = ln_gr / ln_ir
-    return build_report(
-        "EQ9", quad.as_dict(), ("L_vs_logquotient",), (l_ratio - rhs,),
-        domain="additive", scale=max(l_ratio, 1.0),
-        on_equality_manifold=_quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
+    return ((l_ratio - rhs,), TOL_V * max(l_ratio, 1.0),
+            _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
 
 
-def slack_eq10(a, b):
+def _eq10(a, b):
     """L/b > 1 + ln(a/b)/2 > 2a/(a+b) > ln(a/b) / (2 ln(I/b)) for a/b above the floor."""
     a = check_finite_positive("a", a)
     b = check_finite_positive("b", b)
@@ -164,11 +168,8 @@ def slack_eq10(a, b):
     m2 = 1.0 + 0.5 * lr
     m3 = 2.0 / (1.0 + b / a)
     m4 = lr / (2.0 * (ln_identric(a, b) - math.log(b)))
-    return build_report(
-        "EQ10", {"a": a, "b": b}, ("L_vs_halflog", "halflog_vs_ratio", "ratio_vs_logquotient"),
-        (m1 - m2, m2 - m3, m3 - m4),
-        domain="additive", scale=max(m1, 1.0),
-        on_equality_manifold=(a - b) / b <= EQ_MANIFOLD_DIST)
+    return ((m1 - m2, m2 - m3, m3 - m4), TOL_V * max(m1, 1.0),
+            (a - b) / b <= EQ_MANIFOLD_DIST)
 
 
 def _half_log_minus_tanh(delta):
@@ -176,40 +177,28 @@ def _half_log_minus_tanh(delta):
     return 0.5 * delta - math.tanh(0.5 * delta)
 
 
-def slack_eq11(quad: OrderedQuad):
+def _eq11(quad: OrderedQuad):
     """ln(G(a,b)/G(c,d)) > (ab - cd)/(ab + cd)."""
     quad.require_strict()
     delta = (quad.ln_a + quad.ln_b) - (quad.ln_c + quad.ln_d)
-    return build_report(
-        "EQ11", quad.as_dict(), ("G_vs_fraction",), (_half_log_minus_tanh(delta),),
-        domain="additive", scale=1.0,
-        on_equality_manifold=abs(delta) <= EQ_MANIFOLD_DIST)
+    return (_half_log_minus_tanh(delta),), TOL_V, abs(delta) <= EQ_MANIFOLD_DIST
 
 
-def slack_eq12(x, y):
+def _eq12(x, y):
     """(1/2) ln(x/y) > (x/y - 1)/(x/y + 1) for x > y > 0."""
     x = check_finite_positive("x", x)
     y = check_finite_positive("y", y)
     _require(x > y, "EQ12 requires x > y > 0")
     delta = math.log(x) - math.log(y)
-    return build_report(
-        "EQ12", {"x": x, "y": y}, ("halflog_vs_fraction",), (_half_log_minus_tanh(delta),),
-        domain="additive", scale=1.0,
-        on_equality_manifold=abs(delta) <= EQ_MANIFOLD_DIST)
+    return (_half_log_minus_tanh(delta),), TOL_V, abs(delta) <= EQ_MANIFOLD_DIST
 
 
-def slack_eq12_quad(quad: OrderedQuad):
+def _eq12_quad(quad: OrderedQuad):
     """EQ12 at x = ab, y = cd."""
-    return slack_eq12(quad.a * quad.b, quad.c * quad.d)
+    return _eq12(quad.a * quad.b, quad.c * quad.d)
 
 
-def _orient(disc_class, slacks):
-    if disc_class is _NEGATIVE:
-        return tuple(-s for s in slacks)
-    return tuple(slacks)
-
-
-def slack_eq13(quad: OrderedQuad, p, q):
+def _eq13(quad: OrderedQuad, p, q):
     """Tangent-line bound of ln of the Lp power ratio; direction keyed to ad - bc.
 
     slack = p ln(Lp-ratio) - q ln(Lq-ratio) - (p-q)/(q+1) * ln Ipow-ratio(q+1),
@@ -222,13 +211,9 @@ def slack_eq13(quad: OrderedQuad, p, q):
     p, q = px.value, qx.value
     raw = (p * _ln_lp_ratio(quad, px) - q * _ln_lp_ratio(quad, qx)
            - ((p - q) / (q + 1.0)) * ln_identric_ratio_pow(quad, q + 1.0))
-    (slack,) = _orient(quad.disc_class, (raw,))
-    return build_report(
-        "EQ13", {**quad.as_dict(), "p": p, "q": q,
-                 "disc_class": quad.disc_class.value}, ("tangent",), (slack,),
-        domain="log_ratio",
-        on_equality_manifold=(quad.disc_class is _ZERO
-                              or abs(p - q) <= EQ_MANIFOLD_DIST))
+    disc_class = quad.disc_class
+    return ((-raw if disc_class is _NEGATIVE else raw,), TOL_V,
+            disc_class is _ZERO or abs(p - q) <= EQ_MANIFOLD_DIST)
 
 
 def _ln_mean_ratios(quad):
@@ -244,7 +229,7 @@ def _ln_mean_ratios(quad):
     return ln_hr, ln_gr, ln_lr, ln_ir, ln_ar
 
 
-def chain_eq14(quad: OrderedQuad):
+def _eq14(quad: OrderedQuad):
     """Chain of the five mean ratios H/H' <> G/G' <> L/L' <> I/I' <> A/A'.
 
     Ascending for positive discriminant, descending for negative, all equal
@@ -253,12 +238,10 @@ def chain_eq14(quad: OrderedQuad):
     """
     ln_hr, ln_gr, ln_lr, ln_ir, ln_ar = _ln_mean_ratios(quad)
     raw = (ln_gr - ln_hr, ln_lr - ln_gr, ln_ir - ln_lr, ln_ar - ln_ir)
-    slacks = _orient(quad.disc_class, raw)
-    return build_report(
-        "EQ14", {**quad.as_dict(), "disc_class": quad.disc_class.value},
-        ("H_to_G", "G_to_L", "L_to_I", "I_to_A"), slacks,
-        domain="log_ratio",
-        on_equality_manifold=quad.disc_class is _ZERO)
+    disc_class = quad.disc_class
+    if disc_class is _NEGATIVE:
+        raw = tuple(-s for s in raw)
+    return raw, TOL_V, disc_class is _ZERO
 
 
 # --- sequence entries: quadruple (n+2, n+1, n+1, n), ad - bc = -1 ------------
@@ -307,44 +290,79 @@ def _check_n(n):
     return int(n)
 
 
-def _sequence_report(id, n, picks, links, domain):
-    n = _check_n(n)
-    row = sequence_link_values(n)
-    # comparand scale is O(1/n): the rearranged slacks compare terms that size
-    return build_report(
-        id, {"n": n}, links, tuple(row[i] for i in picks), domain=domain, scale=3.0 / n,
-        on_equality_manifold=n >= SEQ_EQUALITY_N)
+# The additive sequence slacks compare terms of size O(1/n), so their
+# tolerance scales as 3/n.
 
-
-def sequence_eq15(n):
+def _eq15(n):
     """(n+2)/(n+1) < 1 + ln sqrt((n+2)/n) < ln(1+1/n)/ln(1+1/(n+1))."""
-    return _sequence_report("EQ15", n, (0, 1), SEQUENCE_LINK_NAMES[0:2], "additive")
+    n = _check_n(n)
+    values = sequence_link_values(n)
+    return values[0:2], TOL_V * (3.0 / n), n >= SEQ_EQUALITY_N
 
 
-def sequence_eq16(n):
+def _eq16(n):
     """ln sqrt((n+2)/n) / ln I-ratio < ln(1+1/n)/ln(1+1/(n+1))."""
-    return _sequence_report("EQ16", n, (2,), SEQUENCE_LINK_NAMES[2:3], "additive")
+    n = _check_n(n)
+    values = sequence_link_values(n)
+    return values[2:3], TOL_V * (3.0 / n), n >= SEQ_EQUALITY_N
 
 
-def sequence_eq17(n):
+def _eq17(n):
     """A-ratio < I-ratio < L-ratio < G-ratio < H-ratio at (n+2, n+1, n+1, n)."""
-    return _sequence_report("EQ17", n, (3, 4, 5, 6), SEQUENCE_LINK_NAMES[3:7], "log_ratio")
+    n = _check_n(n)
+    return sequence_link_values(n)[3:7], TOL_V, n >= SEQ_EQUALITY_N
 
 
-def slack_slope3(quad: OrderedQuad):
+def _slope3(quad: OrderedQuad):
     """Chord-slope comparison m[d,b] < m[c,a] of r at the quad's own coordinates."""
     quad.require_strict()
-    gap = log_secant_slope_gap(quad)
-    return build_report(
-        "SLOPE_3", quad.as_dict(), ("slope_gap",), (gap,),
-        domain="log_ratio",
-        on_equality_manifold=_quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
+    return ((log_secant_slope_gap(quad),), TOL_V,
+            _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
+
+
+# --- echoes: the inputs a report shows, from the row's arguments -------------
+#
+# An echo runs after its row has checked the arguments, and builds a dict the
+# report keeps as its own.
+
+def _exponent_value(p):
+    return p.value if isinstance(p, PExponent) else float(p)
+
+
+def _echo_quad_pq(quad, p, q):
+    out = quad.as_dict()
+    out["p"] = _exponent_value(p)
+    out["q"] = _exponent_value(q)
+    return out
+
+
+def _echo_keyed(quad, *pq):
+    """A direction-keyed id's inputs name the discriminant class they were read at."""
+    out = _echo_quad_pq(quad, *pq) if pq else quad.as_dict()
+    out["disc_class"] = quad.disc_class.value
+    return out
+
+
+def _echo_pair(a, b):
+    return {"a": float(a), "b": float(b)}
+
+
+def _echo_xy(x, y):
+    return {"x": float(x), "y": float(y)}
+
+
+def _echo_eq12_quad(quad):
+    return {"x": quad.a * quad.b, "y": quad.c * quad.d}
+
+
+def _echo_n(n):
+    return {"n": int(n)}
 
 
 # --- registry ----------------------------------------------------------------
 
-#: Named inputs of each arity, in the order its slack function takes them; the
-#: quad arities first fold a, b, c, d into one OrderedQuad.
+#: Named inputs of each arity, in the order its row takes them; the quad
+#: arities first fold a, b, c, d into one OrderedQuad.
 ARITY_INPUTS = {
     "quad": ("a", "b", "c", "d"),
     "quad_pq": ("a", "b", "c", "d", "p", "q"),
@@ -356,23 +374,31 @@ _GET_INPUTS = {arity: itemgetter(*names) for arity, names in ARITY_INPUTS.items(
 
 class InequalityEntry(NamedTuple):
     id: str
-    fn: Callable             # the slack function, taking the arity's inputs
+    row: Callable            # the arity's arguments -> (slacks, tolerance, on_equality_manifold)
+    echo: Callable           # the same arguments -> the inputs its report shows
     arity: str               # a key of ARITY_INPUTS
-    links: int
+    links: tuple             # the link names, one per slack
+    domain: str              # the slacks' margin domain: "log_ratio" or "additive"
     description: str
     scale_invariant: bool    # slack invariant under (a,b,c,d) -> (la,lb,lc,ld)
     relaxed_quad: bool = False
-    xy_form: Callable | None = None   # also evaluable from x, y (EQ12)
+    xy_form: Callable | None = None   # the report from x, y (EQ12)
     min_ratio: float = 1.0   # a pair arity's sampled a/b stays at or above this
 
-    def evaluate(self, quad=None, **inputs):
-        """The slack report at the named inputs; HypothesisViolation on bad ones.
+    def margin(self, *args):
+        """``(margin, verdict)`` of the row at the arity's arguments, as its
+        report reads them, without building the report; HypothesisViolation
+        on bad arguments.  A sweep judges every sample here."""
+        return judge(*self.row(*args))
 
-        A sweep passes its sampled ``quad`` (plus p, q where the arity takes
-        them) straight through; only named inputs are checked here.
-        """
-        if quad is not None:
-            return self.fn(quad, **inputs)
+    def report(self, *args):
+        """The SlackReport of the row at the arity's arguments."""
+        slacks, tolerance, on_equality_manifold = self.row(*args)
+        return build_report(self.id, self.echo(*args), self.links, slacks, self.domain,
+                            tolerance, on_equality_manifold)
+
+    def evaluate(self, **inputs):
+        """The slack report at the named inputs; HypothesisViolation on bad ones."""
         if self.xy_form is not None and "x" in inputs and "y" in inputs:
             return self.xy_form(inputs["x"], inputs["y"])
         arity = self.arity
@@ -384,52 +410,76 @@ class InequalityEntry(NamedTuple):
                 f"{self.id} requires inputs {', '.join(ARITY_INPUTS[arity])}{also}"
             ) from None
         if arity == "seq_n":             # a getter of one name returns the value itself
-            return self.fn(args)
+            return self.report(args)
         if arity == "pair":
-            return self.fn(*args)
+            return self.report(*args)
         try:
             quad = OrderedQuad(*args[:4], relaxed=self.relaxed_quad)
         except ValueError as exc:
             raise HypothesisViolation(str(exc)) from exc
-        return self.fn(quad, *args[4:])
+        return self.report(quad, *args[4:])
+
+
+def slack_eq12(x, y):
+    """EQ12's report at x, y, as ``ineq-check --id EQ12 --x X --y Y`` shows it."""
+    return REGISTRY["EQ12"]._replace(row=_eq12, echo=_echo_xy).report(x, y)
 
 
 REGISTRY = {e.id: e for e in (
-    InequalityEntry("EQ4", slack_eq4, "quad_pq", 1,
+    InequalityEntry("EQ4", _eq4, _echo_quad_pq, "quad_pq", ("tangent",), "additive",
                     "tangent bound of the Lp^p ratio at exponent q", True),
-    InequalityEntry("EQ5", slack_eq5, "quad", 2,
+    InequalityEntry("EQ5", _eq5, OrderedQuad.as_dict, "quad", ("lower", "upper"), "log_ratio",
                     "two-sided exp bounds of the identric ratio via L", True),
-    InequalityEntry("EQ6", slack_eq6, "pair", 2,
+    InequalityEntry("EQ6", _eq6, _echo_pair, "pair", ("lower", "upper"), "log_ratio",
                     "two-sided exp bounds of I(a,b)/b via L(a,b)/b", True),
-    InequalityEntry("EQ8", slack_eq8, "quad", 2,
-                    "L ratio vs 1 + ln G ratio vs 2ab/(ab+cd)", True),
-    InequalityEntry("EQ9", slack_eq9, "quad", 1,
+    InequalityEntry("EQ8", _eq8, OrderedQuad.as_dict, "quad", ("L_vs_G", "G_vs_product"),
+                    "additive", "L ratio vs 1 + ln G ratio vs 2ab/(ab+cd)", True),
+    InequalityEntry("EQ9", _eq9, OrderedQuad.as_dict, "quad", ("L_vs_logquotient",), "additive",
                     "L ratio vs ln G ratio / ln I ratio", True),
-    InequalityEntry("EQ10", slack_eq10, "pair", 3,
+    InequalityEntry("EQ10", _eq10, _echo_pair, "pair",
+                    ("L_vs_halflog", "halflog_vs_ratio", "ratio_vs_logquotient"), "additive",
                     "L/b vs 1 + ln(a/b)/2 vs 2a/(a+b) vs log quotient", True,
                     min_ratio=EQ10_MIN_RATIO),
-    InequalityEntry("EQ11", slack_eq11, "quad", 1,
+    InequalityEntry("EQ11", _eq11, OrderedQuad.as_dict, "quad", ("G_vs_fraction",), "additive",
                     "ln G ratio vs (ab-cd)/(ab+cd)", True),
-    InequalityEntry("EQ12", slack_eq12_quad, "quad", 1,
-                    "half-log of x/y vs (x/y-1)/(x/y+1), x=ab, y=cd", True,
+    InequalityEntry("EQ12", _eq12_quad, _echo_eq12_quad, "quad", ("halflog_vs_fraction",),
+                    "additive", "half-log of x/y vs (x/y-1)/(x/y+1), x=ab, y=cd", True,
                     xy_form=slack_eq12),
-    InequalityEntry("EQ13", slack_eq13, "quad_pq", 1,
+    InequalityEntry("EQ13", _eq13, _echo_keyed, "quad_pq", ("tangent",), "log_ratio",
                     "log tangent bound, direction keyed to sign(ad-bc)", True),
-    InequalityEntry("EQ14", chain_eq14, "quad", 4,
+    InequalityEntry("EQ14", _eq14, _echo_keyed, "quad",
+                    ("H_to_G", "G_to_L", "L_to_I", "I_to_A"), "log_ratio",
                     "mean-ratio chain H,G,L,I,A keyed to sign(ad-bc)", True,
                     relaxed_quad=True),
-    InequalityEntry("EQ15", sequence_eq15, "seq_n", 2,
+    InequalityEntry("EQ15", _eq15, _echo_n, "seq_n", SEQUENCE_LINK_NAMES[0:2], "additive",
                     "sequence chain at (n+2, n+1, n+1, n): product vs half-log vs L",
                     False),
-    InequalityEntry("EQ16", sequence_eq16, "seq_n", 1,
+    InequalityEntry("EQ16", _eq16, _echo_n, "seq_n", SEQUENCE_LINK_NAMES[2:3], "additive",
                     "sequence bound: log quotient vs L ratio", False),
-    InequalityEntry("EQ17", sequence_eq17, "seq_n", 4,
+    InequalityEntry("EQ17", _eq17, _echo_n, "seq_n", SEQUENCE_LINK_NAMES[3:7], "log_ratio",
                     "sequence mean-ratio chain (descending case)", False),
-    InequalityEntry("SLOPE_3", slack_slope3, "quad", 1,
+    InequalityEntry("SLOPE_3", _slope3, OrderedQuad.as_dict, "quad", ("slope_gap",), "log_ratio",
                     "chord slopes of r at the quad's own coordinates", False),
 )}
 
 INEQUALITY_IDS = tuple(REGISTRY)
+
+#: Each id's report at its row's arguments, by the names the paper's
+#: equations go by.
+slack_eq4 = REGISTRY["EQ4"].report
+slack_eq5 = REGISTRY["EQ5"].report
+slack_eq6 = REGISTRY["EQ6"].report
+slack_eq8 = REGISTRY["EQ8"].report
+slack_eq9 = REGISTRY["EQ9"].report
+slack_eq10 = REGISTRY["EQ10"].report
+slack_eq11 = REGISTRY["EQ11"].report
+slack_eq12_quad = REGISTRY["EQ12"].report
+slack_eq13 = REGISTRY["EQ13"].report
+chain_eq14 = REGISTRY["EQ14"].report
+sequence_eq15 = REGISTRY["EQ15"].report
+sequence_eq16 = REGISTRY["EQ16"].report
+sequence_eq17 = REGISTRY["EQ17"].report
+slack_slope3 = REGISTRY["SLOPE_3"].report
 
 
 class UnknownIdError(KeyError):

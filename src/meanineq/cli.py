@@ -89,7 +89,7 @@ def _cmd_ineq_list(args):
     entries = []
     for id in catalog.INEQUALITY_IDS:
         e = catalog.REGISTRY[id]
-        entries.append({"id": e.id, "arity": e.arity, "links": e.links,
+        entries.append({"id": e.id, "arity": e.arity, "links": len(e.links),
                         "relaxed_quad": e.relaxed_quad,
                         "description": e.description})
     _emit({"inequalities": entries, "kyfan_ids": list(kyfan.KYFAN_IDS)})

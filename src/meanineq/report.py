@@ -94,17 +94,26 @@ def build_report(id, inputs, links, slacks, domain, scale=1.0, on_equality_manif
 
     ``scale`` feeds the additive-domain tolerance; ``on_equality_manifold``
     is the inequality's own equality predicate evaluated on the inputs.
+    The report keeps a copy of ``inputs``, so the caller may reuse its dict.
     """
     slacks = tuple(map(float, slacks))
     if type(links) is not tuple:
         links = tuple(links)
-    if len(links) != len(slacks):
-        raise ValueError("links and slacks length mismatch")
     if tolerance is None:
         tolerance = TOL_V if domain == "log_ratio" else TOL_V * max(scale, 0.0)
+    return _owned_report(str(id), dict(inputs), links, slacks, domain, float(tolerance),
+                         on_equality_manifold)
+
+
+def _owned_report(id, inputs, links, slacks, domain, tolerance, on_equality_manifold):
+    """A SlackReport that keeps ``inputs`` itself, for a caller that built the
+    dict for this report alone.  The id is a str, links and slacks are tuples,
+    and the slacks and tolerance are floats."""
+    if len(links) != len(slacks):
+        raise ValueError("links and slacks length mismatch")
     margin, verdict = judge(slacks, tolerance, on_equality_manifold)
-    return tuple.__new__(SlackReport, (str(id), dict(inputs), links, slacks, domain,
-                                       float(tolerance), verdict, margin))
+    return tuple.__new__(SlackReport, (id, inputs, links, slacks, domain, tolerance, verdict,
+                                       margin))
 
 
 def judge(slacks, tolerance, on_equality_manifold) -> tuple:

@@ -11,10 +11,12 @@ Both sweeps run through one driver over a list of groups: a group is a set
 of ids evaluated from one draw per sample, one id per group for the catalog
 and EQ18..EQ31 together for Ky Fan.  Samples are streamed: each is drawn,
 evaluated to ``(id, margin, verdict)`` triples, folded into the aggregate and
-dropped before the next.  A Ky Fan sample is judged by ``kyfan.margins``
-without building its SlackReports; a report is built only where a caller
-shows one.  The sampled quad goes to the evaluator as is; the echoed input
-dict is built only where a report or CSV row shows it.
+dropped before the next.  Both halves judge rows through ``report.judge``
+and build no SlackReport: a catalog sample through its entry's
+``InequalityEntry.margin``, a Ky Fan sample through ``kyfan.margins``.  A
+report is built only where a caller shows one.  The sampled quad goes to
+the row as is; the echoed input dict is built only for violation echoes,
+CSV rows and ``argmin_inputs``.
 
 A chunk of up to ``_CHUNK`` samples of one group is the unit of work.  Its
 task is plain data (sweep kind, config, group position, first index, whether
@@ -216,9 +218,11 @@ def _catalog_group(entry, config):
     else:
         raise AssertionError(f"unhandled arity {arity}")
 
+    id, margin = entry.id, entry.margin
+
     def evaluate(inputs):
-        *_, verdict, margin = entry.evaluate(**inputs)     # a SlackReport's last fields
-        return ((entry.id, margin, verdict),)
+        # each draw lists its inputs in the order the id's row takes them
+        return ((id, *margin(*inputs.values())),)
 
     return _Group((entry.id,), draw, evaluate)
 

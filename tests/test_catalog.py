@@ -1,18 +1,20 @@
+import hashlib
 import math
 import sys
 
 import mpmath
 import pytest
 
-from meanineq import catalog
+from meanineq import catalog, sweep
 from meanineq.catalog import (REGISTRY, chain_eq14, evaluate, sequence_eq15,
                               sequence_eq16, sequence_eq17,
                               sequence_link_values, slack_eq4, slack_eq5,
                               slack_eq6, slack_eq8, slack_eq9, slack_eq10,
                               slack_eq11, slack_eq12, slack_eq13, slack_slope3)
 from meanineq.ratio import OrderedQuad
-from meanineq.report import EQUALITY, HOLDS, VIOLATED, HypothesisViolation
+from meanineq.report import EQUALITY, HOLDS, VIOLATED, HypothesisViolation, dumps
 from meanineq.rng import SampleStream, sample_quad
+from meanineq.sweep import SweepConfig, run_sweep
 
 Q431 = OrderedQuad(4, 3, 2, 1)
 Q821 = OrderedQuad(8, 2, 2, 1)
@@ -293,3 +295,124 @@ class TestEqualityApproach:
             d = target * (1.0 - t)
             slacks.append(abs(slack_eq13(OrderedQuad(a, b, c, d), 2.0, 0.5).slacks[0]))
         assert all(x > y > 0 for x, y in zip(slacks, slacks[1:]))
+
+
+def _outcome(call, *args, **kwargs):
+    """``(margin, verdict)`` as a repr, so NaN equals NaN, or the exception raised."""
+    try:
+        margin, verdict = call(*args, **kwargs)
+    except Exception as exc:                     # noqa: BLE001 -- compared, not swallowed
+        return type(exc), str(exc)
+    return repr((margin, verdict))
+
+
+def _reported(entry, **named):
+    rep = entry.evaluate(**named)
+    return rep.margin, rep.verdict
+
+
+class TestMarginsMatchReports:
+    """``InequalityEntry.margin``, which a sweep judges every sample with, reads
+    the row its report reads: the same margin and verdict, or the same error."""
+
+    def check_draws(self, config, count, ids=catalog.INEQUALITY_IDS):
+        verdicts = {id: set() for id in ids}
+        for id in ids:
+            entry = REGISTRY[id]
+            group = sweep._catalog_group(entry, config)
+            for index in range(count):
+                inputs = group.draw(index)
+                got = _outcome(entry.margin, *inputs.values())
+                want = _outcome(_reported, entry, **sweep._public_inputs(inputs))
+                assert got == want, (id, index)
+                # the verdict, or the name of the exception raised
+                verdicts[id].add(got.rsplit("'", 2)[-2] if isinstance(got, str)
+                                 else got[0].__name__)
+        return verdicts
+
+    @pytest.mark.parametrize("sign", ["any", "positive", "negative", "zero"])
+    def test_default_bounds(self, sign):
+        self.check_draws(SweepConfig(seed=42, sign=sign), 300)
+
+    def test_wide_bounds_rounding_violations(self):
+        # at 1e+-30 EQ13 and EQ14 lose their smallest slacks to rounding
+        seen = self.check_draws(SweepConfig(seed=1, bounds=(1e-30, 1e30)), 2000,
+                                ids=("EQ13", "EQ14"))
+        assert VIOLATED in seen["EQ13"] and VIOLATED in seen["EQ14"]
+        zero = self.check_draws(SweepConfig(seed=1, sign="zero", bounds=(1e-30, 1e30)), 300,
+                                ids=("EQ13", "EQ14"))
+        assert zero["EQ13"] == zero["EQ14"] == {EQUALITY}
+
+    def test_every_id_at_wide_bounds(self):
+        # past the default bounds some rows raise; both paths raise alike
+        seen = self.check_draws(SweepConfig(seed=3, bounds=(1e-300, 1e300)), 100)
+        assert {"OverflowError", "ValueError"} <= seen["EQ4"] | seen["EQ12"] | seen["SLOPE_3"]
+
+    # EQ17's margin falls under its fixed tolerance from n = 1000 on; EQ15's
+    # tolerance shrinks as 3/n, so it reads equality only from about 1.5e4
+    @pytest.mark.parametrize("id, n, verdict", [
+        ("EQ17", 999, HOLDS), ("EQ17", 1000, EQUALITY), ("EQ17", 4321, EQUALITY),
+        ("EQ17", 10 ** 6, EQUALITY), ("EQ15", 1000, HOLDS), ("EQ15", 2 * 10 ** 4, EQUALITY),
+        ("EQ15", 10 ** 5, EQUALITY), ("EQ15", 10 ** 6, EQUALITY),
+    ])
+    def test_long_sequences_read_equality(self, id, n, verdict):
+        entry = REGISTRY[id]
+        assert entry.margin(n) == _reported(entry, n=n)
+        assert entry.margin(n)[1] == verdict
+
+    @pytest.mark.parametrize("id, args", [
+        ("EQ4", (Q431, 1e-8, 2.0)), ("EQ4", (Q431, 2.0, -1.0)), ("EQ4", (Q431, 2.0, math.nan)),
+        ("EQ13", (Q431, 2.0, 1e-7)), ("EQ5", (OrderedQuad(4, 4, 2, 1, relaxed=True),)),
+        ("EQ9", (OrderedQuad(4, 3, 2, 2, relaxed=True),)),
+        ("SLOPE_3", (OrderedQuad(4, 4, 4, 4, relaxed=True),)),
+        ("EQ6", (2.0, 4.0)), ("EQ6", (math.inf, 1.0)), ("EQ10", (1.0 + 1e-9, 1.0)),
+        ("EQ12", (OrderedQuad(1e200, 1e190, 2.0, 1.0),)),
+        ("EQ15", (0,)), ("EQ16", (True,)), ("EQ17", (2.5,)),
+    ])
+    def test_bad_inputs_raise_alike(self, id, args):
+        entry = REGISTRY[id]
+        got = _outcome(entry.margin, *args)
+        assert not isinstance(got, str)
+        assert got == _outcome(lambda: _reported_args(entry, args))
+
+    @pytest.mark.parametrize("id", catalog.INEQUALITY_IDS)
+    def test_one_slack_per_link(self, id):
+        entry = REGISTRY[id]
+        group = sweep._catalog_group(entry, SweepConfig(seed=7))
+        for index in range(20):
+            slacks, tolerance, _ = entry.row(*group.draw(index).values())
+            assert len(slacks) == len(entry.links) and type(tolerance) is float
+            assert all(type(s) is float for s in slacks)
+
+
+def _reported_args(entry, args):
+    rep = entry.report(*args)
+    return rep.margin, rep.verdict
+
+
+#: sha256 of ``sweep``: the report less wall_time_s as ``report.dumps`` writes
+#: it, and the CSV, from before a sweep judged rows instead of reports.
+SWEEP_PINS = {
+    "all-any": ({"ids": ("ALL",), "samples": 3000, "seed": 42, "sign": "any"},
+                "db7f28997bb8d42149ddc4789196e3527346a6a32e9a72f2d7d0adea4820e58f",
+                "15df70008c11440f1664e003c151680bb55bea817b9bd886d787cc915285c0c3"),
+    "all-zero": ({"ids": ("ALL",), "samples": 3000, "seed": 42, "sign": "zero"},
+                 "3f52151779c4254db16173d61410e6c4bf52caf5aa4c8cb5646016385d833501",
+                 "22853b3307551a870e1ddc8e0820c9efde131db4e269b68a96acc89f7f9232d3"),
+    # exits 1: 74 EQ13 and 7 EQ14 violations at rounding level, with their echoes
+    "eq13-eq14-wide": ({"ids": ("EQ13", "EQ14"), "samples": 2000, "seed": 1,
+                        "bounds": (1e-30, 1e30)},
+                       "00bf200b2a115144b7bd9a6094db109127fc11dc8ff3ab7cf2542bbca65f7175",
+                       "d0dde3b7e31349679b6eedf2e2b395cc778dd819531b26b6a4ca59b4faf3a2ab"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", SWEEP_PINS)
+def test_sweep_bytes_pinned(tmp_path, name, workers):
+    fields, report_sha, csv_sha = SWEEP_PINS[name]
+    rows = tmp_path / "rows.csv"
+    rep = run_sweep(SweepConfig(workers=workers, **fields), csv_path=str(rows))
+    rep.pop("wall_time_s")
+    assert hashlib.sha256(dumps(rep).encode()).hexdigest() == report_sha
+    assert hashlib.sha256(rows.read_bytes()).hexdigest() == csv_sha

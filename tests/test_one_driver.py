@@ -3,8 +3,9 @@
 Every catalog id resolves, validates its named inputs and reports missing
 ones through its ``REGISTRY`` row; catalog and Ky Fan sweeps run through the
 same driver, which draws and evaluates once per (id, sample) plus once per
-argmin replay, at the seams the benchmark's tracer wraps; a Ky Fan sweep
-judges its samples through ``kyfan.margins`` and builds no report.
+argmin replay; a catalog sweep judges its samples through
+``InequalityEntry.margin`` and a Ky Fan sweep through ``kyfan.margins``, and
+neither builds a report.
 """
 
 import json
@@ -121,7 +122,7 @@ def test_eq12_xy_form(capsys):
     assert quad.inputs == {"x": 12.0, "y": 2.0}
 
 
-# --- the seams the benchmark's tracer wraps ----------------------------------
+# --- the seams a sweep calls per sample -------------------------------------
 
 SAMPLERS = ("sample_quad", "sample_pair", "sample_exponent", "sample_int",
             "sample_kyfan_values")
@@ -129,8 +130,8 @@ SAMPLERS = ("sample_quad", "sample_pair", "sample_exponent", "sample_int",
 
 @pytest.fixture
 def seams(monkeypatch):
-    """Call counters on every wrapped name: (sampler, stream, index), ("evaluate",
-    id) and (kyfan function,)."""
+    """Call counters on every wrapped name: (sampler, stream, index), ("margin",
+    id), ("evaluate", id) and (kyfan function,)."""
     calls = Counter()
 
     def counted(fn, key):
@@ -142,9 +143,10 @@ def seams(monkeypatch):
     for name in SAMPLERS:
         monkeypatch.setattr(sweep, name, counted(getattr(sweep, name),
                                                  lambda s, i, *_, n=name: (n, s.stream, i)))
-    monkeypatch.setattr(catalog.InequalityEntry, "evaluate",
-                        counted(catalog.InequalityEntry.evaluate,
-                                lambda entry: ("evaluate", entry.id)))
+    for name in ("margin", "evaluate"):
+        monkeypatch.setattr(catalog.InequalityEntry, name,
+                            counted(getattr(catalog.InequalityEntry, name),
+                                    lambda entry, *_, n=name: (n, entry.id)))
     for name in ("compute_stats", "margins", "all_slacks"):
         monkeypatch.setattr(kyfan, name, counted(getattr(kyfan, name), lambda _, n=name: (n,)))
     return calls
@@ -167,7 +169,9 @@ def test_catalog_sweep_seams(seams, workers):
     rep = run_sweep(SweepConfig(ids=("ALL",), samples=samples, seed=seed, workers=workers))
     want = {name: Counter() for name in SAMPLERS}
     for id, entry in catalog.REGISTRY.items():
-        assert seams["evaluate", id] == samples + 1, id
+        # judged once per sample and argmin replay; no report is built
+        assert seams["margin", id] == samples + 1, id
+        assert seams["evaluate", id] == 0, id
         argmin = [rep["results"][id]["argmin_index"]]
         if entry.arity in ("quad", "quad_pq"):
             want["sample_quad"] += _expected(f"catalog/{id}", seed, samples, argmin)
@@ -192,7 +196,7 @@ def test_kyfan_sweep_seams(seams, workers):
     # the sweep folds (id, margin, verdict) triples and builds no SlackReport
     assert seams["compute_stats",] == seams["margins",] == samples + len(argmins)
     assert seams["all_slacks",] == 0
-    assert not any(key[0] == "evaluate" for key in seams)
+    assert not any(key[0] in ("margin", "evaluate") for key in seams)
     for name in ("sample_quad", "sample_pair", "sample_exponent"):
         assert not _by_stream(seams, name)
 
