@@ -30,10 +30,7 @@ from .means import (_ln_identric as ln_identric, _logarithmic_mean as logarithmi
                     ExponentKind)
 from .ratio import (DiscClass, OrderedQuad, ln_identric_ratio_pow,
                     log_secant_slope_gap)
-# The report builder that keeps the echo dict it is handed, which each
-# report builds for itself; it keeps the public name the tracer wraps.
-from .report import (TOL_V, HypothesisViolation, _owned_report as build_report,
-                     check_finite_positive, judge)
+from .report import TOL_V, HypothesisViolation, build_report, check_finite_positive, judge
 
 __all__ = [
     "INEQUALITY_IDS", "REGISTRY", "ARITY_INPUTS", "InequalityEntry", "UnknownIdError",

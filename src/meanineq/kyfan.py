@@ -15,11 +15,15 @@ Strict chains (EQ23 .. EQ31) require a not-all-equal sample; EQ21/EQ22 are
 non-strict and collapse to equality on constant samples.  Everything is a
 pure function of the sample.
 
+A sample whose means binary64 cannot separate (A == G or A' == G' after
+rounding, while the values differ) admits no strict chain; the refinement
+rows raise HypothesisViolation for it.
+
 Each id's slacks, tolerance and equality predicate come from one table of
-rows, where each formula is written once.  ``classic_slacks``,
-``refinement_slacks`` and ``all_slacks`` build SlackReports from the rows,
-for callers that show them; ``margins`` judges the same rows to
-``(id, margin, verdict)`` without a report, which is all a sweep folds.
+rows, where each formula is written once.  ``all_slacks`` builds a
+SlackReport from each row, for callers that show them; ``margins`` judges
+the same rows to ``(id, margin, verdict)`` without a report, which is all a
+sweep folds.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from . import catalog
 
 __all__ = [
     "KyFanSample", "KyFanStats", "KYFAN_IDS",
-    "compute_stats", "classic_slacks", "refinement_slacks", "all_slacks", "margins",
+    "compute_stats", "all_slacks", "margins",
     "complement_ratio_probe", "bridge_slacks",
 ]
 
@@ -184,14 +188,19 @@ def _refinement_rows(stats: KyFanStats) -> list:
     """Rows of EQ21 .. EQ31, every slack in the log domain.
 
     EQ21/EQ22 accept constant samples (non-strict) and read 0 there; the
-    strict chains EQ23 .. EQ31 have no row for them.
+    strict chains EQ23 .. EQ31 have no row for them.  A sample that is not
+    constant but whose means coincide in binary64 raises HypothesisViolation.
     """
     if stats.all_equal:
         return [("EQ21", (0.0,), TOL_V, True), ("EQ22", (0.0,), TOL_V, True)]
+    r, rp = stats.r, stats.r_prime
+    if r <= 0.0 or rp <= 0.0:                      # false for NaN, which the rows carry
+        raise HypothesisViolation(
+            f"EQ21..EQ31 need A > G and A' > G' in binary64, "
+            f"got ln(A/G) = {r!r}, ln(A'/G') = {rp!r}")
     eq = _on_manifold(stats)
     n = stats.n
     a, g, ap, gp = stats.a, stats.g, stats.a_prime, stats.g_prime
-    r, rp = stats.r, stats.r_prime
     ln_a, ln_ap = stats.ln_a, stats.ln_a_prime
 
     secant = (ap - gp) / (a - g)                   # (A'-G')/(A-G)
@@ -279,34 +288,13 @@ def _rows(stats: KyFanStats) -> list:
     return _classic_rows(stats) + _refinement_rows(stats)
 
 
-def _reports(stats, rows) -> dict:
-    """The rows' SlackReports keyed by id, all echoing one inputs dict."""
-    inputs = stats.as_dict()
-    out = {}
-    for id, slacks, tolerance, eq in rows:
-        links, domain = _LINKS[id]
-        out[id] = build_report(id, inputs, links, slacks, domain, tolerance=tolerance,
-                               on_equality_manifold=eq)
-    return out
-
-
-def classic_slacks(stats: KyFanStats) -> dict:
-    """Reports for EQ18, EQ19, EQ20, keyed by id."""
-    return _reports(stats, _classic_rows(stats))
-
-
-def refinement_slacks(stats: KyFanStats) -> dict:
-    """Reports for EQ21 .. EQ31, keyed by id.
-
-    EQ21/EQ22 accept constant samples (non-strict); the strict chains
-    EQ23 .. EQ31 are skipped for them.
-    """
-    return _reports(stats, _refinement_rows(stats))
-
-
 def all_slacks(stats: KyFanStats) -> dict:
-    """EQ18 .. EQ31 in one dict; strict ids are skipped for constant samples."""
-    return _reports(stats, _rows(stats))
+    """EQ18 .. EQ31 keyed by id; strict ids are skipped for constant samples."""
+    out = {}
+    for id, slacks, tolerance, eq in _rows(stats):
+        links, domain = _LINKS[id]
+        out[id] = build_report(id, stats.as_dict(), links, slacks, domain, tolerance, eq)
+    return out
 
 
 def margins(stats: KyFanStats) -> list:

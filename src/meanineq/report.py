@@ -14,9 +14,9 @@ verdict collapses the margin against a tolerance:
                    tolerance without the equality manifold to explain it,
                    or a slack is NaN (the margin is then NaN too).
 
-Tolerances follow the margin domain: ``log_ratio`` slacks are differences of
-logarithms and get an absolute tolerance, ``additive`` slacks get a tolerance
-scaled by the magnitude of the compared quantities.
+Each inequality's row supplies its slacks, its tolerance and its equality
+predicate; ``build_report`` turns a row into a report and ``judge`` is the
+one verdict rule, which a sweep also calls without building the report.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import json
 import math
 from typing import NamedTuple
 
-#: Base verdict tolerance: absolute in the log-ratio domain, multiplied by the
-#: scale of the compared quantities in the additive domain.
+#: Base verdict tolerance, from which each row derives its own: absolute for
+#: log-ratio slacks, times the compared quantities' magnitude for additive ones.
 TOL_V = 1e-9
 
 HOLDS = "holds"
@@ -38,11 +38,7 @@ class HypothesisViolation(ValueError):
     """Inputs fail an inequality's hypothesis (distinct from a violated slack)."""
 
 
-# A NamedTuple body cannot define __new__, so the seven-field SlackReport call
-# that derives the margin sits in a subclass.  build_report, which has the
-# margin at hand, skips it and calls tuple.__new__ as _make does, without
-# _make's Python frame; _replace skips it too.
-class _SlackReportFields(NamedTuple):
+class SlackReport(NamedTuple):
     id: str
     inputs: dict
     links: tuple
@@ -51,17 +47,6 @@ class _SlackReportFields(NamedTuple):
     tolerance: float
     verdict: str
     margin: float          # the smallest slack; NaN if any slack is NaN
-
-
-class SlackReport(_SlackReportFields):
-    __slots__ = ()
-
-    def __new__(cls, id, inputs, links, slacks, domain, tolerance, verdict):
-        return super().__new__(cls, id, inputs, links, slacks, domain, tolerance, verdict,
-                               _margin(slacks))
-
-    def __getnewargs__(self):
-        return self[:7]                  # pickle and copy rebuild through __new__
 
     def to_dict(self) -> dict:
         return {
@@ -79,52 +64,31 @@ class SlackReport(_SlackReportFields):
         return dumps(self.to_dict())
 
 
-def _margin(slacks) -> float:
-    """The smallest slack; NaN if any slack is NaN (plain min() skips them by order)."""
-    if 0.0 * sum(slacks) == 0.0:        # a finite sum: no slack is NaN, the common case
-        return min(slacks)
-    if any(map(math.isnan, slacks)):
-        return math.nan
-    return min(slacks)
+def build_report(id, inputs, links, slacks, domain, tolerance, on_equality_manifold):
+    """The SlackReport of a row: its float slacks, one per link name, its float
+    tolerance and its equality predicate, with margin and verdict from ``judge``.
 
-
-def build_report(id, inputs, links, slacks, domain, scale=1.0, on_equality_manifold=False,
-                 tolerance=None):
-    """Assemble a SlackReport, deriving the verdict from margin and tolerance.
-
-    ``scale`` feeds the additive-domain tolerance; ``on_equality_manifold``
-    is the inequality's own equality predicate evaluated on the inputs.
-    The report keeps a copy of ``inputs``, so the caller may reuse its dict.
+    The report keeps ``inputs`` itself, so each report needs a dict of its own.
     """
-    slacks = tuple(map(float, slacks))
-    if type(links) is not tuple:
-        links = tuple(links)
-    if tolerance is None:
-        tolerance = TOL_V if domain == "log_ratio" else TOL_V * max(scale, 0.0)
-    return _owned_report(str(id), dict(inputs), links, slacks, domain, float(tolerance),
-                         on_equality_manifold)
-
-
-def _owned_report(id, inputs, links, slacks, domain, tolerance, on_equality_manifold):
-    """A SlackReport that keeps ``inputs`` itself, for a caller that built the
-    dict for this report alone.  The id is a str, links and slacks are tuples,
-    and the slacks and tolerance are floats."""
     if len(links) != len(slacks):
         raise ValueError("links and slacks length mismatch")
     margin, verdict = judge(slacks, tolerance, on_equality_manifold)
+    # tuple.__new__ as _make calls it, without _make's Python frame
     return tuple.__new__(SlackReport, (id, inputs, links, slacks, domain, tolerance, verdict,
                                        margin))
 
 
 def judge(slacks, tolerance, on_equality_manifold) -> tuple:
     """``(margin, verdict)`` of float slacks against a tolerance: the verdict rule.
+    The margin is the smallest slack, NaN if any slack is NaN.
 
     A report's margin and verdict come from here, and so do a sweep's, which
     folds them without building the report.
     """
-    margin = _margin(slacks)
-    if margin != margin:
-        return margin, VIOLATED
+    # a finite sum has no NaN term, the common case; min() alone skips a NaN by order
+    if 0.0 * sum(slacks) != 0.0 and any(map(math.isnan, slacks)):
+        return math.nan, VIOLATED
+    margin = min(slacks)
     if margin > tolerance:
         return margin, HOLDS
     if margin < -tolerance:

@@ -256,6 +256,16 @@ def test_workers_below_one_exit_2(capsys, command, workers):
     (("oracle-compare", "--op", "f", "--a", "4", "--b", "3", "--c", "2", "--d", "1", "--x", "nan"),
      "error: oracle f has no value at {'a': 4.0, 'b': 3.0, 'c': 2.0, 'd': 1.0, 'x': nan}: "
      "it needs finite x"),
+    # means binary64 cannot separate: A' == G'; A == G and A' < G'; both pairs equal
+    (("kyfan-check", "--x", "1e-20,2e-20"),
+     "hypothesis violation: EQ21..EQ31 need A > G and A' > G' in binary64, "
+     "got ln(A/G) = 0.058891517828191436, ln(A'/G') = 0.0"),
+    (("kyfan-check", "--x", "0.3,0.3000000001"),
+     "hypothesis violation: EQ21..EQ31 need A > G and A' > G' in binary64, "
+     "got ln(A/G) = 0.0, ln(A'/G') = -1.5860328924349403e-16"),
+    (("kyfan-check", "--x", "0.5,0.4999999999"),
+     "hypothesis violation: EQ21..EQ31 need A > G and A' > G' in binary64, "
+     "got ln(A/G) = 0.0, ln(A'/G') = 0.0"),
 ])
 def test_rejected_input_exits_2_with_one_line(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err + "\n")

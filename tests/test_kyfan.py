@@ -10,13 +10,15 @@ import pytest
 from meanineq import catalog
 from meanineq.cli import main
 from meanineq.kyfan import (KYFAN_IDS, SPREAD_EQUALITY, KyFanSample, all_slacks,
-                            bridge_slacks, classic_slacks, complement_ratio_probe,
-                            compute_stats, margins, refinement_slacks)
+                            bridge_slacks, complement_ratio_probe, compute_stats, margins)
 from meanineq.ratio import OrderedQuad, ratio_value
 from meanineq.report import EQUALITY, HOLDS, VIOLATED, HypothesisViolation
 from meanineq.report import dumps
 from meanineq.rng import SampleStream, sample_kyfan_values
 from meanineq.sweep import SweepConfig, run_kyfan_sweep
+
+
+CLASSIC_IDS = ("EQ18", "EQ19", "EQ20")
 
 
 def stats_of(values):
@@ -79,7 +81,7 @@ class TestSampleAndStats:
 
 class TestClassicSlacks:
     def test_all_equal_collapse(self):
-        reports = classic_slacks(stats_of([0.37, 0.37, 0.37]))
+        reports = all_slacks(stats_of([0.37, 0.37, 0.37]))
         for rep in reports.values():
             assert rep.slacks == (0.0,) * len(rep.slacks)
             assert rep.verdict == EQUALITY
@@ -89,12 +91,12 @@ class TestClassicSlacks:
         rng = random.Random(9)
         for _ in range(300):
             x1, x2 = rng.uniform(1e-6, 0.5), rng.uniform(1e-6, 0.5)
-            rep = classic_slacks(stats_of([x1, x2]))["EQ20"]
+            rep = all_slacks(stats_of([x1, x2]))["EQ20"]
             assert abs(rep.slacks[0]) <= 1e-15
             assert rep.verdict == EQUALITY
 
     def test_worked_pair(self):
-        reports = classic_slacks(stats_of([0.1, 0.2]))
+        reports = all_slacks(stats_of([0.1, 0.2]))
         s = stats_of([0.1, 0.2])
         expect18 = (math.log(s.a / s.g)) - (math.log(s.a_prime / s.g_prime))
         assert reports["EQ18"].slacks[0] == pytest.approx(expect18, rel=1e-12)
@@ -108,8 +110,8 @@ class TestClassicSlacks:
             vals = [rng.uniform(1e-3, 0.5) for _ in range(n)]
             if max(vals) - min(vals) < 1e-3:
                 continue
-            for id, rep in classic_slacks(stats_of(vals)).items():
-                if id == "EQ20" and n <= 2:
+            for id, rep in all_slacks(stats_of(vals)).items():
+                if id not in CLASSIC_IDS or id == "EQ20" and n <= 2:
                     continue
                 assert rep.verdict in (HOLDS, EQUALITY)
                 assert min(rep.slacks) > -1e-12
@@ -118,15 +120,15 @@ class TestClassicSlacks:
 class TestRefinements:
     def test_eq21_worked(self):
         s = stats_of([0.1, 0.2])
-        rep = refinement_slacks(s)["EQ21"]
+        rep = all_slacks(s)["EQ21"]
         expect = ((s.a + s.g) * math.log(s.a / s.g)
                   - (s.a_prime + s.g_prime) * math.log(s.a_prime / s.g_prime))
         assert rep.slacks[0] == pytest.approx(expect, rel=1e-10)
         assert rep.slacks[0] > 0
 
     def test_eq22_equality_on_constant(self):
-        reports = refinement_slacks(stats_of([0.25, 0.25]))
-        assert set(reports) == {"EQ21", "EQ22"}
+        reports = all_slacks(stats_of([0.25, 0.25]))
+        assert set(reports) == {"EQ18", "EQ19", "EQ20", "EQ21", "EQ22"}
         for rep in reports.values():
             assert rep.verdict == EQUALITY
 
@@ -147,7 +149,7 @@ class TestRefinements:
 
     def test_eq25_and_eq26_worked(self):
         s = stats_of([0.1, 0.2, 0.3])
-        reps = refinement_slacks(s)
+        reps = all_slacks(s)
         # EQ25: brute-force both sides
         n = 3
         lhs = (s.a_prime ** n - s.g_prime ** n) / (s.a ** n - s.g ** n)
@@ -284,6 +286,25 @@ class TestMarginsMatchReports:
         stats = stats_of([0.1, 0.2, 0.4])._replace(r=math.nan)
         self.assert_same(stats)
         assert dict((id, verdict) for id, _, verdict in margins(stats))["EQ18"] == VIOLATED
+
+    def test_near_constant_samples_report_or_raise(self):
+        # means that binary64 cannot separate are a hypothesis error, not a crash
+        rng = random.Random(15)
+        raised = 0
+        for _ in range(6000):
+            n = rng.randint(2, 20)
+            centre = 10.0 ** rng.uniform(-300.0, math.log10(0.5))
+            spread = 10.0 ** rng.uniform(-18.0, 0.0)
+            stats = stats_of([min(0.5, centre * (1.0 + 0.5 * spread * rng.uniform(-1.0, 1.0)))
+                              for _ in range(n)])
+            try:
+                self.assert_same(stats)
+            except HypothesisViolation:
+                for fn in (margins, all_slacks):
+                    with pytest.raises(HypothesisViolation, match="A > G and A' > G'"):
+                        fn(stats)
+                raised += 1
+        assert 0 < raised < 6000
 
 
 #: sha256 of ``kyfan-sweep --samples 3000 --seed 42``: the report less

@@ -11,27 +11,21 @@ from meanineq.sweep import _Agg
 class TestNanVerdicts:
     def test_nan_slack_is_violated_in_any_position(self):
         for slacks in ((1.0, math.nan), (math.nan, 1.0), (math.nan,)):
-            rep = build_report("X", {}, ("s",) * len(slacks), slacks, "log_ratio")
+            rep = build_report("X", {}, ("s",) * len(slacks), slacks, "log_ratio", 1e-9, False)
             assert math.isnan(rep.margin), slacks
             assert rep.verdict == VIOLATED, slacks
 
     def test_nan_slack_on_equality_manifold_is_violated(self):
         for slacks in ((0.0, math.nan), (math.nan, 0.0)):
-            rep = build_report("X", {}, ("lo", "hi"), slacks, "additive", scale=1.0,
-                               on_equality_manifold=True)
+            rep = build_report("X", {}, ("lo", "hi"), slacks, "additive", 1e-9, True)
             assert math.isnan(rep.margin)
             assert rep.verdict == VIOLATED
 
-    def test_margin_property_is_nan_safe(self):
-        rep = SlackReport("X", {}, ("lo", "hi"), (2.0, math.nan), "log_ratio", 1e-9, HOLDS)
-        assert math.isnan(rep.margin)
-        assert math.isnan(rep.to_dict()["margin"])
-
     def test_finite_verdicts_unchanged(self):
-        assert build_report("X", {}, ("s", "t"), (1.0, 0.5), "log_ratio").verdict == HOLDS
-        assert build_report("X", {}, ("s",), (-1.0,), "log_ratio").verdict == VIOLATED
-        rep = build_report("X", {}, ("s",), (-1e-12,), "log_ratio",
-                           on_equality_manifold=True)
+        assert build_report("X", {}, ("s", "t"), (1.0, 0.5), "log_ratio", 1e-9,
+                            False).verdict == HOLDS
+        assert build_report("X", {}, ("s",), (-1.0,), "log_ratio", 1e-9, False).verdict == VIOLATED
+        rep = build_report("X", {}, ("s",), (-1e-12,), "log_ratio", 1e-9, True)
         assert rep.verdict == EQUALITY
         assert rep.margin == -1e-12
 
@@ -46,7 +40,7 @@ class TestNanVerdicts:
         assert agg.violations[0]["inputs"] == {"a": 1.0}
 
     def test_report_is_immutable(self):
-        rep = build_report("X", {"a": 1.0}, ("s",), (1.0,), "log_ratio")
+        rep = build_report("X", {"a": 1.0}, ("s",), (1.0,), "log_ratio", 1e-9, False)
         with pytest.raises(AttributeError):
             rep.verdict = VIOLATED
 
@@ -65,13 +59,12 @@ def test_judge_is_the_verdict_rule(slacks, tolerance, manifold, verdict):
     margin, got = judge(slacks, tolerance, manifold)
     assert got == verdict
     assert repr(margin) == repr(math.nan if any(map(math.isnan, slacks)) else min(slacks))
-    rep = build_report("X", {}, ("s",) * len(slacks), slacks, "log_ratio",
-                       tolerance=tolerance, on_equality_manifold=manifold)
+    rep = build_report("X", {}, ("s",) * len(slacks), slacks, "log_ratio", tolerance, manifold)
     assert (repr(rep.margin), rep.verdict) == (repr(margin), got)
 
 
 class TestStoredMargin:
-    """build_report stores the margin; a seven-field SlackReport derives the same one."""
+    """build_report stores judge's margin: the minimum slack, NaN if any is NaN."""
 
     CASES = {
         "inf,-inf": (math.inf, -math.inf),
@@ -84,34 +77,36 @@ class TestStoredMargin:
     }
 
     @staticmethod
-    def _both(slacks):
+    def _build(slacks):
         links = tuple(f"s{k}" for k in range(len(slacks)))
-        built = build_report("X", {"a": 1.0}, links, slacks, "log_ratio")
-        direct = SlackReport("X", {"a": 1.0}, links, slacks, "log_ratio",
-                             built.tolerance, built.verdict)
-        return built, direct
+        return build_report("X", {"a": 1.0}, links, slacks, "log_ratio", 1e-9, False)
 
     @pytest.mark.parametrize("name", CASES)
     def test_margin_is_the_nan_propagating_minimum(self, name):
         slacks = self.CASES[name]
-        built, direct = self._both(slacks)
+        built = self._build(slacks)
+        margin, verdict = judge(slacks, 1e-9, False)
+        assert (repr(built.margin), built.verdict) == (repr(margin), verdict)
         if any(map(math.isnan, slacks)):
-            assert math.isnan(built.margin) and math.isnan(direct.margin)
+            assert math.isnan(built.margin)
+            assert math.isnan(built.to_dict()["margin"])
             assert built.verdict == VIOLATED
         else:
-            assert built.margin == direct.margin == min(slacks)
-            assert repr(built.margin) == repr(direct.margin)
-            assert built == direct
+            assert repr(built.margin) == repr(min(slacks))
 
     def test_to_dict_keeps_its_keys(self):
-        built, _ = self._both((1.0, 0.5))
+        built = self._build((1.0, 0.5))
         assert list(built.to_dict()) == ["id", "inputs", "links", "slacks", "margin",
                                          "domain", "tolerance", "verdict"]
         assert built.to_dict()["margin"] == 0.5
 
+    def test_links_and_slacks_must_pair(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            build_report("X", {}, ("s", "t"), (1.0,), "log_ratio", 1e-9, False)
+
     def test_survives_pickle(self):
         for slacks in ((1.0, 0.5), (1.0, math.nan)):
-            built, _ = self._both(slacks)
+            built = self._build(slacks)
             copy = pickle.loads(pickle.dumps(built))
             assert type(copy) is SlackReport
             assert copy.to_json() == built.to_json()
