@@ -5,18 +5,20 @@ kyfan-sweep, oracle-compare.  JSON goes to stdout (floats round-trip), the
 human summary to stderr.  Exit codes: 0 all checks hold, 1 a mathematical
 violation was detected, 2 usage or hypothesis error, 3 the run failed (a
 sweep's worker process died).  The only state a command mutates is its
---out/--csv file.
+--out/--csv file, and while a sweep runs, a temporary directory of CSV parts
+beside the --csv file.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import catalog, kyfan, means, oracle
 from .report import EQUALITY, HOLDS, VIOLATED, HypothesisViolation, dumps
-from .rng import DEFAULT_RANGE
+from .rng import DEFAULT_RANGE, SamplingError
 from .sweep import SweepConfig, SweepFailed, resolve_ids, run_kyfan_sweep, run_sweep
 
 _WORKERS_HELP = "worker processes (default 1); small sweeps run in-process"
@@ -119,6 +121,7 @@ def _cmd_sweep(args):
     config = SweepConfig(ids=ids, samples=args.samples, seed=args.seed,
                          sign=args.sign, bounds=(args.range_lo, args.range_hi),
                          workers=args.workers)
+    _check_outputs(args)
     report = run_sweep(config, csv_path=args.csv)
     return _finish_sweep(report, args.out)
 
@@ -127,8 +130,21 @@ def _cmd_kyfan_sweep(args):
     config = SweepConfig(ids=(), samples=args.samples, seed=args.seed,
                          kyfan_n_range=(args.n_min, args.n_max),
                          workers=args.workers)
+    _check_outputs(args)
     report = run_kyfan_sweep(config, csv_path=args.csv)
     return _finish_sweep(report, args.out)
+
+
+def _check_outputs(args):
+    """Refuse an --out or --csv path that cannot be written, before the sweep
+    runs, without creating or truncating the file."""
+    for path in filter(None, (args.out, args.csv)):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise CliError(f"cannot write {path}: no such directory")
+        if os.path.isdir(path) or not os.access(
+                path if os.path.exists(path) else folder, os.W_OK):
+            raise CliError(f"cannot write {path}: not a writable file")
 
 
 def _finish_sweep(report, out_path):
@@ -311,7 +327,7 @@ def main(argv=None):
     except HypothesisViolation as exc:
         _note(f"hypothesis violation: {exc}")
         return EXIT_USAGE
-    except (ValueError, OverflowError, KeyError) as exc:
+    except (ValueError, OverflowError, KeyError, SamplingError) as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE
     except SweepFailed as exc:

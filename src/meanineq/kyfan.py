@@ -16,11 +16,12 @@ non-strict and collapse to equality on constant samples.  Everything is a
 pure function of the sample.
 
 A sample whose means binary64 cannot separate (A == G or A' == G' after
-rounding, while the values differ) admits no strict chain; the refinement
-rows raise HypothesisViolation for it.
+rounding, while the values differ) admits no strict chain; ``_rows`` raises
+HypothesisViolation for it.
 
-Each id's slacks, tolerance and equality predicate come from one table of
-rows, where each formula is written once.  ``all_slacks`` builds a
+``_rows`` is the Ky Fan table: one row per id, holding the id's link names,
+margin domain, slacks, tolerance and equality predicate, so each formula is
+written once, beside the names of its links.  ``all_slacks`` builds a
 SlackReport from each row, for callers that show them; ``margins`` judges
 the same rows to ``(id, margin, verdict)`` without a report, which is all a
 sweep folds.
@@ -138,72 +139,48 @@ def _pow_diff(ln_u, r, k):
     return math.exp(k * ln_u) * (-math.expm1(-k * r))
 
 
-def _on_manifold(stats):
-    return stats.all_equal or stats.spread <= SPREAD_EQUALITY
+def _rows(stats: KyFanStats) -> list:
+    """The Ky Fan table: one ``(id, links, domain, slacks, tolerance,
+    on_equality_manifold)`` row per id the sample admits, in KYFAN_IDS order.
 
-
-#: id -> (link names, margin domain), in KYFAN_IDS order.
-_LINKS = {
-    "EQ18": (("ratio",), "log_ratio"),
-    "EQ19": (("difference",), "additive"),
-    "EQ20": (("power_difference",), "additive"),
-    "EQ21": (("exponent_sum",), "log_ratio"),
-    "EQ22": (("exponent_cross",), "log_ratio"),
-    "EQ23": (("first", "second", "third", "fourth"), "log_ratio"),
-    "EQ24": (("max_pair", "combined", "upper"), "log_ratio"),
-    "EQ25": (("inverse_power",), "log_ratio"),
-    "EQ26": (("lower_max", "middle", "upper_min", "below_one"), "log_ratio"),
-    "EQ27": (("first", "second", "third", "inverse_tail"), "log_ratio"),
-    "EQ28": (("lower", "upper"), "log_ratio"),
-    "EQ29": (("first", "min_pair", "upper"), "log_ratio"),
-    "EQ30": (("lower", "upper"), "log_ratio"),
-    "EQ31": (("min_pair", "below_one"), "log_ratio"),
-}
-
-
-def _classic_rows(stats: KyFanStats) -> list:
-    """Rows ``(id, slacks, tolerance, on_equality_manifold)`` of EQ18, EQ19, EQ20."""
-    eq = _on_manifold(stats)
-    d = (stats.a - stats.g)
-    dp = (stats.a_prime - stats.g_prime)
+    Each shared intermediate is computed once.  A constant sample has
+    r = r' = 0, so EQ21/EQ22 (non-strict) read 0 there and the strict chains
+    EQ23 .. EQ31 have no row.  A sample that is not constant but whose means
+    coincide in binary64 raises HypothesisViolation.
+    """
+    n, r, rp = stats.n, stats.r, stats.r_prime
+    a, g, ap, gp = stats.a, stats.g, stats.a_prime, stats.g_prime
+    ln_a, ln_ap = stats.ln_a, stats.ln_a_prime
+    eq = stats.all_equal or stats.spread <= SPREAD_EQUALITY
+    d, dp = a - g, ap - gp
     # A^n, G^n below the binary64 range make EQ20's additive slack vacuous
-    underflow = stats.n * stats.ln_a < -700.0
+    underflow = n * ln_a < -700.0
     if stats.all_equal or underflow:
         pd = pdp = 0.0
     else:
-        pd = _pow_diff(stats.ln_a, stats.r, stats.n)
-        pdp = _pow_diff(stats.ln_a_prime, stats.r_prime, stats.n)
+        pd = _pow_diff(ln_a, r, n)
+        pdp = _pow_diff(ln_ap, rp, n)
     # the A'-G' subtraction injects absolute noise ~ n*eps into the power
     # difference, so the tolerance carries that floor (the n <= 2 identity
     # evaluates to pure roundoff of exactly this size)
-    tol20 = max(1e-9 * max(pd, pdp, 1e-300), stats.n * 5e-16)
-    return [
-        ("EQ18", (stats.r - stats.r_prime,), TOL_V, eq),
-        ("EQ19", (d - dp,), TOL_V * max(d, dp, 1e-300), eq),
-        ("EQ20", (pdp - pd,), tol20, eq or stats.n <= 2 or underflow),
+    tol20 = max(1e-9 * max(pd, pdp, 1e-300), n * 5e-16)
+    rows = [
+        ("EQ18", ("ratio",), "log_ratio", (r - rp,), TOL_V, eq),
+        ("EQ19", ("difference",), "additive", (d - dp,), TOL_V * max(d, dp, 1e-300), eq),
+        ("EQ20", ("power_difference",), "additive", (pdp - pd,), tol20,
+         eq or n <= 2 or underflow),
+        ("EQ21", ("exponent_sum",), "log_ratio", ((a + g) * r - (ap + gp) * rp,), TOL_V, eq),
+        ("EQ22", ("exponent_cross",), "log_ratio", (dp * r - d * rp,), TOL_V, eq),
     ]
-
-
-def _refinement_rows(stats: KyFanStats) -> list:
-    """Rows of EQ21 .. EQ31, every slack in the log domain.
-
-    EQ21/EQ22 accept constant samples (non-strict) and read 0 there; the
-    strict chains EQ23 .. EQ31 have no row for them.  A sample that is not
-    constant but whose means coincide in binary64 raises HypothesisViolation.
-    """
     if stats.all_equal:
-        return [("EQ21", (0.0,), TOL_V, True), ("EQ22", (0.0,), TOL_V, True)]
-    r, rp = stats.r, stats.r_prime
+        return rows
     if r <= 0.0 or rp <= 0.0:                      # false for NaN, which the rows carry
         raise HypothesisViolation(
             f"EQ21..EQ31 need A > G and A' > G' in binary64, "
             f"got ln(A/G) = {r!r}, ln(A'/G') = {rp!r}")
-    eq = _on_manifold(stats)
-    n = stats.n
-    a, g, ap, gp = stats.a, stats.g, stats.a_prime, stats.g_prime
-    ln_a, ln_ap = stats.ln_a, stats.ln_a_prime
 
-    secant = (ap - gp) / (a - g)                   # (A'-G')/(A-G)
+    # every slack from here on is in the log domain
+    secant = dp / d                                # (A'-G')/(A-G)
     dl = (ln_ap + stats.ln_g_prime) - (ln_a + stats.ln_g)   # ln(A'G'/(AG)) > 0
     ln_s = 0.5 * dl                                # ln sqrt(A'G'/(AG))
     ln_ir = ln_identric(ap, gp) - ln_identric(a, g)
@@ -217,28 +194,22 @@ def _refinement_rows(stats: KyFanStats) -> list:
     ln_ir_s = lln_ir - lln_s                       # ln(ln_ir / ln_s)
 
     # EQ23: A'/G' < (A/G)^e1 < (A/G)^e2 < (A/G)^e3 < A/G
-    eq23 = (secant * r - rp * ln_s - rp,
-            0.5 * rp * (r - rp),
-            r * ((a - g) - (ap - gp)) / (a - g),
+    eq23 = (secant * r - rp * ln_s - rp, 0.5 * rp * (r - rp), r * (d - dp) / d,
             rp * (ln_ap - ln_a))
 
     # EQ24: A'/G' < max{T1, T2} < T3 < A/G
     ln_t1 = rp * (1.0 + ln_s)
     ln_t3 = ln_t1 / secant
     mx = max(ln_t1, rp / secant)
-    eq24 = (mx - rp, ln_t3 - mx, r - ln_t3)
 
     # EQ25: power-difference ratio < (A'^n G'^n R') / (A^n G^n R)
     lhs = ln_pdp - ln_pd
-    eq25 = (n * dl + ln_rp - ln_r - lhs,)
 
     # EQ26: max{M0a, M0b} < R'/R < M2 < min{M3a, M3b} < 1 (logs of members)
     k2 = 0.5 * n * dl
-    m0a = lhs - k2
-    m0b = ln_secant - ln_s
     m2 = ln_secant + lln_ir - lln_s
     mn = min(ln_secant, ln_ir_s)
-    eq26 = (ln_rp_r - max(m0a, m0b), m2 - ln_rp_r, mn - m2, -mn)
+    eq26 = (ln_rp_r - max(lhs - k2, ln_secant - ln_s), m2 - ln_rp_r, mn - m2, -mn)
 
     # EQ27: A'/G' < (A'/G')^(ln_s/ln_ir) < (A/G)^secant < A/G < (A'/G')^((A'G'/AG)^(n/2))
     ln_d1 = rp * ln_s / ln_ir
@@ -253,7 +224,6 @@ def _refinement_rows(stats: KyFanStats) -> list:
 
     # EQ28: pd-ratio < ((A'G')^(n/2) R') / ((AG)^(n/2) R) < (A'G'/(AG))^(n/2)
     k1 = k2 + ln_rp - ln_r
-    eq28 = (k1 - lhs, k2 - k1)
 
     # EQ29: A'/G' < (A/G)^(sumratio*secant) < min pair < A/G
     sumratio = (a + g) / (ap + gp)
@@ -268,39 +238,33 @@ def _refinement_rows(stats: KyFanStats) -> list:
     v1b = (2.0 / n) * (ln_rp_r + (ln_pd - ln_pdp))
     mn31 = min(v1a, v1b)
 
-    return [
-        ("EQ21", ((a + g) * r - (ap + gp) * rp,), TOL_V, eq),
-        ("EQ22", ((ap - gp) * r - (a - g) * rp,), TOL_V, eq),
-        ("EQ23", eq23, TOL_V, eq),
-        ("EQ24", eq24, TOL_V, eq),
-        ("EQ25", eq25, TOL_V, eq),
-        ("EQ26", eq26, TOL_V, eq),
-        ("EQ27", eq27, TOL_V, eq),
-        ("EQ28", eq28, TOL_V, eq),
-        ("EQ29", (ln_m1 - rp, mn29 - ln_m1, r - mn29), TOL_V, eq),
-        ("EQ30", (ln_e1 - rp, r - ln_e1), TOL_V, eq),
-        ("EQ31", (mn31 + dl, -mn31), TOL_V, eq),
+    return rows + [
+        ("EQ23", ("first", "second", "third", "fourth"), "log_ratio", eq23, TOL_V, eq),
+        ("EQ24", ("max_pair", "combined", "upper"), "log_ratio",
+         (mx - rp, ln_t3 - mx, r - ln_t3), TOL_V, eq),
+        ("EQ25", ("inverse_power",), "log_ratio", (n * dl + ln_rp - ln_r - lhs,), TOL_V, eq),
+        ("EQ26", ("lower_max", "middle", "upper_min", "below_one"), "log_ratio", eq26,
+         TOL_V, eq),
+        ("EQ27", ("first", "second", "third", "inverse_tail"), "log_ratio", eq27, TOL_V, eq),
+        ("EQ28", ("lower", "upper"), "log_ratio", (k1 - lhs, k2 - k1), TOL_V, eq),
+        ("EQ29", ("first", "min_pair", "upper"), "log_ratio",
+         (ln_m1 - rp, mn29 - ln_m1, r - mn29), TOL_V, eq),
+        ("EQ30", ("lower", "upper"), "log_ratio", (ln_e1 - rp, r - ln_e1), TOL_V, eq),
+        ("EQ31", ("min_pair", "below_one"), "log_ratio", (mn31 + dl, -mn31), TOL_V, eq),
     ]
-
-
-def _rows(stats: KyFanStats) -> list:
-    """The table: every row the sample admits, in KYFAN_IDS order."""
-    return _classic_rows(stats) + _refinement_rows(stats)
 
 
 def all_slacks(stats: KyFanStats) -> dict:
     """EQ18 .. EQ31 keyed by id; strict ids are skipped for constant samples."""
-    out = {}
-    for id, slacks, tolerance, eq in _rows(stats):
-        links, domain = _LINKS[id]
-        out[id] = build_report(id, stats.as_dict(), links, slacks, domain, tolerance, eq)
-    return out
+    return {id: build_report(id, stats.as_dict(), links, slacks, domain, tolerance, eq)
+            for id, links, domain, slacks, tolerance, eq in _rows(stats)}
 
 
 def margins(stats: KyFanStats) -> list:
     """``(id, margin, verdict)`` for each id of ``all_slacks(stats)``, in its
     order, from the same rows and verdict rule, without building a report."""
-    return [(id, *judge(slacks, tolerance, eq)) for id, slacks, tolerance, eq in _rows(stats)]
+    return [(id, *judge(slacks, tolerance, eq))
+            for id, _, _, slacks, tolerance, eq in _rows(stats)]
 
 
 def _stats_quad(stats: KyFanStats) -> OrderedQuad:
@@ -327,7 +291,7 @@ def bridge_slacks(stats: KyFanStats) -> dict:
     """
     quad = _stats_quad(stats)
     n = stats.n
-    links = {id: slacks for id, slacks, _, _ in _refinement_rows(stats)}
+    links = {id: slacks for id, _, _, slacks, _, _ in _rows(stats)}
     out = {}
 
     # mean-ratio chain on the quadruple: catalog EQ14 vs stats-level formulas

@@ -19,22 +19,26 @@ the row as is; the echoed input dict is built only for violation echoes,
 CSV rows and ``argmin_inputs``.
 
 A chunk of up to ``_CHUNK`` samples of one group is the unit of work.  Its
-task is plain data (sweep kind, config, group position, first index, whether
-CSV rows are wanted): ``_run_chunk`` rebuilds the group from the config and
-returns the chunk's aggregates and its CSV rows as one text block.  With more
-than one worker the chunks run in worker processes: forked where the
-platform allows and no other thread runs, so children start without
-re-importing anything, spawned otherwise.  A sweep too small to repay the
-pool's start-up runs its chunks in the calling process instead.  A worker
-process that dies ends the sweep with ``SweepFailed``.
+task is plain data (sweep kind, config, group position, first index, and the
+path of its CSV part file or None): ``_run_chunk`` rebuilds the group from
+the config, writes its CSV rows to its part file and returns only the
+chunk's aggregates.  The parts sit in a temporary directory beside the CSV
+until ``_write_csv`` joins them, so no process holds a sweep's rows in
+memory.  With more than one worker the chunks run in worker processes:
+forked where the platform allows and no other thread runs, so children
+start without re-importing anything, spawned otherwise.  A sweep too small
+to repay the pool's start-up runs its chunks in the calling process
+instead.  A worker process that dies ends the sweep with ``SweepFailed``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import math
 import os
+import shutil
+import tempfile
 import time
 from typing import Callable, NamedTuple
 
@@ -250,28 +254,25 @@ def _group(kind, config, pos):
 
 
 def _run_chunk(task):
-    """One chunk of one group: ``{id: _Agg}`` and its CSV rows as text (or None).
+    """One chunk of one group: ``{id: _Agg}``; its CSV rows go to its part file.
 
-    A task is ``(kind, config, group position, first index, rows wanted)``,
-    plain data that pickles, so the chunk runs the same here or in a worker
-    process.
+    A task is ``(kind, config, group position, first index, part path or
+    None)``, plain data that pickles, so the chunk runs the same here or in a
+    worker process.
     """
-    kind, config, pos, start, want_rows = task
+    kind, config, pos, start, part = task
     group = _group(kind, config, pos)
     aggs = {id: _Agg() for id in group.ids}
-    rows = [] if want_rows else None
-    for index in range(start, min(start + _CHUNK, config.samples)):
-        inputs = group.draw(index)
-        text = dumps(_public_inputs(inputs)) if rows is not None else None
-        for id, margin, verdict in group.evaluate(inputs):
-            aggs[id].update(index, margin, verdict, inputs)
-            if rows is not None:
-                rows.append((id, index, text, repr(margin), verdict))
-    if rows is None:
-        return aggs, None
-    block = io.StringIO()
-    csv.writer(block).writerows(rows)
-    return aggs, block.getvalue()
+    with open(part, "w", newline="") if part else contextlib.nullcontext() as fh:
+        writer = csv.writer(fh) if part else None
+        for index in range(start, min(start + _CHUNK, config.samples)):
+            inputs = group.draw(index)
+            text = dumps(_public_inputs(inputs)) if writer else None
+            for id, margin, verdict in group.evaluate(inputs):
+                aggs[id].update(index, margin, verdict, inputs)
+                if writer:
+                    writer.writerow((id, index, text, repr(margin), verdict))
+    return aggs
 
 
 def _cpu_count():
@@ -317,23 +318,24 @@ def _chunk_results(tasks, evals, workers):
 def _run_groups(kind, config, n_groups, csv_path):
     """Run every group over the configured samples and assemble the report.
 
-    The chunks of all groups go through one pool; their aggregates merge in
-    (group, chunk) order, so CSV rows come id-major across groups and
-    sample-major within one.  Each group replays every distinct argmin index
-    once, in this process.
+    The chunks of all groups go through one pool; their aggregates merge and
+    their CSV parts join in (group, chunk) order, so CSV rows come id-major
+    across groups and sample-major within one.  Each group replays every
+    distinct argmin index once, in this process.
     """
     t0 = time.monotonic()
     groups = [_group(kind, config, pos) for pos in range(n_groups)]
-    tasks = [(kind, config, pos, start, bool(csv_path))
-             for pos in range(n_groups) for start in range(0, config.samples, _CHUNK)]
     evals = config.samples * sum(len(group.ids) for group in groups)
     totals = {id: _Agg() for group in groups for id in group.ids}
-    csv_blocks = []
-    for aggs, block in _chunk_results(tasks, evals, config.workers):
-        for id, agg in aggs.items():
-            totals[id].merge(agg)
-        if block:
-            csv_blocks.append(block)
+    with (tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(csv_path)))
+          if csv_path else contextlib.nullcontext()) as parts:
+        tasks = [(kind, config, pos, start, parts and os.path.join(parts, f"{pos}-{start}.csv"))
+                 for pos in range(n_groups) for start in range(0, config.samples, _CHUNK)]
+        for aggs in _chunk_results(tasks, evals, config.workers):
+            for id, agg in aggs.items():
+                totals[id].merge(agg)
+        if csv_path:
+            _write_csv(csv_path, [task[4] for task in tasks])
 
     results = {}
     for group in groups:
@@ -368,8 +370,6 @@ def _run_groups(kind, config, n_groups, csv_path):
         "total_violations": sum(r["violation_count"] for r in results.values()),
         "wall_time_s": time.monotonic() - t0,
     }
-    if csv_path:
-        _write_csv(csv_path, csv_blocks)
     return report
 
 
@@ -388,8 +388,10 @@ def run_kyfan_sweep(config: SweepConfig, csv_path: str | None = None) -> dict:
     return _run_groups("kyfan_sweep", config, 1, csv_path)
 
 
-def _write_csv(path, blocks):
-    """The header, then the chunks' row blocks in order."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["id", "sample_index", "inputs", "margin", "verdict"])
-        fh.writelines(blocks)
+def _write_csv(path, parts):
+    """The header, then the chunks' part files in order, copied as bytes."""
+    with open(path, "wb") as fh:
+        fh.write(b"id,sample_index,inputs,margin,verdict\r\n")    # as csv.writer ends a row
+        for part in parts:
+            with open(part, "rb") as src:
+                shutil.copyfileobj(src, fh)

@@ -266,6 +266,18 @@ def test_workers_below_one_exit_2(capsys, command, workers):
     (("kyfan-check", "--x", "0.5,0.4999999999"),
      "hypothesis violation: EQ21..EQ31 need A > G and A' > G' in binary64, "
      "got ln(A/G) = 0.0, ln(A'/G') = 0.0"),
+    # bounds too narrow for the sampler's floor on the ratio or the quad's order
+    (("sweep", "--ids", "EQ10", "--samples", "2", "--range-lo", "1",
+      "--range-hi", "1.0000001"),
+     "error: no pair with ratio >= 1.000001 within 10000 redraws"),
+    (("sweep", "--ids", "EQ5", "--samples", "2", "--range-lo", "1",
+      "--range-hi", "1.0000000000000002"),
+     "error: no valid quad for sign='any' within 10000 redraws"),
+    # an output path that cannot be written is refused before the sweep runs
+    (("sweep", "--ids", "EQ5", "--samples", "5", "--out", "/nonexistent/r.json"),
+     "error: cannot write /nonexistent/r.json: no such directory"),
+    (("kyfan-sweep", "--samples", "5", "--csv", "/nonexistent/r.csv"),
+     "error: cannot write /nonexistent/r.csv: no such directory"),
 ])
 def test_rejected_input_exits_2_with_one_line(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err + "\n")

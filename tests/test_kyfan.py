@@ -330,6 +330,9 @@ CHECK_SHA = {
     "0.1,0.2,0.35": "b979710c592a26522cedddfa3cca88cd0171d529d2f05b11afb30d89635ef1de",
     "0.25,0.2500001,0.25": "3a18f3f8691462f5bea2a61e095292debcb32c8bf36ff6b48734424dae070e1f",
     "[1e-300, 0.5, 0.4]": "336bbaf08bd4dbb587af8a96f58b6db5e5549f86506d1dc3dd1d95c1ff2048de",
+    # constant samples: EQ21/EQ22 print a slack of 0.0, never -0.0
+    "0.5": "756238e9b25468d057bbf704e6df2c62df5d8a86d418e6e544d9af0d235d1c67",
+    "0.37,0.37,0.37": "a2022a008dc66117121d286ec9f1fa69e50b0e26eaaa5a1e135199878c61783e",
 }
 
 

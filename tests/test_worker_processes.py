@@ -1,12 +1,13 @@
 """Sweeps with ``workers > 1`` run their chunks in worker processes.
 
-A chunk's error reaches the caller unchanged; a worker that dies ends the
-run with exit code 3 and one error line; a caller with other threads gets
-spawned workers, which rebuild each chunk from its task alone; and the
-pool never starts more processes than there are chunks or CPUs, nor any
-below the pool floor or when only the environment asks for workers.  A Ky
-Fan sweep gives the same report and CSV in a pool as in-process.  The draws
-a pool makes are checked beside the other seams in test_one_driver.py.
+A chunk's error reaches the caller unchanged and leaves no CSV or part file
+behind; a worker that dies ends the run with exit code 3 and one error
+line; a caller with other threads gets spawned workers, which rebuild each
+chunk from its task alone; and the pool never starts more processes than
+there are chunks or CPUs, nor any below the pool floor or when only the
+environment asks for workers.  A Ky Fan sweep gives the same report and CSV
+in a pool as in-process.  The draws a pool makes are checked beside the
+other seams in test_one_driver.py.
 """
 
 import concurrent.futures
@@ -32,6 +33,17 @@ def test_chunk_error_reaches_the_caller(monkeypatch, workers):
         run_sweep(config)
     assert type(info.value) is ValueError
     assert str(info.value) == "x must be a finite positive real, got inf"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_error_leaves_no_csv_or_part_file(monkeypatch, tmp_path, workers):
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
+    config = SweepConfig(ids=("EQ5", "EQ12"), samples=3000, bounds=(1e-300, 1e300),
+                         workers=workers)
+    # EQ5's chunks write their part files before an EQ12 chunk raises
+    with pytest.raises(ValueError, match="got inf"):
+        run_sweep(config, csv_path=str(tmp_path / "rows.csv"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_chunk_error_exits_alike_at_any_worker_count(monkeypatch, capsys):
