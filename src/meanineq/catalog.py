@@ -13,6 +13,9 @@ Each formula is written once, in its row.  ``InequalityEntry.report`` and
 ``evaluate`` build a SlackReport from the row, for callers that show one;
 ``InequalityEntry.margin`` judges the same row to ``(margin, verdict)``
 through ``report.judge`` without a report, which is all a sweep folds.
+A sweep judges every quad-arity id on one shared quad per sample; the means
+several of their rows read are kept in the quad's ``memo``, so each is
+computed once per quad.
 """
 
 from __future__ import annotations
@@ -81,6 +84,41 @@ def _ln_lp_ratio(quad, px):
             - math.log(p_logarithmic_mean(quad.c, quad.d, px)))
 
 
+# --- means shared by several rows, computed once per quad ---------------------
+#
+# A sweep judges every quad-arity id on one quad per sample, so each of these
+# keeps its value in ``quad.memo`` the first time a row reads it.  Each calls
+# the means by this module's names, which the benchmark's tracer wraps.
+
+def _l_means(quad):
+    """(L(a,b), L(c,d))."""
+    memo = quad.memo
+    out = memo.get("L")
+    if out is None:
+        out = memo["L"] = (logarithmic_mean(quad.a, quad.b), logarithmic_mean(quad.c, quad.d))
+    return out
+
+
+def _ln_i_ratio(quad):
+    """ln(I(a,b)/I(c,d))."""
+    memo = quad.memo
+    out = memo.get("I")
+    if out is None:
+        out = memo["I"] = ln_identric(quad.a, quad.b) - ln_identric(quad.c, quad.d)
+    return out
+
+
+def _tangent_logs(quad, px, qx):
+    """ln of the Lp ratio, of the Lq ratio and of the Ipow ratio at q + 1:
+    the terms of EQ4's and EQ13's tangent bound at exponents px, qx."""
+    memo, key = quad.memo, (px.value, qx.value)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = (_ln_lp_ratio(quad, px), _ln_lp_ratio(quad, qx),
+                           ln_identric_ratio_pow(quad, qx.value + 1.0))
+    return out
+
+
 # --- rows: each id's slacks, tolerance and equality predicate, written once ---
 #
 # A row takes its arity's arguments (an OrderedQuad, plus p and q for
@@ -101,9 +139,10 @@ def _eq4(quad: OrderedQuad, p, q):
     px = _generic_exponent("p", p)
     qx = _generic_exponent("q", q)
     p, q = px.value, qx.value
-    lhs = math.exp(p * _ln_lp_ratio(quad, px))
-    tq = math.exp(q * _ln_lp_ratio(quad, qx))
-    rhs = tq * (1.0 + ((p - q) / (q + 1.0)) * ln_identric_ratio_pow(quad, q + 1.0))
+    ln_lp, ln_lq, ln_ipow = _tangent_logs(quad, px, qx)
+    lhs = math.exp(p * ln_lp)
+    tq = math.exp(q * ln_lq)
+    rhs = tq * (1.0 + ((p - q) / (q + 1.0)) * ln_ipow)
     return ((lhs - rhs,), TOL_V * max(abs(lhs), abs(rhs), 1e-300),
             abs(p - q) <= EQ_MANIFOLD_DIST or _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
 
@@ -111,9 +150,8 @@ def _eq4(quad: OrderedQuad, p, q):
 def _eq5(quad: OrderedQuad):
     """exp(1 - L(c,d)/L(a,b)) < I(a,b)/I(c,d) < exp(L(a,b)/L(c,d) - 1), in logs."""
     quad.require_strict()
-    lab = logarithmic_mean(quad.a, quad.b)
-    lcd = logarithmic_mean(quad.c, quad.d)
-    ln_ir = ln_identric(quad.a, quad.b) - ln_identric(quad.c, quad.d)
+    lab, lcd = _l_means(quad)
+    ln_ir = _ln_i_ratio(quad)
     s_lower = ln_ir - (1.0 - lcd / lab)
     s_upper = (lab / lcd - 1.0) - ln_ir
     return (s_lower, s_upper), TOL_V, _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST
@@ -134,7 +172,8 @@ def _eq6(a, b):
 def _eq8(quad: OrderedQuad):
     """L(a,b)/L(c,d) > 1 + ln(G(a,b)/G(c,d)) > 2ab/(ab + cd)."""
     quad.require_strict()
-    l_ratio = logarithmic_mean(quad.a, quad.b) / logarithmic_mean(quad.c, quad.d)
+    lab, lcd = _l_means(quad)
+    l_ratio = lab / lcd
     ln_gr = quad.log_g_ratio()
     # 2ab/(ab+cd) = 2/(1 + cd/ab), overflow-safe through logs
     third = 2.0 / (1.0 + math.exp((quad.ln_c + quad.ln_d) - (quad.ln_a + quad.ln_b)))
@@ -145,10 +184,10 @@ def _eq8(quad: OrderedQuad):
 def _eq9(quad: OrderedQuad):
     """L(a,b)/L(c,d) > ln(G(a,b)/G(c,d)) / ln(I(a,b)/I(c,d))."""
     quad.require_strict()
-    l_ratio = logarithmic_mean(quad.a, quad.b) / logarithmic_mean(quad.c, quad.d)
+    lab, lcd = _l_means(quad)
+    l_ratio = lab / lcd
     ln_gr = quad.log_g_ratio()
-    ln_ir = ln_identric(quad.a, quad.b) - ln_identric(quad.c, quad.d)
-    rhs = ln_gr / ln_ir
+    rhs = ln_gr / _ln_i_ratio(quad)
     return ((l_ratio - rhs,), TOL_V * max(l_ratio, 1.0),
             _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
 
@@ -206,8 +245,8 @@ def _eq13(quad: OrderedQuad, p, q):
     px = _generic_exponent("p", p)
     qx = _generic_exponent("q", q)
     p, q = px.value, qx.value
-    raw = (p * _ln_lp_ratio(quad, px) - q * _ln_lp_ratio(quad, qx)
-           - ((p - q) / (q + 1.0)) * ln_identric_ratio_pow(quad, q + 1.0))
+    ln_lp, ln_lq, ln_ipow = _tangent_logs(quad, px, qx)
+    raw = p * ln_lp - q * ln_lq - ((p - q) / (q + 1.0)) * ln_ipow
     disc_class = quad.disc_class
     return ((-raw if disc_class is _NEGATIVE else raw,), TOL_V,
             disc_class is _ZERO or abs(p - q) <= EQ_MANIFOLD_DIST)
@@ -222,8 +261,7 @@ def _ln_mean_ratios(quad):
     ln_lab = math.log(a) if a == b else math.log(a - b) - math.log(quad.r_ab)
     ln_lcd = math.log(c) if c == d else math.log(c - d) - math.log(quad.r_cd)
     ln_lr = ln_lab - ln_lcd
-    ln_ir = ln_identric(a, b) - ln_identric(c, d)
-    return ln_hr, ln_gr, ln_lr, ln_ir, ln_ar
+    return ln_hr, ln_gr, ln_lr, _ln_i_ratio(quad), ln_ar
 
 
 def _eq14(quad: OrderedQuad):

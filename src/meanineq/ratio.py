@@ -60,11 +60,14 @@ class OrderedQuad:
     The strict form is the domain of the ratio functions; the relaxed form is
     accepted only by the mean-ratio chain check that tolerates ties.  Logs and
     log-ratios of the pairs are cached because every consumer needs them.
+    ``memo`` starts empty: the catalog's rows fill it with the means they
+    share, each the first time a row reads it, so rows judged on one quad
+    compute each shared mean once.
     """
 
     __slots__ = ("a", "b", "c", "d", "relaxed",
                  "ln_a", "ln_b", "ln_c", "ln_d",
-                 "r_ab", "r_cd", "h_ab", "h_cd", "disc_class")
+                 "r_ab", "r_cd", "h_ab", "h_cd", "disc_class", "memo")
 
     def __init__(self, a, b, c, d, relaxed=False):
         # four floats already in strict order, as the sampler draws them, pass
@@ -74,6 +77,7 @@ class OrderedQuad:
             a, b, c, d = _checked_coordinates(a, b, c, d, relaxed)
         self.a, self.b, self.c, self.d = a, b, c, d
         self.relaxed = relaxed
+        self.memo = {}
         log = math.log
         self.ln_a = log(a)
         self.ln_b = log(b)

@@ -8,15 +8,23 @@ so reports are byte-identical for any worker count; re-evaluating the
 reported argmin inputs reproduces the minimum margin bit-for-bit.
 
 Both sweeps run through one driver over a list of groups: a group is a set
-of ids evaluated from one draw per sample, one id per group for the catalog
-and EQ18..EQ31 together for Ky Fan.  Samples are streamed: each is drawn,
-evaluated to ``(id, margin, verdict)`` triples, folded into the aggregate and
-dropped before the next.  Both halves judge rows through ``report.judge``
-and build no SlackReport: a catalog sample through its entry's
+of ids evaluated from one draw per sample.  Under the catalog's sampling
+contract 2 (``SAMPLING``, which its report names), every quad-arity id of a
+sweep is in one group, placed where the first of them is listed: each
+sample draws one quad from the stream ``catalog/quad``, plus one p and one q
+from ``catalog/quad/exponents`` when a quad_pq id is in the sweep, and the
+rows share that quad's means through ``OrderedQuad.memo``.  Each pair or
+sequence id is a group of its own, on its own stream ``catalog/{id}``;
+EQ18..EQ31 are one group for Ky Fan.  Results keep the order of the ids
+asked for.  Samples are streamed: each is drawn, evaluated to
+``(id, margin, verdict)`` triples, folded into the aggregate and dropped
+before the next.  Both halves judge rows through ``report.judge`` and build
+no SlackReport: a catalog sample through its entry's
 ``InequalityEntry.margin``, a Ky Fan sample through ``kyfan.margins``.  A
 report is built only where a caller shows one.  The sampled quad goes to
-the row as is; the echoed input dict is built only for violation echoes,
-CSV rows and ``argmin_inputs``.
+the row as is; an id's echoed input dict, which holds only the inputs its
+own row reads, is built only for violation echoes, CSV rows and
+``argmin_inputs``.
 
 A chunk of up to ``_CHUNK`` samples of one group is the unit of work.  Its
 task is plain data (sweep kind, config, group position, first index, and the
@@ -51,6 +59,11 @@ __all__ = ["SweepConfig", "SweepFailed", "run_sweep", "run_kyfan_sweep", "resolv
 
 _CHUNK = 1024
 _MAX_VIOLATION_ECHOES = 10
+
+#: The catalog sweep's sampling contract, which its report names.  Contract 2
+#: draws one quad (and one p, q) per sample for every quad-arity id; under
+#: contract 1 each id drew from a stream of its own.
+SAMPLING = 2
 
 #: Evaluations (samples x ids) per worker process below which a sweep runs in
 #: the calling process.  On a 2-core Xeon, ``sweep --ids all --workers 2``
@@ -139,21 +152,26 @@ def _draw_n(stream, index):
     return max(lo, min(hi, n))
 
 
-def _public_inputs(inputs):
-    """The inputs as reports and CSV rows echo them: the quad's coordinates in
-    place of the quad."""
-    out = inputs["quad"].as_dict() if "quad" in inputs else {}
-    out.update((k, v) for k, v in inputs.items() if k != "quad")
+def _public_inputs(inputs, names=None):
+    """The inputs ``names`` (every input by default) as reports and CSV rows
+    echo them: the quad's coordinates in place of the quad."""
+    out = {}
+    for name in names or inputs:
+        if name == "quad":
+            out.update(inputs["quad"].as_dict())
+        else:
+            out[name] = inputs[name]
     return out
 
 
 class _Agg:
     """One id's counts, minimum margin and echoed violations over its samples."""
 
-    __slots__ = ("samples_run", "equality_cases", "min_margin", "argmin_index",
+    __slots__ = ("names", "samples_run", "equality_cases", "min_margin", "argmin_index",
                  "violations", "violation_count")
 
-    def __init__(self):
+    def __init__(self, names=None):
+        self.names = names              # the inputs its echoes show; None for every input
         self.samples_run = 0
         self.equality_cases = 0
         self.min_margin = float("inf")
@@ -167,7 +185,7 @@ class _Agg:
             self.violation_count += 1
             if len(self.violations) < _MAX_VIOLATION_ECHOES:
                 self.violations.append({"sample_index": index, "margin": margin,
-                                        "inputs": _public_inputs(inputs)})
+                                        "inputs": _public_inputs(inputs, self.names)})
         elif verdict == EQUALITY:
             self.equality_cases += 1
         if margin < self.min_margin or (margin == self.min_margin
@@ -193,34 +211,63 @@ class _Group(NamedTuple):
     ids: tuple
     draw: Callable                    # index -> inputs; the argmin replay uses it too
     evaluate: Callable                # inputs -> iterable of (id, margin, verdict)
+    reads: dict                       # id -> names of the inputs its echoes show
 
 
-def _catalog_group(entry, config):
-    stream = SampleStream(config.seed, f"catalog/{entry.id}")
-    pstream = SampleStream(config.seed, f"catalog/{entry.id}/exponents")
+_QUAD_ARITIES = ("quad", "quad_pq")
+
+
+def _quad_group(entries, config):
+    """Quad-arity ids judged on one shared draw per sample (sampling contract 2).
+
+    Each index draws one quad from ``catalog/quad``, and one p and one q from
+    ``catalog/quad/exponents`` only when a quad_pq id is among the entries,
+    so an id's draws do not depend on which other ids its sweep holds.  The
+    rows share the quad's means through ``OrderedQuad.memo``.
+    """
+    stream = SampleStream(config.seed, "catalog/quad")
+    pstream = SampleStream(config.seed, "catalog/quad/exponents")
     sign, bounds = config.sign, config.bounds
-    # one draw per arity, picked here once; each calls its samplers by their
-    # module names on every sample, so wrapping those names sees every draw
-    arity = entry.arity
-    if arity == "quad":
-        def draw(index):
-            return {"quad": sample_quad(stream, index, sign=sign, bounds=bounds)}
-    elif arity == "quad_pq":
+    # each draw calls its samplers by their module names on every sample, so
+    # wrapping those names sees every draw
+    if any(entry.arity == "quad_pq" for entry in entries):
         def draw(index):
             return {"quad": sample_quad(stream, index, sign=sign, bounds=bounds),
                     "p": sample_exponent(pstream, index, salt0=1),
                     "q": sample_exponent(pstream, index, salt0=2)}
-    elif arity == "pair":
-        min_ratio = entry.min_ratio
+    else:
+        def draw(index):
+            return {"quad": sample_quad(stream, index, sign=sign, bounds=bounds)}
+    rows = [(entry.id, entry.margin, entry.arity == "quad_pq") for entry in entries]
+
+    def evaluate(inputs):
+        quad, *pq = inputs.values()
+        return [(id, *(margin(quad, *pq) if takes_pq else margin(quad)))
+                for id, margin, takes_pq in rows]
+
+    reads = {id: ("quad", "p", "q") if takes_pq else ("quad",) for id, _, takes_pq in rows}
+    return _Group(tuple(reads), draw, evaluate, reads)
+
+
+def _catalog_group(entry, config):
+    """The group of one catalog id as a sweep of that id alone runs it.
+
+    A pair or sequence id draws from a stream of its own, ``catalog/{id}``.
+    """
+    if entry.arity in _QUAD_ARITIES:
+        return _quad_group((entry,), config)
+    stream = SampleStream(config.seed, f"catalog/{entry.id}")
+    if entry.arity == "pair":
+        bounds, min_ratio = config.bounds, entry.min_ratio
 
         def draw(index):
             a, b = sample_pair(stream, index, bounds=bounds, min_ratio=min_ratio)
             return {"a": a, "b": b}
-    elif arity == "seq_n":
+    elif entry.arity == "seq_n":
         def draw(index):
             return {"n": _draw_n(stream, index)}
     else:
-        raise AssertionError(f"unhandled arity {arity}")
+        raise AssertionError(f"unhandled arity {entry.arity}")
 
     id, margin = entry.id, entry.margin
 
@@ -228,7 +275,24 @@ def _catalog_group(entry, config):
         # each draw lists its inputs in the order the id's row takes them
         return ((id, *margin(*inputs.values())),)
 
-    return _Group((entry.id,), draw, evaluate)
+    return _Group((id,), draw, evaluate, {id: catalog.ARITY_INPUTS[entry.arity]})
+
+
+def _catalog_layout(config):
+    """The entries of each group of a catalog sweep, in group order: every
+    quad-arity id in one group, placed where the first of them is listed,
+    and every other id alone."""
+    layout, quads = [], None
+    for id in resolve_ids(config.ids):
+        entry = catalog.REGISTRY[id]
+        if entry.arity not in _QUAD_ARITIES:
+            layout.append((entry,))
+        elif quads is None:
+            quads = [entry]
+            layout.append(quads)
+        else:
+            quads.append(entry)
+    return layout
 
 
 def _kyfan_group(config):
@@ -243,14 +307,18 @@ def _kyfan_group(config):
     def evaluate(inputs):
         return kyfan.margins(kyfan.compute_stats(kyfan.KyFanSample(inputs["values"])))
 
-    return _Group(kyfan.KYFAN_IDS, draw, evaluate)
+    return _Group(kyfan.KYFAN_IDS, draw, evaluate,
+                  dict.fromkeys(kyfan.KYFAN_IDS, ("n", "values")))
 
 
 def _group(kind, config, pos):
     """Group ``pos`` of a sweep; the driver and every chunk build groups here."""
     if kind == "kyfan_sweep":
         return _kyfan_group(config)
-    return _catalog_group(catalog.REGISTRY[resolve_ids(config.ids)[pos]], config)
+    entries = _catalog_layout(config)[pos]
+    if entries[0].arity in _QUAD_ARITIES:
+        return _quad_group(entries, config)
+    return _catalog_group(entries[0], config)
 
 
 def _run_chunk(task):
@@ -262,15 +330,19 @@ def _run_chunk(task):
     """
     kind, config, pos, start, part = task
     group = _group(kind, config, pos)
-    aggs = {id: _Agg() for id in group.ids}
+    aggs = {id: _Agg(group.reads[id]) for id in group.ids}
     with open(part, "w", newline="") if part else contextlib.nullcontext() as fh:
         writer = csv.writer(fh) if part else None
         for index in range(start, min(start + _CHUNK, config.samples)):
             inputs = group.draw(index)
-            text = dumps(_public_inputs(inputs)) if writer else None
+            texts = {}                  # one serialised echo per set of names read
             for id, margin, verdict in group.evaluate(inputs):
-                aggs[id].update(index, margin, verdict, inputs)
+                agg = aggs[id]
+                agg.update(index, margin, verdict, inputs)
                 if writer:
+                    text = texts.get(agg.names)
+                    if text is None:
+                        text = texts[agg.names] = dumps(_public_inputs(inputs, agg.names))
                     writer.writerow((id, index, text, repr(margin), verdict))
     return aggs
 
@@ -315,12 +387,13 @@ def _chunk_results(tasks, evals, workers):
             raise
 
 
-def _run_groups(kind, config, n_groups, csv_path):
-    """Run every group over the configured samples and assemble the report.
+def _run_groups(kind, config, ids, n_groups, csv_path):
+    """Run every group over the configured samples and assemble the report,
+    its results in the order of ``ids``.
 
     The chunks of all groups go through one pool; their aggregates merge and
-    their CSV parts join in (group, chunk) order, so CSV rows come id-major
-    across groups and sample-major within one.  Each group replays every
+    their CSV parts join in (group, chunk) order, so CSV rows come
+    group-major, and sample-major within a group.  Each group replays every
     distinct argmin index once, in this process.
     """
     t0 = time.monotonic()
@@ -337,7 +410,7 @@ def _run_groups(kind, config, n_groups, csv_path):
         if csv_path:
             _write_csv(csv_path, [task[4] for task in tasks])
 
-    results = {}
+    results = dict.fromkeys(ids)
     for group in groups:
         replays = {}
         for id in group.ids:
@@ -348,9 +421,10 @@ def _run_groups(kind, config, n_groups, csv_path):
             else:
                 if index not in replays:
                     inputs = group.draw(index)
-                    replays[index] = _public_inputs(inputs), {
+                    replays[index] = inputs, {
                         k: margin for k, margin, _ in group.evaluate(inputs)}
-                echo, margins = replays[index]
+                inputs, margins = replays[index]
+                echo = _public_inputs(inputs, group.reads[id])
                 replay = margins[id]
             results[id] = {
                 "samples_run": agg.samples_run,
@@ -378,14 +452,18 @@ def run_sweep(config: SweepConfig, csv_path: str | None = None) -> dict:
 
     Returns the verification report as a JSON-ready dict; content (minus
     ``wall_time_s``) depends only on the config.  ``csv_path`` optionally
-    dumps one row per sample.
+    dumps one row per id and sample.  The report names its ``sampling``
+    contract.
     """
-    return _run_groups("catalog_sweep", config, len(resolve_ids(config.ids)), csv_path)
+    report = _run_groups("catalog_sweep", config, resolve_ids(config.ids),
+                         len(_catalog_layout(config)), csv_path)
+    report["sampling"] = SAMPLING
+    return report
 
 
 def run_kyfan_sweep(config: SweepConfig, csv_path: str | None = None) -> dict:
     """Evaluate EQ18 .. EQ31 over random Ky Fan samples with random n."""
-    return _run_groups("kyfan_sweep", config, 1, csv_path)
+    return _run_groups("kyfan_sweep", config, kyfan.KYFAN_IDS, 1, csv_path)
 
 
 def _write_csv(path, parts):

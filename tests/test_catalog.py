@@ -391,28 +391,34 @@ def _reported_args(entry, args):
 
 
 #: sha256 of ``sweep``: the report less wall_time_s as ``report.dumps`` writes
-#: it, and the CSV, from before a sweep judged rows instead of reports.
+#: it, and the CSV, under sampling contract 2 (one shared quad draw per sample
+#: for every quad-arity id), with each pin's violation counts per id.
 SWEEP_PINS = {
     "all-any": ({"ids": ("ALL",), "samples": 3000, "seed": 42, "sign": "any"},
-                "db7f28997bb8d42149ddc4789196e3527346a6a32e9a72f2d7d0adea4820e58f",
-                "15df70008c11440f1664e003c151680bb55bea817b9bd886d787cc915285c0c3"),
+                "eb350569f2dde0fdde3de7bb3931da7c797d8c9b6e213f22b7e7a028e4f8bd7c",
+                "460b26fcd3b721adc980ba0e56d9ce7b253b0581e4333c59b408e6b91951db9d", {}),
     "all-zero": ({"ids": ("ALL",), "samples": 3000, "seed": 42, "sign": "zero"},
-                 "3f52151779c4254db16173d61410e6c4bf52caf5aa4c8cb5646016385d833501",
-                 "22853b3307551a870e1ddc8e0820c9efde131db4e269b68a96acc89f7f9232d3"),
-    # exits 1: 74 EQ13 and 7 EQ14 violations at rounding level, with their echoes
+                 "57b1187b662ae266d8c47a66f9d4f85a1601f6a67e102f109ed76880425c4dc0",
+                 "cf58c5e6f3326c7d830461f89a0154e5ef525499592d4997c93c587c80d4258b", {}),
+    # exits 1: 64 EQ13 and 1 EQ14 violations at rounding level, with their echoes
     "eq13-eq14-wide": ({"ids": ("EQ13", "EQ14"), "samples": 2000, "seed": 1,
                         "bounds": (1e-30, 1e30)},
-                       "00bf200b2a115144b7bd9a6094db109127fc11dc8ff3ab7cf2542bbca65f7175",
-                       "d0dde3b7e31349679b6eedf2e2b395cc778dd819531b26b6a4ca59b4faf3a2ab"),
+                       "d38251340e36ca81769246dd54106582481fa52fdce2b70c3f57556b42351c15",
+                       "baba9fc483f4296a4b05b782e7fe03a17aa59e46c2e7e86386c52d1f3b661ffa",
+                       {"EQ13": 64, "EQ14": 1}),
 }
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", SWEEP_PINS)
 def test_sweep_bytes_pinned(tmp_path, name, workers):
-    fields, report_sha, csv_sha = SWEEP_PINS[name]
+    fields, report_sha, csv_sha, violations = SWEEP_PINS[name]
     rows = tmp_path / "rows.csv"
     rep = run_sweep(SweepConfig(workers=workers, **fields), csv_path=str(rows))
     rep.pop("wall_time_s")
+    assert rep["sampling"] == 2
+    assert list(rep["results"]) == list(sweep.resolve_ids(fields["ids"]))
+    assert {id: r["violation_count"] for id, r in rep["results"].items()
+            if r["violation_count"]} == violations
     assert hashlib.sha256(dumps(rep).encode()).hexdigest() == report_sha
     assert hashlib.sha256(rows.read_bytes()).hexdigest() == csv_sha

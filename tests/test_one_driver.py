@@ -2,10 +2,11 @@
 
 Every catalog id resolves, validates its named inputs and reports missing
 ones through its ``REGISTRY`` row; catalog and Ky Fan sweeps run through the
-same driver, which draws and evaluates once per (id, sample) plus once per
-argmin replay; a catalog sweep judges its samples through
-``InequalityEntry.margin`` and a Ky Fan sweep through ``kyfan.margins``, and
-neither builds a report.
+same driver, which draws once per (group, sample) plus once per distinct
+argmin replay of the group: every quad-arity id of a catalog sweep reads one
+shared draw, every pair id draws from its own stream; a catalog sweep judges
+its samples through ``InequalityEntry.margin`` and a Ky Fan sweep through
+``kyfan.margins``, and neither builds a report.
 """
 
 import json
@@ -163,26 +164,48 @@ def _by_stream(calls, name):
     return Counter({key[1:]: n for key, n in calls.items() if key[0] == name})
 
 
+QUAD_IDS = tuple(id for id, e in catalog.REGISTRY.items() if e.arity in ("quad", "quad_pq"))
+
+
+def _quad_argmins(rep):
+    """The distinct argmin indices of the quad-arity ids: each is replayed once."""
+    return sorted({rep["results"][id]["argmin_index"] for id in QUAD_IDS})
+
+
+def _catalog_draws(rep, seed, samples):
+    """sampler -> Counter of (stream, index) that an all-ids sweep draws: one
+    quad and one (p, q) on the shared quad streams per sample and per distinct
+    quad argmin, and each pair id's own stream per sample and its argmin."""
+    want = {name: Counter() for name in SAMPLERS}
+    replays = _quad_argmins(rep)
+    want["sample_quad"] = _expected("catalog/quad", seed, samples, replays)
+    want["sample_exponent"] = _expected("catalog/quad/exponents", seed, samples, replays,
+                                        per_sample=2)
+    for id, entry in catalog.REGISTRY.items():
+        if entry.arity == "pair":
+            want["sample_pair"] += _expected(f"catalog/{id}", seed, samples,
+                                             [rep["results"][id]["argmin_index"]])
+    return want
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_catalog_sweep_seams(seams, workers):
     samples, seed = 40, 5
     rep = run_sweep(SweepConfig(ids=("ALL",), samples=samples, seed=seed, workers=workers))
-    want = {name: Counter() for name in SAMPLERS}
-    for id, entry in catalog.REGISTRY.items():
-        # judged once per sample and argmin replay; no report is built
-        assert seams["margin", id] == samples + 1, id
+    replays = len(_quad_argmins(rep))
+    for id in catalog.REGISTRY:
+        # judged once per sample and per replay of its group; no report is built
+        assert seams["margin", id] == samples + (replays if id in QUAD_IDS else 1), id
         assert seams["evaluate", id] == 0, id
-        argmin = [rep["results"][id]["argmin_index"]]
-        if entry.arity in ("quad", "quad_pq"):
-            want["sample_quad"] += _expected(f"catalog/{id}", seed, samples, argmin)
-        if entry.arity == "quad_pq":
-            want["sample_exponent"] += _expected(f"catalog/{id}/exponents", seed, samples,
-                                                 argmin, per_sample=2)
-        if entry.arity == "pair":
-            want["sample_pair"] += _expected(f"catalog/{id}", seed, samples, argmin)
+    want = _catalog_draws(rep, seed, samples)
     for name in SAMPLERS:
         assert _by_stream(seams, name) == want[name], name
     assert seams["compute_stats",] == seams["margins",] == seams["all_slacks",] == 0
+    # without a quad_pq id the quad group draws no p and q
+    seams.clear()
+    run_sweep(SweepConfig(ids=("EQ5", "EQ14"), samples=samples, seed=seed, workers=workers))
+    assert sum(_by_stream(seams, "sample_quad").values()) > samples
+    assert not _by_stream(seams, "sample_exponent")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -226,17 +249,9 @@ def test_catalog_sweep_draws_in_worker_processes(monkeypatch, tmp_path):
         name, pid, stream, index = line.split()
         seen[name][int(stream), int(index)] += 1
         pids.add(int(pid))
-    want = {name: Counter() for name in SAMPLERS}
-    for id, entry in catalog.REGISTRY.items():
-        argmin = [rep["results"][id]["argmin_index"]]
+    for id in catalog.REGISTRY:
         assert rep["results"][id]["argmin_margin_replay"] == rep["results"][id]["min_margin"]
-        if entry.arity in ("quad", "quad_pq"):
-            want["sample_quad"] += _expected(f"catalog/{id}", seed, samples, argmin)
-        if entry.arity == "quad_pq":
-            want["sample_exponent"] += _expected(f"catalog/{id}/exponents", seed, samples,
-                                                 argmin, per_sample=2)
-        if entry.arity == "pair":
-            want["sample_pair"] += _expected(f"catalog/{id}", seed, samples, argmin)
+    want = _catalog_draws(rep, seed, samples)
     for name in SAMPLERS:
         assert seen[name] == want[name], name
     assert len(pids - {os.getpid()}) >= 2

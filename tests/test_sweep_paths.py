@@ -2,10 +2,12 @@
 
 The sweep passes sampled quads straight to the evaluators; every sample it
 reports must match what ``catalog.evaluate(id, **inputs)`` gives for the
-echoed inputs.
+echoed inputs.  Every quad-arity id reads one shared draw per sample, yet
+each id's result is the same whichever other ids its sweep holds.
 """
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -104,6 +106,13 @@ def test_one_quad_per_sample(monkeypatch):
         assert rep["results"][id]["samples_run"] == samples
         # one per sample, plus the argmin replay
         assert len(built) == samples + 1, id
+    # every quad-arity id reads the same quad: one per sample in all, plus one
+    # per distinct argmin of those ids, not one per (id, sample)
+    built.clear()
+    rep = run_sweep(SweepConfig(ids=("ALL",), samples=samples, seed=11))
+    replays = {rep["results"][id]["argmin_index"] for id in QUAD_IDS}
+    assert len(built) == samples + len(replays)
+    assert len(set(built)) == samples
 
 
 def test_public_inputs_echo_quad_coordinates():
@@ -112,3 +121,68 @@ def test_public_inputs_echo_quad_coordinates():
     inputs = {"quad": quad, "p": 0.5, "q": 2.0}
     assert sweep._public_inputs(inputs) == {**quad.as_dict(), "p": 0.5, "q": 2.0}
     assert list(sweep._public_inputs(inputs)) == ["a", "b", "c", "d", "p", "q"]
+
+
+# --- sampling contract 2: an id's result does not depend on the id set -------
+
+#: Three chunks; one id alone clears the pool floor at 2 workers.
+CONTRACT_SAMPLES = 2100
+
+#: sha256 of ``report.dumps`` of each pair and sequence id's result in
+#: ``sweep --ids all --samples 2100``, as sampling contract 1 gave them: those
+#: ids keep their own streams, so contract 2 leaves them byte for byte.
+OWN_STREAM_PINS = {
+    1: {"EQ6": "5f697e45dfc2ffdee0e070f1b784142e1cb3adac6be38bbd4dcb582457c1fee5",
+        "EQ10": "2fce1f177e3b0f64b1f396ad09504b37ff973e5c239ddec71e5117ddc42dfe4b",
+        "EQ15": "a294ef255a5a86694d6a0dc7203b9ea7219362d906f07033834883d05b9bca1e",
+        "EQ16": "75cf6b0e41b86f1b3de2d0495d351eff0a5cdff0b63738f38eef4ea9963ed82a",
+        "EQ17": "24c2f50ca759304e262cf05d0028665fee450c96a7307b4dde24817eb0123853"},
+    42: {"EQ6": "7e5593f98d3085fecf25959a368a22a29bc5949390457b0447514bf70e4a443e",
+         "EQ10": "4121b1647c879d060a2941e9a37117c82bca0c031d99a3f12cd244f0498b4cdc",
+         "EQ15": "f7aebfa39b5a29273a54920aa47ef7e67b1527ad86a34bbb435dfc98c7a6fbae",
+         "EQ16": "c2c3cb082620ef359e5b3ac422cebf6ddad947f07be50f8bbf1c6647e4bb2147",
+         "EQ17": "cda343ae1aa15cefa65939e816ae89cb9f594e39e1837459a9cd08d14e08cd63"},
+}
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_result_independent_of_the_id_set(monkeypatch, seed):
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)   # the pool on a 1-CPU machine too
+    config = SweepConfig(ids=("ALL",), samples=CONTRACT_SAMPLES, seed=seed)
+    full = {workers: run_sweep(config._replace(workers=workers))["results"]
+            for workers in (1, 2)}
+    assert dumps(full[1]) == dumps(full[2])
+    assert list(full[1]) == list(catalog.INEQUALITY_IDS)
+    for id, entry in catalog.REGISTRY.items():
+        for workers in (1, 2):
+            alone = run_sweep(config._replace(ids=(id,), workers=workers))["results"]
+            assert list(alone) == [id]
+            assert dumps(alone[id]) == dumps(full[workers][id]), (id, workers)
+        # each id echoes its own arity's inputs only: no p, q beside a quad id
+        assert list(full[1][id]["argmin_inputs"]) == list(catalog.ARITY_INPUTS[entry.arity])
+    for id, sha in OWN_STREAM_PINS[seed].items():
+        assert hashlib.sha256(dumps(full[1][id]).encode()).hexdigest() == sha, id
+
+
+def test_quad_ids_share_one_quad_and_echo_their_own_inputs(monkeypatch, tmp_path):
+    # EQ5 made to fail on every sample, so that its violations are echoed
+    entry = catalog.REGISTRY["EQ5"]
+    monkeypatch.setitem(catalog.REGISTRY, "EQ5",
+                        entry._replace(row=lambda quad: ((-1.0, -1.0), 1e-9, False)))
+    path = tmp_path / "rows.csv"
+    samples = 40
+    rep = run_sweep(SweepConfig(ids=("EQ13", "EQ6", "EQ5"), samples=samples, seed=1),
+                    csv_path=str(path))
+    assert list(rep["results"]) == ["EQ13", "EQ6", "EQ5"]
+    eq5 = rep["results"]["EQ5"]
+    assert eq5["violation_count"] == samples and len(eq5["violations"]) == 10
+    for echo in [eq5["argmin_inputs"]] + [v["inputs"] for v in eq5["violations"]]:
+        assert list(echo) == ["a", "b", "c", "d"]
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # the quad group's rows come sample-major, before the pair id's own group
+    assert [r["id"] for r in rows] == ["EQ13", "EQ5"] * samples + ["EQ6"] * samples
+    for eq13, eq5_row in zip(rows[0:2 * samples:2], rows[1:2 * samples:2]):
+        inputs13, inputs5 = json.loads(eq13["inputs"]), json.loads(eq5_row["inputs"])
+        assert list(inputs13) == ["a", "b", "c", "d", "p", "q"]
+        assert inputs5 == {k: inputs13[k] for k in "abcd"}
