@@ -136,8 +136,9 @@ def _cmd_kyfan_sweep(args):
 
 
 def _check_outputs(args):
-    """Refuse an --out or --csv path that cannot be written, before the sweep
-    runs, without creating or truncating the file."""
+    """Refuse an --out or --csv path that cannot be written, and --out and
+    --csv naming one file, before the sweep runs, without creating or
+    truncating either file."""
     for path in filter(None, (args.out, args.csv)):
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
@@ -145,6 +146,9 @@ def _check_outputs(args):
         if os.path.isdir(path) or not os.access(
                 path if os.path.exists(path) else folder, os.W_OK):
             raise CliError(f"cannot write {path}: not a writable file")
+    # the report would overwrite the CSV
+    if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
+        raise CliError(f"--out and --csv name one file: {args.out}")
 
 
 def _finish_sweep(report, out_path):

@@ -98,14 +98,19 @@ def judge(slacks, tolerance, on_equality_manifold) -> tuple:
     return margin, HOLDS if margin >= 0.0 else VIOLATED
 
 
+#: ``json.dumps(obj, sort_keys=True, allow_nan=False)`` without building a
+#: new encoder on every call.
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+
 def dumps(obj) -> str:
     """Serialize as strict JSON with sorted keys; floats use shortest round-trip
     form.  A non-finite float becomes the string ``"inf"``, ``"-inf"`` or
     ``"nan"``, its repr, as the CSV margin column writes it."""
     try:
-        return json.dumps(obj, sort_keys=True, allow_nan=False)
+        return _encode(obj)
     except ValueError:                  # a non-finite float somewhere: the rare case
-        return json.dumps(_finite(obj), sort_keys=True, allow_nan=False)
+        return _encode(_finite(obj))
 
 
 def _finite(obj):

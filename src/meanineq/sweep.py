@@ -29,7 +29,8 @@ own row reads, is built only for violation echoes, CSV rows and
 A chunk of up to ``_CHUNK`` samples of one group is the unit of work.  Its
 task is plain data (sweep kind, config, group position, first index, and the
 path of its CSV part file or None): ``_run_chunk`` rebuilds the group from
-the config, writes its CSV rows to its part file and returns only the
+the config, formats each CSV row as text in ``csv.writer``'s default
+dialect, writes it to its part file as it is made, and returns only the
 chunk's aggregates.  The parts sit in a temporary directory beside the CSV
 until ``_write_csv`` joins them, so no process holds a sweep's rows in
 memory.  With more than one worker the chunks run in worker processes:
@@ -42,7 +43,6 @@ instead.  A worker process that dies ends the sweep with ``SweepFailed``.
 from __future__ import annotations
 
 import contextlib
-import csv
 import math
 import os
 import shutil
@@ -326,24 +326,27 @@ def _run_chunk(task):
 
     A task is ``(kind, config, group position, first index, part path or
     None)``, plain data that pickles, so the chunk runs the same here or in a
-    worker process.
+    worker process.  Each row is formatted as text, byte for byte what
+    ``csv.writer`` writes (minimal quoting, CRLF): ids, indices, float reprs
+    and verdicts never need quoting, and a JSON echo always does.  A row is
+    written as it is made, so the chunk never holds its rows.
     """
     kind, config, pos, start, part = task
     group = _group(kind, config, pos)
     aggs = {id: _Agg(group.reads[id]) for id in group.ids}
     with open(part, "w", newline="") if part else contextlib.nullcontext() as fh:
-        writer = csv.writer(fh) if part else None
         for index in range(start, min(start + _CHUNK, config.samples)):
             inputs = group.draw(index)
-            texts = {}                  # one serialised echo per set of names read
+            texts = {}                  # one quoted echo per set of names read
             for id, margin, verdict in group.evaluate(inputs):
                 agg = aggs[id]
                 agg.update(index, margin, verdict, inputs)
-                if writer:
+                if part:
                     text = texts.get(agg.names)
                     if text is None:
-                        text = texts[agg.names] = dumps(_public_inputs(inputs, agg.names))
-                    writer.writerow((id, index, text, repr(margin), verdict))
+                        text = dumps(_public_inputs(inputs, agg.names))
+                        text = texts[agg.names] = '"' + text.replace('"', '""') + '"'
+                    fh.write(f"{id},{index},{text},{margin!r},{verdict}\r\n")
     return aggs
 
 

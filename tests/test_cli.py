@@ -278,6 +278,13 @@ def test_workers_below_one_exit_2(capsys, command, workers):
      "error: cannot write /nonexistent/r.json: no such directory"),
     (("kyfan-sweep", "--samples", "5", "--csv", "/nonexistent/r.csv"),
      "error: cannot write /nonexistent/r.csv: no such directory"),
+    # the report would overwrite the CSV
+    (("sweep", "--ids", "EQ5", "--samples", "5", "--out", "/tmp/meanineq-same.out",
+      "--csv", "/tmp/../tmp/meanineq-same.out"),
+     "error: --out and --csv name one file: /tmp/meanineq-same.out"),
+    (("kyfan-sweep", "--samples", "5", "--out", "/tmp/meanineq-same.out",
+      "--csv", "/tmp/meanineq-same.out"),
+     "error: --out and --csv name one file: /tmp/meanineq-same.out"),
 ])
 def test_rejected_input_exits_2_with_one_line(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err + "\n")
