@@ -9,9 +9,9 @@ within 10**-k of 0 adds k to f and g, where E - 1 below cancels k digits,
 and 2k to f' and g', where h(r1, E1) - h(r2, E2) cancels them again.  No
 binary64 x adds more than 648 digits, so the precision stays bounded.
 
-Logarithms are the cost, so each op takes one per pair ratio.  The means and
-f are homogeneous of degree 1 in each pair, so with r1 = ln(a/b),
-r2 = ln(c/d), r0 = ln(b/d), E1 = (a/b)^x and E2 = (c/d)^x:
+Logarithms and exponentials are the cost, so each op takes one logarithm per
+pair ratio.  The means and f are homogeneous of degree 1 in each pair, so with
+r1 = ln(a/b), r2 = ln(c/d), r0 = ln(b/d), E1 = (a/b)^x and E2 = (c/d)^x:
 
     L = (a - b)/r1                 I = b exp(a r1/(a - b) - 1)
     Lp(a, b) = b Lp(a/b, 1)        f = (b/d)^x (E1 - 1)/(E2 - 1)
@@ -25,8 +25,19 @@ its ln of an argument within 1e-16 of 1 costs a fifth of its exp.  ``_ln``
 carries 3 + ceil(-log10|y0|) extra digits, so its error stays under one unit
 in the last place of the working precision: 0.5 from the final rounding and
 a few thousandths from the reduction.  Arguments within 1e-3 of 1 or of a
-power of ten, where libmpdec's ln is already fast, skip the reduction.  exp
-and sqrt are libmpdec's, correctly rounded.
+power of ten, where libmpdec's ln is already fast, skip the reduction.
+
+Every exponential, the e^-y0 above included, is ``_exp``: e^z = (e^u)^(2^s)
+with u = z/2^s and |u| < 2^-10, where libmpdec's exp costs a fraction of what
+it costs at |z| >= 0.1.  It carries 3 + ceil(s log10 2) extra digits, which
+absorb the doubling of the error at each squaring, so its error too stays
+under 0.51 ulp: 0.5 from the final rounding and a few thousandths from the
+reduction.  sqrt is libmpdec's, correctly rounded.
+
+The oracle computes in its own context (``_CONTEXT``): round half even,
+exponents to +-10^9, and traps on invalid operations, division by zero and
+overflow.  The caller's decimal context, its rounding and traps included,
+does not change a value.
 
 Each op has this one form.  For L, I, Lp and the ratio ops its domain is
 every coordinate positive and finite, x and p finite, c != d for f, g and
@@ -43,7 +54,8 @@ is the power-difference ratio (a^x - b^x)/(c^x - d^x) and g = ln f.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
+from decimal import (ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation,
+                     Overflow, localcontext)
 from typing import NamedTuple
 
 __all__ = ["OracleResult", "oracle_eval", "oracle_rel_err", "ORACLE_OP_TAGS",
@@ -62,6 +74,16 @@ PUBLISHED_BOUNDS = {
 
 _BASE_GUARD = 15
 _LN10 = math.log(10.0)
+_LOG10_2 = math.log10(2.0)
+#: ``_exp`` calls libmpdec's exp at once at |z| <= 2^-10, where it is fast,
+#: and at |z| >= 2^64, where e^z overflows or underflows every decimal context
+_EXP_SMALL = Decimal("0.0009765625")
+_EXP_HUGE = 2 ** 64
+#: The oracle's working context, whatever the caller's: every field given, so
+#: neither the caller's context nor ``decimal.DefaultContext`` reaches it.
+#: ``localcontext`` works on a copy, so this one never changes.
+_CONTEXT = Context(prec=28, rounding=ROUND_HALF_EVEN, Emax=10 ** 9, Emin=-(10 ** 9),
+                   capitals=1, clamp=0, traps=[InvalidOperation, DivisionByZero, Overflow])
 _RATIO_OPS = ("f", "g", "f_prime", "g_prime")
 _INPUT_KEYS = {"L": "ab", "I": "ab", "Lp": "abp", **dict.fromkeys(_RATIO_OPS, "abcdx")}
 
@@ -85,6 +107,29 @@ def _cancel_guard(*magnitudes):
     return extra
 
 
+def _exp(z):
+    """e^z for a finite Decimal, under 0.51 ulp of the context precision.
+
+    libmpdec's correctly rounded exp is fast only for a small argument, so
+    e^z = (e^u)^(2^s) with u = z/2^s, |u| < 2^-10.  In relative error, with
+    eps = 10^(1 - P) at the working precision P = prec + 3 + ceil(s log10 2):
+    rounding u costs |z| eps/2 < 2^(s - 11) eps, and the s squarings double
+    the error of e^u while each adds eps/2 of its own, about 2^s eps in all.
+    The extra digits make 2^s eps at most 10^(1 - prec)/1000, a hundredth of
+    an ulp or less, so the error stays 0.5 ulp from the final rounding and a
+    few thousandths from the reduction.
+    """
+    if not _EXP_SMALL < abs(z) < _EXP_HUGE:    # e^0 is exactly 1 here
+        return z.exp()
+    s = math.frexp(float(abs(z)))[1] + 10    # |z| < 2^(s - 10)
+    with localcontext() as ctx:
+        ctx.prec += 3 + math.ceil(s * _LOG10_2)
+        e = (z / 2 ** s).exp()
+        for _ in range(s):
+            e *= e
+    return +e
+
+
 def _ln(y):
     """ln y for a finite positive Decimal, under one ulp of the context precision."""
     if not y.is_finite() or y <= 0:
@@ -97,7 +142,7 @@ def _ln(y):
     with localcontext() as ctx:
         ctx.prec += 3 + max(0, math.ceil(-math.log10(abs(y0))))
         d0 = Decimal(y0)                     # exact; exp reads every digit
-        out = d0 + (y * d0.copy_negate().exp()).ln()
+        out = d0 + (y * _exp(d0.copy_negate())).ln()
     return +out
 
 
@@ -113,12 +158,12 @@ def _pair_ratio_core(op, a, b, c=None, d=None, x=None, p=None):
             return a
         if op == "Lp" and p != 0 and p != -1:
             q = p + 1
-            base = ((q * _ln(a / b)).exp() - 1) * b / (q * (a - b))
-            return b * (_ln(base) / p).exp()
+            base = (_exp(q * _ln(a / b)) - 1) * b / (q * (a - b))
+            return b * _exp(_ln(base) / p)
         r = _ln(a / b)
         if op == "L" or p == -1:
             return (a - b) / r
-        return b * (a * r / (a - b) - 1).exp()    # I, and Lp at p = 0
+        return b * _exp(a * r / (a - b) - 1)    # I, and Lp at p = 0
     r0, r1, r2 = _ln(b / d), _ln(a / b), _ln(c / d)
     if x == 0:
         gp = r0 + (r1 - r2) / 2
@@ -128,13 +173,13 @@ def _pair_ratio_core(op, a, b, c=None, d=None, x=None, p=None):
         if op == "g":
             return _ln(f)
     else:
-        e1, e2 = (x * r1).exp(), (x * r2).exp()
+        e1, e2 = _exp(x * r1), _exp(x * r2)
         if op == "g":
             return x * r0 + _ln((e1 - 1) / (e2 - 1))
         gp = r0 + _h(r1, e1, x) - _h(r2, e2, x)
         if op == "g_prime":
             return gp
-        f = (x * r0).exp() * (e1 - 1) / (e2 - 1)
+        f = _exp(x * r0) * (e1 - 1) / (e2 - 1)
     if op == "f":
         return f
     return gp if op == "g_prime" else f * gp
@@ -188,10 +233,8 @@ def oracle_eval(op, inputs, digits=50) -> OracleResult:
     if op == "Lp" and p is not None:
         guard += _cancel_guard(abs(p), abs(p + 1.0))
 
-    with localcontext() as ctx:
+    with localcontext(_CONTEXT) as ctx:
         ctx.prec = digits + guard
-        ctx.Emax = 10 ** 9
-        ctx.Emin = -(10 ** 9)
         try:
             val = _oracle_core(op, inputs)
         except (ArithmeticError, ValueError) as exc:   # decimal's signals are ArithmeticErrors
@@ -222,10 +265,8 @@ def _oracle_core(op, inputs):
 
 def oracle_rel_err(fast_value, result: OracleResult) -> float:
     """|fast - oracle| / |oracle| computed in the oracle's precision."""
-    with localcontext() as ctx:
+    with localcontext(_CONTEXT) as ctx:
         ctx.prec = result.digits + 10
-        ctx.Emax = 10 ** 9
-        ctx.Emin = -(10 ** 9)
         ref = result.value
         if ref == 0:
             return abs(float(fast_value))

@@ -1,12 +1,14 @@
+import hashlib
 import math
 import random
-from decimal import Decimal, localcontext
+from decimal import ROUND_FLOOR, Decimal, Inexact, localcontext
 
 import mpmath
 import pytest
 
-from meanineq.oracle import (ORACLE_OP_TAGS, PUBLISHED_BOUNDS, OracleResult, _ln,
+from meanineq.oracle import (ORACLE_OP_TAGS, PUBLISHED_BOUNDS, OracleResult, _exp, _ln,
                              _pair_ratio_core, oracle_eval, oracle_rel_err)
+from meanineq.rng import SampleStream, sample_exponent, sample_pair, sample_quad
 
 
 def test_op_tags_and_bounds_cover_each_other():
@@ -112,6 +114,58 @@ class TestLn:
             _ln(Decimal(bad))
 
 
+def _ulps(got, exact, prec):
+    """|got - exact| in units of the last place of exact at prec digits."""
+    with localcontext() as ctx:
+        ctx.prec = prec + 30
+        return abs(got - exact).scaleb(prec - 1 - exact.adjusted())
+
+
+def _exp_test_values():
+    rnd = random.Random(2)
+    threshold = Decimal(2) ** -10
+    magnitudes = [
+        Decimal(2) ** -60, threshold, threshold * (1 - Decimal("1e-12")),
+        threshold * (1 + Decimal("1e-12")), Decimal(2) ** -9, Decimal("0.35"), Decimal(1),
+        Decimal(70), Decimal(4.5 * math.log(1e200)), Decimal("1e4"),
+    ]
+    magnitudes += [Decimal(math.exp(rnd.uniform(-8.0, 9.0))) for _ in range(40)]
+    return [Decimal(0)] + [v for m in magnitudes for v in (m, -m)]
+
+
+class TestExp:
+    """The halving-and-squaring exp against Decimal's correctly rounded exp at
+    30 more digits; 2072.3... is x ln(a/b) at a = 1e300, b = 1e100, x = 4.5."""
+
+    VALUES = _exp_test_values()
+
+    @pytest.mark.parametrize("prec", [30, 45, 67, 90, 120])
+    def test_within_half_an_ulp_and_a_hundredth(self, prec):
+        worst = 0
+        for v in self.VALUES:
+            with localcontext() as ctx:
+                ctx.prec = prec + 30
+                exact = v.exp()
+                ctx.prec = prec
+                got = _exp(v)
+            worst = max(worst, _ulps(got, exact, prec))
+        assert worst < Decimal("0.51"), worst
+
+    def test_zero_is_exactly_one(self):
+        assert _exp(Decimal(0)) == 1 and _exp(Decimal("-0")) == 1
+
+    def test_at_the_precision_of_f_prime_near_the_smallest_x(self):
+        # x = 5e-324 gives f' 50 + 15 + 2 * 324 = 713 digits; _ln's reduction
+        # then takes exp of a binary64 logarithm such as -ln(4/3)
+        for v in (Decimal(-math.log(4 / 3)), Decimal(math.log(7.5 / 0.3)), Decimal(70)):
+            with localcontext() as ctx:
+                ctx.prec = 743
+                exact = v.exp()
+                ctx.prec = 713
+                got = _exp(v)
+            assert _ulps(got, exact, 713) < Decimal("0.51"), v
+
+
 class TestDomain:
     @pytest.mark.parametrize("op,inputs,condition", [
         ("L", {"a": -1.0, "b": 2.0}, "a > 0"),
@@ -198,6 +252,53 @@ GOLDEN = [
                          ids=[f"{op}-{i}" for i, (op, _, _) in enumerate(GOLDEN)])
 def test_golden_values(op, inputs, value):
     assert str(oracle_eval(op, inputs, digits=50).value) == value
+
+
+def _pinned_inputs(rounds):
+    """Seeded inputs for every op, in the domain of the benchmark's oracle rounds:
+    pairs at a/b >= 1.05, p at least 0.05 from 0 and -1, quads whose pair
+    ratios' logarithms are both >= 0.05, and x in [-5, 5]."""
+    streams = {k: SampleStream(20261019, f"test/oracle/pin/{k}")
+               for k in ("pair", "p", "quad", "x")}
+    for k in range(rounds):
+        a, b = sample_pair(streams["pair"], k, min_ratio=1.05)
+        p = sample_exponent(streams["p"], k, min_dist=0.05)
+        quad = next(q for q in (sample_quad(streams["quad"], 64 * k + j) for j in range(64))
+                    if math.log(q.a / q.b) >= 0.05 and math.log(q.c / q.d) >= 0.05)
+        x = sample_exponent(streams["x"], k, lo=-5.0, hi=5.0)
+        for op in ORACLE_OP_TAGS:
+            if op in ("A", "G", "H", "L", "I"):
+                yield op, {"a": a, "b": b}
+            elif op == "Lp":
+                yield op, {"a": a, "b": b, "p": p}
+            else:
+                yield op, {**quad.as_dict(), "x": x}
+
+
+#: sha256 of the 50-digit values of every op over ``_pinned_inputs(100)``, one
+#: ``op value`` line each: a faster evaluation must round to the same digits.
+PINNED_SHA = "b2e0493bcfadc1c9eade63225ff32bd4c37ae93c3bf2163a5bf7d73080a80cf3"
+
+
+def test_pinned_values():
+    lines = "".join(f"{op} {oracle_eval(op, inputs, 50).value}\n"
+                    for op, inputs in _pinned_inputs(100))
+    assert hashlib.sha256(lines.encode()).hexdigest() == PINNED_SHA
+
+
+@pytest.mark.parametrize("callers", ["rounding floor", "inexact trapped"])
+def test_ignores_the_callers_context(callers):
+    # f's value at 50 digits ends in ...943007 when rounded toward -inf
+    op, inputs, value = GOLDEN[4]
+    rel = oracle_rel_err(1.8154904597651575, oracle_eval(op, inputs, digits=50))
+    with localcontext() as ctx:
+        if callers == "rounding floor":
+            ctx.rounding = ROUND_FLOOR
+        else:
+            ctx.traps[Inexact] = True
+        res = oracle_eval(op, inputs, digits=50)
+        assert str(res.value) == value
+        assert oracle_rel_err(1.8154904597651575, res) == rel
 
 
 def test_rel_err_helper():
