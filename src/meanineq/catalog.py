@@ -5,17 +5,19 @@ the id's arguments that validates its hypotheses and returns one slack per
 chain link, the verdict tolerance and the id's equality predicate.
 Direction-keyed entries (EQ13, EQ14) orient their slacks by the
 discriminant class so a positive slack always means "the stated inequality
-holds".  Sequence entries (EQ15, EQ16, EQ17) instantiate the quadruple
-(n+2, n+1, n+1, n) and are evaluated through cancellation-free forms that
-stay positive in binary64 up to n = 10**6 and beyond.
+holds".  EQ12 is the paper's two-variable inequality, over (x, y); it also
+reads a quad, as x = ab and y = cd.  Sequence entries (EQ15, EQ16, EQ17)
+instantiate the quadruple (n+2, n+1, n+1, n) and are evaluated through
+cancellation-free forms that stay positive in binary64 up to n = 10**6 and
+beyond; they read the seven link values of one n, kept for the last n asked.
 
 Each formula is written once, in its row.  ``InequalityEntry.report`` and
 ``evaluate`` build a SlackReport from the row, for callers that show one;
 ``InequalityEntry.margin`` judges the same row to ``(margin, verdict)``
 through ``report.judge`` without a report, which is all a sweep folds.
-A sweep judges every quad-arity id on one shared quad per sample; the means
-several of their rows read are kept in the quad's ``memo``, so each is
-computed once per quad.
+A sweep judges every quad-arity id on one shared quad per sample, and
+every sequence id on one shared n; the means several of their rows read
+are kept in the quad's ``memo``, so each is computed once per quad.
 """
 
 from __future__ import annotations
@@ -37,11 +39,7 @@ from .report import TOL_V, HypothesisViolation, build_report, check_finite_posit
 
 __all__ = [
     "INEQUALITY_IDS", "REGISTRY", "ARITY_INPUTS", "InequalityEntry", "UnknownIdError",
-    "evaluate", "lookup",
-    "slack_eq4", "slack_eq5", "slack_eq6", "slack_eq8", "slack_eq9",
-    "slack_eq10", "slack_eq11", "slack_eq12", "slack_eq12_quad", "slack_eq13", "chain_eq14",
-    "sequence_eq15", "sequence_eq16", "sequence_eq17", "slack_slope3",
-    "sequence_link_values", "SEQUENCE_LINK_NAMES",
+    "evaluate", "lookup", "sequence_link_values", "SEQUENCE_LINK_NAMES",
 ]
 
 #: EQ10's last member divides by ln(I(a,b)/b); the hypothesis keeps the ratio
@@ -122,7 +120,7 @@ def _tangent_logs(quad, px, qx):
 # --- rows: each id's slacks, tolerance and equality predicate, written once ---
 #
 # A row takes its arity's arguments (an OrderedQuad, plus p and q for
-# quad_pq; a, b for pair; n for seq_n), checks the id's hypotheses and
+# quad_pq; a, b for pair; x, y for xy; n for seq_n), checks the id's hypotheses and
 # returns ``(slacks, tolerance, on_equality_manifold)``.  Additive-domain
 # tolerances are TOL_V times the scale of the compared quantities;
 # log-ratio ones are TOL_V.  A report and a sweep's judgement read the same
@@ -229,11 +227,6 @@ def _eq12(x, y):
     return (_half_log_minus_tanh(delta),), TOL_V, abs(delta) <= EQ_MANIFOLD_DIST
 
 
-def _eq12_quad(quad: OrderedQuad):
-    """EQ12 at x = ab, y = cd."""
-    return _eq12(quad.a * quad.b, quad.c * quad.d)
-
-
 def _eq13(quad: OrderedQuad, p, q):
     """Tangent-line bound of ln of the Lp power ratio; direction keyed to ad - bc.
 
@@ -328,24 +321,36 @@ def _check_n(n):
 # The additive sequence slacks compare terms of size O(1/n), so their
 # tolerance scales as 3/n.
 
+#: The last n the sequence rows read, with its seven link values.
+_last_links = (None, ())
+
+
+def _sequence_links(n):
+    """``sequence_link_values(n)``, computed once while n repeats: the three
+    sequence ids of a sweep sample read one n."""
+    global _last_links
+    last = _last_links
+    if last[0] != n:
+        last = _last_links = (n, sequence_link_values(n))
+    return last[1]
+
+
 def _eq15(n):
     """(n+2)/(n+1) < 1 + ln sqrt((n+2)/n) < ln(1+1/n)/ln(1+1/(n+1))."""
     n = _check_n(n)
-    values = sequence_link_values(n)
-    return values[0:2], TOL_V * (3.0 / n), n >= SEQ_EQUALITY_N
+    return _sequence_links(n)[0:2], TOL_V * (3.0 / n), n >= SEQ_EQUALITY_N
 
 
 def _eq16(n):
     """ln sqrt((n+2)/n) / ln I-ratio < ln(1+1/n)/ln(1+1/(n+1))."""
     n = _check_n(n)
-    values = sequence_link_values(n)
-    return values[2:3], TOL_V * (3.0 / n), n >= SEQ_EQUALITY_N
+    return _sequence_links(n)[2:3], TOL_V * (3.0 / n), n >= SEQ_EQUALITY_N
 
 
 def _eq17(n):
     """A-ratio < I-ratio < L-ratio < G-ratio < H-ratio at (n+2, n+1, n+1, n)."""
     n = _check_n(n)
-    return sequence_link_values(n)[3:7], TOL_V, n >= SEQ_EQUALITY_N
+    return _sequence_links(n)[3:7], TOL_V, n >= SEQ_EQUALITY_N
 
 
 def _slope3(quad: OrderedQuad):
@@ -386,10 +391,6 @@ def _echo_xy(x, y):
     return {"x": float(x), "y": float(y)}
 
 
-def _echo_eq12_quad(quad):
-    return {"x": quad.a * quad.b, "y": quad.c * quad.d}
-
-
 def _echo_n(n):
     return {"n": int(n)}
 
@@ -397,11 +398,13 @@ def _echo_n(n):
 # --- registry ----------------------------------------------------------------
 
 #: Named inputs of each arity, in the order its row takes them; the quad
-#: arities first fold a, b, c, d into one OrderedQuad.
+#: arities first fold a, b, c, d into one OrderedQuad, which the xy arity
+#: also reads (``InequalityEntry.evaluate``).
 ARITY_INPUTS = {
     "quad": ("a", "b", "c", "d"),
     "quad_pq": ("a", "b", "c", "d", "p", "q"),
     "pair": ("a", "b"),
+    "xy": ("x", "y"),
     "seq_n": ("n",),
 }
 _GET_INPUTS = {arity: itemgetter(*names) for arity, names in ARITY_INPUTS.items()}
@@ -417,7 +420,6 @@ class InequalityEntry(NamedTuple):
     description: str
     scale_invariant: bool    # slack invariant under (a,b,c,d) -> (la,lb,lc,ld)
     relaxed_quad: bool = False
-    xy_form: Callable | None = None   # the report from x, y (EQ12)
     min_ratio: float = 1.0   # a pair arity's sampled a/b stays at or above this
 
     def margin(self, *args):
@@ -433,31 +435,29 @@ class InequalityEntry(NamedTuple):
                             tolerance, on_equality_manifold)
 
     def evaluate(self, **inputs):
-        """The slack report at the named inputs; HypothesisViolation on bad ones."""
-        if self.xy_form is not None and "x" in inputs and "y" in inputs:
-            return self.xy_form(inputs["x"], inputs["y"])
+        """The slack report at the named inputs; HypothesisViolation on bad ones.
+        An xy id not given both x and y reads a quad, as x = ab and y = cd."""
         arity = self.arity
+        if arity == "xy" and not ("x" in inputs and "y" in inputs):
+            arity = "quad"
         try:
             args = _GET_INPUTS[arity](inputs)
         except KeyError:
-            also = " (or x, y)" if self.xy_form is not None else ""
+            also = " (or a, b, c, d)" if self.arity == "xy" else ""
             raise HypothesisViolation(
-                f"{self.id} requires inputs {', '.join(ARITY_INPUTS[arity])}{also}"
+                f"{self.id} requires inputs {', '.join(ARITY_INPUTS[self.arity])}{also}"
             ) from None
         if arity == "seq_n":             # a getter of one name returns the value itself
             return self.report(args)
-        if arity == "pair":
+        if arity in ("pair", "xy"):
             return self.report(*args)
         try:
             quad = OrderedQuad(*args[:4], relaxed=self.relaxed_quad)
         except ValueError as exc:
             raise HypothesisViolation(str(exc)) from exc
+        if self.arity == "xy":
+            return self.report(quad.a * quad.b, quad.c * quad.d)
         return self.report(quad, *args[4:])
-
-
-def slack_eq12(x, y):
-    """EQ12's report at x, y, as ``ineq-check --id EQ12 --x X --y Y`` shows it."""
-    return REGISTRY["EQ12"]._replace(row=_eq12, echo=_echo_xy).report(x, y)
 
 
 REGISTRY = {e.id: e for e in (
@@ -468,7 +468,9 @@ REGISTRY = {e.id: e for e in (
     InequalityEntry("EQ6", _eq6, _echo_pair, "pair", ("lower", "upper"), "log_ratio",
                     "two-sided exp bounds of I(a,b)/b via L(a,b)/b", True),
     InequalityEntry("EQ8", _eq8, OrderedQuad.as_dict, "quad", ("L_vs_G", "G_vs_product"),
-                    "additive", "L ratio vs 1 + ln G ratio vs 2ab/(ab+cd)", True),
+                    "additive", "L ratio vs 1 + ln G ratio vs 2ab/(ab+cd); the second link"
+                    " is t/2 - tanh(t/2) at t = ln(ab/cd), as EQ11 and EQ12 at x=ab, y=cd",
+                    True),
     InequalityEntry("EQ9", _eq9, OrderedQuad.as_dict, "quad", ("L_vs_logquotient",), "additive",
                     "L ratio vs ln G ratio / ln I ratio", True),
     InequalityEntry("EQ10", _eq10, _echo_pair, "pair",
@@ -476,10 +478,11 @@ REGISTRY = {e.id: e for e in (
                     "L/b vs 1 + ln(a/b)/2 vs 2a/(a+b) vs log quotient", True,
                     min_ratio=EQ10_MIN_RATIO),
     InequalityEntry("EQ11", _eq11, OrderedQuad.as_dict, "quad", ("G_vs_fraction",), "additive",
-                    "ln G ratio vs (ab-cd)/(ab+cd)", True),
-    InequalityEntry("EQ12", _eq12_quad, _echo_eq12_quad, "quad", ("halflog_vs_fraction",),
-                    "additive", "half-log of x/y vs (x/y-1)/(x/y+1), x=ab, y=cd", True,
-                    xy_form=slack_eq12),
+                    "ln G ratio vs (ab-cd)/(ab+cd): t/2 - tanh(t/2) at t = ln(ab/cd), as"
+                    " EQ8's second link and EQ12 at x=ab, y=cd", True),
+    InequalityEntry("EQ12", _eq12, _echo_xy, "xy", ("halflog_vs_fraction",), "additive",
+                    "half-log of x/y vs (x/y-1)/(x/y+1): t/2 - tanh(t/2) at t = ln(x/y), as"
+                    " EQ11 and EQ8's second link at x=ab, y=cd", True),
     InequalityEntry("EQ13", _eq13, _echo_keyed, "quad_pq", ("tangent",), "log_ratio",
                     "log tangent bound, direction keyed to sign(ad-bc)", True),
     InequalityEntry("EQ14", _eq14, _echo_keyed, "quad",
@@ -498,24 +501,6 @@ REGISTRY = {e.id: e for e in (
 )}
 
 INEQUALITY_IDS = tuple(REGISTRY)
-
-#: Each id's report at its row's arguments, by the names the paper's
-#: equations go by.
-slack_eq4 = REGISTRY["EQ4"].report
-slack_eq5 = REGISTRY["EQ5"].report
-slack_eq6 = REGISTRY["EQ6"].report
-slack_eq8 = REGISTRY["EQ8"].report
-slack_eq9 = REGISTRY["EQ9"].report
-slack_eq10 = REGISTRY["EQ10"].report
-slack_eq11 = REGISTRY["EQ11"].report
-slack_eq12_quad = REGISTRY["EQ12"].report
-slack_eq13 = REGISTRY["EQ13"].report
-chain_eq14 = REGISTRY["EQ14"].report
-sequence_eq15 = REGISTRY["EQ15"].report
-sequence_eq16 = REGISTRY["EQ16"].report
-sequence_eq17 = REGISTRY["EQ17"].report
-slack_slope3 = REGISTRY["SLOPE_3"].report
-
 
 class UnknownIdError(KeyError):
     """An id outside the catalog.  Prints its message as is, where a plain

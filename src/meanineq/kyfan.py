@@ -295,7 +295,7 @@ def bridge_slacks(stats: KyFanStats) -> dict:
     out = {}
 
     # mean-ratio chain on the quadruple: catalog EQ14 vs stats-level formulas
-    cat14 = catalog.chain_eq14(quad)  # negative discriminant: descending chain
+    cat14 = catalog.REGISTRY["EQ14"].report(quad)  # negative discriminant: descending chain
     secant = (stats.a_prime - stats.g_prime) / (stats.a - stats.g)
     ln_lr = math.log(secant) + math.log(stats.r) - math.log(stats.r_prime)
     ln_gr = 0.5 * ((stats.ln_a_prime + stats.ln_g_prime) - (stats.ln_a + stats.ln_g))
@@ -307,7 +307,7 @@ def bridge_slacks(stats: KyFanStats) -> dict:
         out[f"eq14_{name}"] = (k, c)
 
     # EQ23 first link equals R' times the first EQ8 slack on the quadruple
-    cat8 = catalog.slack_eq8(quad)
+    cat8 = catalog.REGISTRY["EQ8"].report(quad)
     out["eq23_first_vs_eq8"] = (links["EQ23"][0], stats.r_prime * cat8.slacks[0])
 
     # EQ25 slack equals ln r(0) - ln r(-n) of the ratio on the quadruple
@@ -318,7 +318,7 @@ def bridge_slacks(stats: KyFanStats) -> dict:
     # EQ26 first max-member vs the G-to-L link of EQ14 on the powered quadruple
     qn = OrderedQuad(math.exp(n * stats.ln_a_prime), math.exp(n * stats.ln_g_prime),
                      math.exp(n * stats.ln_a), math.exp(n * stats.ln_g))
-    cat14n = catalog.chain_eq14(qn)
+    cat14n = catalog.REGISTRY["EQ14"].report(qn)
     m1 = math.log(stats.r_prime) - math.log(stats.r)
     m0a = (_ln_pow_diff(stats.ln_a_prime, stats.r_prime, n)
            - _ln_pow_diff(stats.ln_a, stats.r, n)

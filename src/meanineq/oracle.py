@@ -37,7 +37,9 @@ reduction.  sqrt is libmpdec's, correctly rounded.
 The oracle computes in its own context (``_CONTEXT``): round half even,
 exponents to +-10^9, and traps on invalid operations, division by zero and
 overflow.  The caller's decimal context, its rounding and traps included,
-does not change a value.
+does not change a value.  A value that underflowed, to zero or to a
+subnormal below 10^-(10^9), is refused as a domain error: its digits are
+gone.  An intermediate that underflowed is not, if the value is normal.
 
 Each op has this one form.  For L, I, Lp and the ratio ops its domain is
 every coordinate positive and finite, x and p finite, c != d for f, g and
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import math
 from decimal import (ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation,
-                     Overflow, localcontext)
+                     Overflow, Underflow, localcontext)
 from typing import NamedTuple
 
 __all__ = ["OracleResult", "oracle_eval", "oracle_rel_err", "ORACLE_OP_TAGS",
@@ -127,7 +129,9 @@ def _exp(z):
         e = (z / 2 ** s).exp()
         for _ in range(s):
             e *= e
-    return +e
+    # the squarings' context is a copy: an e^z below the context's range
+    # underflows again in the caller's, whose flags ``oracle_eval`` reads
+    return z.exp() if ctx.flags[Underflow] else +e
 
 
 def _ln(y):
@@ -237,6 +241,10 @@ def oracle_eval(op, inputs, digits=50) -> OracleResult:
         ctx.prec = digits + guard
         try:
             val = _oracle_core(op, inputs)
+            # a value that underflowed to zero or a subnormal has lost its digits;
+            # an intermediate that underflowed on the way to a normal value has not
+            if ctx.flags[Underflow] and (not val or val.is_subnormal()):
+                raise Underflow
         except (ArithmeticError, ValueError) as exc:   # decimal's signals are ArithmeticErrors
             cond = _broken_condition(op, inputs)
             raise ValueError(f"oracle {op} has no value at {dict(inputs)}: "

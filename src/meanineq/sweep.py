@@ -7,24 +7,25 @@ an order-independent reduction (minimum with lowest-sample-index tie-break),
 so reports are byte-identical for any worker count; re-evaluating the
 reported argmin inputs reproduces the minimum margin bit-for-bit.
 
-Both sweeps run through one driver over a list of groups: a group is a set
-of ids evaluated from one draw per sample.  Under the catalog's sampling
-contract 2 (``SAMPLING``, which its report names), every quad-arity id of a
-sweep is in one group, placed where the first of them is listed: each
-sample draws one quad from the stream ``catalog/quad``, plus one p and one q
-from ``catalog/quad/exponents`` when a quad_pq id is in the sweep, and the
-rows share that quad's means through ``OrderedQuad.memo``.  Each pair or
-sequence id is a group of its own, on its own stream ``catalog/{id}``;
-EQ18..EQ31 are one group for Ky Fan.  Results keep the order of the ids
-asked for.  Samples are streamed: each is drawn, evaluated to
-``(id, margin, verdict)`` triples, folded into the aggregate and dropped
-before the next.  Both halves judge rows through ``report.judge`` and build
-no SlackReport: a catalog sample through its entry's
-``InequalityEntry.margin``, a Ky Fan sample through ``kyfan.margins``.  A
-report is built only where a caller shows one.  The sampled quad goes to
-the row as is; an id's echoed input dict, which holds only the inputs its
-own row reads, is built only for violation echoes, CSV rows and
-``argmin_inputs``.
+Both sweeps run through one driver over a list of groups: a group is one
+draw per sample and the ids that read it.  Under the catalog's sampling
+contract 3 (``SAMPLING``, which its report names), every quad-arity id of a
+sweep reads one quad per sample from the stream ``catalog/quad``, plus one
+p and one q from ``catalog/quad/exponents`` when a quad_pq id is in the
+sweep, and the rows share that quad's means through ``OrderedQuad.memo``.
+EQ15..EQ17 read one n per sample from ``catalog/seq_n`` and compute its
+link values once.  Each pair or xy id (EQ6, EQ10, EQ12) is a group of its
+own, drawing one pair per sample from ``catalog/{id}``; EQ18..EQ31 are one
+group for Ky Fan.  A group is placed where the first of its ids is listed,
+and results keep the order of the ids asked for.  Samples are streamed:
+each is drawn, evaluated to ``(id, margin, verdict)`` triples, folded into
+the aggregate and dropped before the next.  Both halves judge rows through
+``report.judge`` and build no SlackReport: a catalog sample through its
+entry's ``InequalityEntry.margin``, a Ky Fan sample through
+``kyfan.margins``.  A report is built only where a caller shows one.  The
+sampled quad goes to the row as is; an id's echoed input dict, which holds
+only the inputs its own row reads, is built only for violation echoes, CSV
+rows and ``argmin_inputs``.
 
 A chunk of up to ``_CHUNK`` samples of one group is the unit of work.  Its
 task is plain data (sweep kind, config, group position, first index, and the
@@ -60,10 +61,12 @@ __all__ = ["SweepConfig", "SweepFailed", "run_sweep", "run_kyfan_sweep", "resolv
 _CHUNK = 1024
 _MAX_VIOLATION_ECHOES = 10
 
-#: The catalog sweep's sampling contract, which its report names.  Contract 2
-#: draws one quad (and one p, q) per sample for every quad-arity id; under
-#: contract 1 each id drew from a stream of its own.
-SAMPLING = 2
+#: The catalog sweep's sampling contract, which its report names.  Contract 3
+#: draws one quad (and one p, q) per sample for every quad-arity id, one n
+#: for the sequence ids and one (x, y) for EQ12 from its own stream.
+#: Contract 2 drew EQ12 at x = ab, y = cd of the shared quad and one n per
+#: sequence id; under contract 1 each id drew from a stream of its own.
+SAMPLING = 3
 
 #: Evaluations (samples x ids) per worker process below which a sweep runs in
 #: the calling process.  On a 2-core Xeon, ``sweep --ids all --workers 2``
@@ -214,84 +217,25 @@ class _Group(NamedTuple):
     reads: dict                       # id -> names of the inputs its echoes show
 
 
-_QUAD_ARITIES = ("quad", "quad_pq")
+#: The drawn inputs each arity's row takes, in its order.  Every draw lists
+#: its inputs in that order, and a quad id's row takes a prefix of the quad
+#: group's draw: the quad, then p and q.
+_ROW_INPUTS = {"quad": ("quad",), "quad_pq": ("quad", "p", "q"), "pair": ("a", "b"),
+               "xy": ("x", "y"), "seq_n": ("n",)}
 
 
-def _quad_group(entries, config):
-    """Quad-arity ids judged on one shared draw per sample (sampling contract 2).
-
-    Each index draws one quad from ``catalog/quad``, and one p and one q from
-    ``catalog/quad/exponents`` only when a quad_pq id is among the entries,
-    so an id's draws do not depend on which other ids its sweep holds.  The
-    rows share the quad's means through ``OrderedQuad.memo``.
-    """
-    stream = SampleStream(config.seed, "catalog/quad")
-    pstream = SampleStream(config.seed, "catalog/quad/exponents")
-    sign, bounds = config.sign, config.bounds
-    # each draw calls its samplers by their module names on every sample, so
-    # wrapping those names sees every draw
-    if any(entry.arity == "quad_pq" for entry in entries):
-        def draw(index):
-            return {"quad": sample_quad(stream, index, sign=sign, bounds=bounds),
-                    "p": sample_exponent(pstream, index, salt0=1),
-                    "q": sample_exponent(pstream, index, salt0=2)}
-    else:
-        def draw(index):
-            return {"quad": sample_quad(stream, index, sign=sign, bounds=bounds)}
-    rows = [(entry.id, entry.margin, entry.arity == "quad_pq") for entry in entries]
-
-    def evaluate(inputs):
-        quad, *pq = inputs.values()
-        return [(id, *(margin(quad, *pq) if takes_pq else margin(quad)))
-                for id, margin, takes_pq in rows]
-
-    reads = {id: ("quad", "p", "q") if takes_pq else ("quad",) for id, _, takes_pq in rows}
-    return _Group(tuple(reads), draw, evaluate, reads)
-
-
-def _catalog_group(entry, config):
-    """The group of one catalog id as a sweep of that id alone runs it.
-
-    A pair or sequence id draws from a stream of its own, ``catalog/{id}``.
-    """
-    if entry.arity in _QUAD_ARITIES:
-        return _quad_group((entry,), config)
-    stream = SampleStream(config.seed, f"catalog/{entry.id}")
-    if entry.arity == "pair":
-        bounds, min_ratio = config.bounds, entry.min_ratio
-
-        def draw(index):
-            a, b = sample_pair(stream, index, bounds=bounds, min_ratio=min_ratio)
-            return {"a": a, "b": b}
-    elif entry.arity == "seq_n":
-        def draw(index):
-            return {"n": _draw_n(stream, index)}
-    else:
-        raise AssertionError(f"unhandled arity {entry.arity}")
-
-    id, margin = entry.id, entry.margin
-
-    def evaluate(inputs):
-        # each draw lists its inputs in the order the id's row takes them
-        return ((id, *margin(*inputs.values())),)
-
-    return _Group((id,), draw, evaluate, {id: catalog.ARITY_INPUTS[entry.arity]})
+#: The arities whose ids share one draw per sample, by the key of their
+#: group; any other id draws alone.  A group draws from ``catalog/{key}``.
+_SHARED_DRAWS = {"quad": "quad", "quad_pq": "quad", "seq_n": "seq_n"}
 
 
 def _catalog_layout(config):
-    """The entries of each group of a catalog sweep, in group order: every
-    quad-arity id in one group, placed where the first of them is listed,
-    and every other id alone."""
-    layout, quads = [], None
+    """Each group's entries by draw key, in group order: a group is placed
+    where the first of its ids is listed."""
+    layout = {}
     for id in resolve_ids(config.ids):
         entry = catalog.REGISTRY[id]
-        if entry.arity not in _QUAD_ARITIES:
-            layout.append((entry,))
-        elif quads is None:
-            quads = [entry]
-            layout.append(quads)
-        else:
-            quads.append(entry)
+        layout.setdefault(_SHARED_DRAWS.get(entry.arity, id), []).append(entry)
     return layout
 
 
@@ -312,13 +256,49 @@ def _kyfan_group(config):
 
 
 def _group(kind, config, pos):
-    """Group ``pos`` of a sweep; the driver and every chunk build groups here."""
+    """Group ``pos`` of a sweep; the driver and every chunk build groups here.
+
+    A catalog group judges the ids of one draw key on one draw per sample.
+    The quad group draws one quad, plus one p and one q from
+    ``catalog/quad/exponents`` only when a quad_pq id is among its ids, so
+    an id's draws do not depend on which other ids its sweep holds.  Its
+    rows share the quad's means through ``OrderedQuad.memo``, as the
+    sequence rows share the link values of their n.
+    """
     if kind == "kyfan_sweep":
         return _kyfan_group(config)
-    entries = _catalog_layout(config)[pos]
-    if entries[0].arity in _QUAD_ARITIES:
-        return _quad_group(entries, config)
-    return _catalog_group(entries[0], config)
+    key, entries = list(_catalog_layout(config).items())[pos]
+    stream = SampleStream(config.seed, f"catalog/{key}")
+    sign, bounds = config.sign, config.bounds
+    # each draw calls its samplers by their module names on every sample, so
+    # wrapping those names sees every draw
+    if key == "seq_n":
+        def draw(index):
+            return {"n": _draw_n(stream, index)}
+    elif key != "quad":                     # a pair or xy id, alone
+        names, min_ratio = catalog.ARITY_INPUTS[entries[0].arity], entries[0].min_ratio
+
+        def draw(index):
+            return dict(zip(names, sample_pair(stream, index, bounds=bounds,
+                                               min_ratio=min_ratio)))
+    elif any(entry.arity == "quad_pq" for entry in entries):
+        pstream = SampleStream(config.seed, "catalog/quad/exponents")
+
+        def draw(index):
+            return {"quad": sample_quad(stream, index, sign=sign, bounds=bounds),
+                    "p": sample_exponent(pstream, index, salt0=1),
+                    "q": sample_exponent(pstream, index, salt0=2)}
+    else:
+        def draw(index):
+            return {"quad": sample_quad(stream, index, sign=sign, bounds=bounds)}
+    reads = {entry.id: _ROW_INPUTS[entry.arity] for entry in entries}
+    rows = [(entry.id, entry.margin, len(reads[entry.id])) for entry in entries]
+
+    def evaluate(inputs):
+        args = tuple(inputs.values())
+        return [(id, *margin(*args[:count])) for id, margin, count in rows]
+
+    return _Group(tuple(reads), draw, evaluate, reads)
 
 
 def _run_chunk(task):

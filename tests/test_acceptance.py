@@ -177,7 +177,7 @@ def test_criterion_06_eq4_through_eq12():
         p = -2.5 + 5.0 * u
         if abs(p) < 1e-3 or abs(p + 1.0) < 1e-3:
             continue
-        assert abs(catalog.slack_eq4(quad, p, p).slacks[0]) <= 1e-11
+        assert abs(catalog.REGISTRY["EQ4"].report(quad, p, p).slacks[0]) <= 1e-11
     # worked chain: exp(1 - L(2,1)/L(4,3)) < I(4,3)/I(2,1) < exp(L(4,3)/L(2,1) - 1)
     lab = means.logarithmic_mean(4.0, 3.0)
     lcd = means.logarithmic_mean(2.0, 1.0)
@@ -204,7 +204,7 @@ def test_criterion_07_eq13_direction():
             if (abs(p) < 1e-3 or abs(p + 1.0) < 1e-3 or abs(q) < 1e-3
                     or abs(q + 1.0) < 1e-3 or abs(p - q) < 1e-3):
                 continue
-            rep = catalog.slack_eq13(quad, p, q)
+            rep = catalog.REGISTRY["EQ13"].report(quad, p, q)
             if sign == "zero":
                 assert abs(rep.slacks[0]) <= 1e-11, (quad, p, q)
             else:
@@ -218,14 +218,14 @@ def test_criterion_08_eq14_chain():
         stream = SampleStream(20240808, f"acc/eq14/{sign}")
         for i in range(10_000):
             quad = sample_quad(stream, i, sign=sign)
-            rep = catalog.chain_eq14(quad)
+            rep = catalog.REGISTRY["EQ14"].report(quad)
             if sign == "zero":
                 assert max(abs(s) for s in rep.slacks) <= 1e-11
                 assert rep.verdict == EQUALITY
             else:
                 assert all(s > 0 for s in rep.slacks), (quad, rep.slacks)
     # worked negative example (4,3,2,1): H,G,L,I,A ratios descending
-    rep = catalog.chain_eq14(ratio.OrderedQuad(4, 3, 2, 1))
+    rep = catalog.REGISTRY["EQ14"].report(ratio.OrderedQuad(4, 3, 2, 1))
     ratios = [math.exp(v) for v in catalog._ln_mean_ratios(ratio.OrderedQuad(4, 3, 2, 1))]
     for got, expect in zip(ratios, (2.5714, 2.4495, 2.4094, 2.3704, 2.3333)):
         assert got == pytest.approx(expect, abs=1e-4)

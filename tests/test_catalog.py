@@ -6,11 +6,7 @@ import mpmath
 import pytest
 
 from meanineq import catalog, sweep
-from meanineq.catalog import (REGISTRY, chain_eq14, evaluate, sequence_eq15,
-                              sequence_eq16, sequence_eq17,
-                              sequence_link_values, slack_eq4, slack_eq5,
-                              slack_eq6, slack_eq8, slack_eq9, slack_eq10,
-                              slack_eq11, slack_eq12, slack_eq13, slack_slope3)
+from meanineq.catalog import REGISTRY, evaluate, sequence_link_values
 from meanineq.ratio import OrderedQuad
 from meanineq.report import EQUALITY, HOLDS, VIOLATED, HypothesisViolation, dumps
 from meanineq.rng import SampleStream, sample_quad
@@ -47,19 +43,19 @@ def exact_sequence_links(n):
 
 class TestEq4:
     def test_equality_at_equal_exponents(self):
-        rep = slack_eq4(Q431, 2.0, 2.0)
+        rep = REGISTRY["EQ4"].report(Q431, 2.0, 2.0)
         assert abs(rep.slacks[0]) <= 1e-12
         assert rep.verdict == EQUALITY
 
     def test_strict_cases(self):
-        assert all_positive(slack_eq4(Q431, 2.0, 3.0))
-        assert all_positive(slack_eq4(Q821, 0.5, -0.5))
+        assert all_positive(REGISTRY["EQ4"].report(Q431, 2.0, 3.0))
+        assert all_positive(REGISTRY["EQ4"].report(Q821, 0.5, -0.5))
 
     def test_rejects_snapped_exponents(self):
         with pytest.raises(HypothesisViolation):
-            slack_eq4(Q431, 1e-7, 2.0)
+            REGISTRY["EQ4"].report(Q431, 1e-7, 2.0)
         with pytest.raises(HypothesisViolation):
-            slack_eq4(Q431, 2.0, -1.0 - 5e-7)
+            REGISTRY["EQ4"].report(Q431, 2.0, -1.0 - 5e-7)
 
 
 class TestEq5To12:
@@ -71,85 +67,85 @@ class TestEq5To12:
         right = math.exp(lab / lcd - 1.0)
         for got, frozen in zip((left, mid, right), EQ5_CHAIN):
             assert got == pytest.approx(frozen, abs=1e-12)
-        rep = slack_eq5(Q431)
+        rep = REGISTRY["EQ5"].report(Q431)
         assert rep.slacks[0] == pytest.approx(math.log(mid) - math.log(left), rel=1e-10)
         assert rep.slacks[1] == pytest.approx(math.log(right) - math.log(mid), rel=1e-10)
         assert all_positive(rep)
 
     def test_eq5_more_quads(self):
-        assert all_positive(slack_eq5(Q821))
-        assert all_positive(slack_eq5(OrderedQuad(2.0, 1.5, 1.5, 1.0)))
+        assert all_positive(REGISTRY["EQ5"].report(Q821))
+        assert all_positive(REGISTRY["EQ5"].report(OrderedQuad(2.0, 1.5, 1.5, 1.0)))
 
     def test_eq6(self):
-        rep = slack_eq6(4.0, 2.0)
+        rep = REGISTRY["EQ6"].report(4.0, 2.0)
         # I/b = 1.4715, bounds exp(0.3069) and exp(0.4427)
         assert rep.slacks[0] == pytest.approx(math.log(1.4715177646857693)
                                               - 0.30685281944005466, rel=1e-9)
         assert all_positive(rep)
-        assert all_positive(slack_eq6(100.0, 1.0))
-        near = slack_eq6(1.0 + 1e-6, 1.0)
+        assert all_positive(REGISTRY["EQ6"].report(100.0, 1.0))
+        near = REGISTRY["EQ6"].report(1.0 + 1e-6, 1.0)
         assert near.verdict in (HOLDS, EQUALITY)
         assert min(near.slacks) >= -1e-9
 
     def test_eq8_worked(self):
-        rep = slack_eq8(Q431)
+        rep = REGISTRY["EQ8"].report(Q431)
         l_ratio = math.log(2.0) / math.log(4.0 / 3.0)
         assert l_ratio == pytest.approx(2.409420839653209, abs=1e-12)
         assert rep.slacks[0] == pytest.approx(l_ratio - 1.0 - math.log(math.sqrt(6.0)),
                                               rel=1e-12)
         assert rep.slacks[1] == pytest.approx(1.0 + math.log(math.sqrt(6.0)) - 24.0 / 14.0,
                                               rel=1e-12)
-        assert all_positive(slack_eq8(Q821))
-        assert all_positive(slack_eq8(Q421))
+        assert all_positive(REGISTRY["EQ8"].report(Q821))
+        assert all_positive(REGISTRY["EQ8"].report(Q421))
 
     def test_eq9_worked(self):
-        rep = slack_eq9(Q431)
+        rep = REGISTRY["EQ9"].report(Q431)
         expect = 2.409420839653209 - math.log(math.sqrt(6.0)) / math.log(64.0 / 27.0)
         assert rep.slacks[0] == pytest.approx(expect, rel=1e-12)
         stream = SampleStream(31, "test/eq9")
         for i in range(2):
-            assert all_positive(slack_eq9(sample_quad(stream, i)))
+            assert all_positive(REGISTRY["EQ9"].report(sample_quad(stream, i)))
 
     def test_eq10_worked(self):
-        rep = slack_eq10(4.0, 2.0)
+        rep = REGISTRY["EQ10"].report(4.0, 2.0)
         m = (2.8853900817779268 / 2.0, 1.0 + 0.5 * math.log(2.0), 8.0 / 6.0,
              math.log(2.0) / (2.0 * math.log(1.4715177646857693)))
         assert rep.slacks[0] == pytest.approx(m[0] - m[1], rel=1e-10)
         assert rep.slacks[1] == pytest.approx(m[1] - m[2], rel=1e-10)
         assert rep.slacks[2] == pytest.approx(m[2] - m[3], rel=1e-10)
-        assert all_positive(slack_eq10(math.e, 1.0))
+        assert all_positive(REGISTRY["EQ10"].report(math.e, 1.0))
         with pytest.raises(HypothesisViolation):
-            slack_eq10(1.0 + 1e-9, 1.0)   # below the declared ratio floor
+            REGISTRY["EQ10"].report(1.0 + 1e-9, 1.0)   # below the declared ratio floor
 
     def test_eq11_eq12(self):
-        rep = slack_eq11(Q431)
+        rep = REGISTRY["EQ11"].report(Q431)
         assert rep.slacks[0] == pytest.approx(math.log(math.sqrt(6.0)) - 10.0 / 14.0,
                                               rel=1e-12)
-        rep = slack_eq12(2.0, 1.0)
+        rep = REGISTRY["EQ12"].report(2.0, 1.0)
         assert rep.slacks[0] == pytest.approx(0.5 * math.log(2.0) - 1.0 / 3.0, rel=1e-12)
-        near = slack_eq12(1.0 + 1e-9, 1.0)
+        near = REGISTRY["EQ12"].report(1.0 + 1e-9, 1.0)
         assert near.margin >= -1e-9 and near.verdict in (HOLDS, EQUALITY)
         with pytest.raises(HypothesisViolation):
-            slack_eq12(1.0, 2.0)
+            REGISTRY["EQ12"].report(1.0, 2.0)
 
 
 class TestEq13Eq14:
     def test_eq13_zero_equality(self):
-        rep = slack_eq13(Q421, 3.0, -2.0)
+        rep = REGISTRY["EQ13"].report(Q421, 3.0, -2.0)
         assert abs(rep.slacks[0]) <= 1e-11
         assert rep.verdict == EQUALITY
 
     def test_eq13_direction_keyed(self):
-        assert all_positive(slack_eq13(Q821, 2.0, 0.5))
-        assert all_positive(slack_eq13(Q431, 2.0, 0.5))  # oriented: raw is negative
+        assert all_positive(REGISTRY["EQ13"].report(Q821, 2.0, 0.5))
+        assert all_positive(REGISTRY["EQ13"].report(Q431, 2.0, 0.5))  # oriented: raw is negative
         # the raw (unoriented) slack flips sign between the classes
-        rep_pos = slack_eq13(Q821, 2.0, 0.5)
-        rep_neg = slack_eq13(Q431, 2.0, 0.5)
+        rep_pos = REGISTRY["EQ13"].report(Q821, 2.0, 0.5)
+        rep_neg = REGISTRY["EQ13"].report(Q431, 2.0, 0.5)
         assert rep_pos.inputs["disc_class"] == "positive"
         assert rep_neg.inputs["disc_class"] == "negative"
 
     def test_eq14_worked_ratios(self):
-        rep = chain_eq14(Q431)
+        rep = REGISTRY["EQ14"].report(Q431)
         ratios = (18.0 / 7.0, math.sqrt(6.0), 2.409420839653209, 64.0 / 27.0, 7.0 / 3.0)
         for got, expect in zip((2.5714, 2.4495, 2.4094, 2.3704, 2.3333),
                                ratios):
@@ -160,22 +156,22 @@ class TestEq13Eq14:
         assert all_positive(rep)
 
     def test_eq14_zero_and_positive(self):
-        rep = chain_eq14(Q421)
+        rep = REGISTRY["EQ14"].report(Q421)
         assert rep.verdict == EQUALITY
         assert max(abs(s) for s in rep.slacks) <= 1e-12
-        assert all_positive(chain_eq14(Q821))
+        assert all_positive(REGISTRY["EQ14"].report(Q821))
 
     def test_eq14_relaxed_ties(self):
-        rep = chain_eq14(OrderedQuad(4, 4, 2, 2, relaxed=True))
+        rep = REGISTRY["EQ14"].report(OrderedQuad(4, 4, 2, 2, relaxed=True))
         assert rep.verdict == EQUALITY
-        rep = chain_eq14(OrderedQuad(4, 3, 3, 3, relaxed=True))
+        rep = REGISTRY["EQ14"].report(OrderedQuad(4, 3, 3, 3, relaxed=True))
         assert rep.verdict in (HOLDS, EQUALITY)
         assert min(rep.slacks) > -1e-12
 
 
 class TestSequences:
     def test_worked_n1(self):
-        rep15 = sequence_eq15(1)
+        rep15 = REGISTRY["EQ15"].report(1)
         m = (1.5, 1.0 + math.log(math.sqrt(3.0)),
              math.log(2.0) / math.log(1.5))
         assert m[1] == pytest.approx(1.549306, abs=1e-6)
@@ -183,17 +179,17 @@ class TestSequences:
         assert rep15.slacks[0] == pytest.approx(m[1] - m[0], rel=1e-10)
         assert rep15.slacks[1] == pytest.approx(m[2] - m[1], rel=1e-10)
 
-        rep17 = sequence_eq17(1)
+        rep17 = REGISTRY["EQ17"].report(1)
         members = (5.0 / 3.0, 1.6875, 1.709511, math.sqrt(3.0), 1.8)
         assert members[3] == pytest.approx(1.732051, abs=1e-6)
         for k in range(4):
             assert rep17.slacks[k] == pytest.approx(
                 math.log(members[k + 1]) - math.log(members[k]), abs=1e-6)
-        assert all_positive(sequence_eq16(1))
+        assert all_positive(REGISTRY["EQ16"].report(1))
 
     def test_large_n_positive(self):
         for n in (10, 1000, 10 ** 6):
-            for rep in (sequence_eq15(n), sequence_eq16(n), sequence_eq17(n)):
+            for rep in (REGISTRY[id].report(n) for id in ("EQ15", "EQ16", "EQ17")):
                 assert all_positive(rep), (n, rep.slacks)
                 assert rep.verdict in (HOLDS, EQUALITY)
 
@@ -213,14 +209,14 @@ class TestSequences:
     def test_rejects_bad_n(self):
         for bad in (0, -3, 1.5, "x", True):
             with pytest.raises(HypothesisViolation):
-                sequence_eq15(bad)
+                REGISTRY["EQ15"].report(bad)
 
 
 class TestSlope3:
     def test_positive_on_samples(self):
         stream = SampleStream(37, "test/slope3")
         for i in range(100):
-            assert all_positive(slack_slope3(sample_quad(stream, i)))
+            assert all_positive(REGISTRY["SLOPE_3"].report(sample_quad(stream, i)))
 
 
 class TestRegistry:
@@ -278,12 +274,12 @@ class TestEqualityApproach:
 
     def test_eq4_in_p(self):
         gaps = [1.0, 0.5, 0.25, 0.125, 0.0625]
-        slacks = [slack_eq4(Q431, 2.0 + g, 2.0).slacks[0] for g in gaps]
+        slacks = [REGISTRY["EQ4"].report(Q431, 2.0 + g, 2.0).slacks[0] for g in gaps]
         assert all(x > y > 0 for x, y in zip(slacks, slacks[1:]))
 
     def test_eq6_toward_equal_pair(self):
         ratios = [2.0, 1.5, 1.25, 1.125, 1.0625]
-        slacks = [min(slack_eq6(r, 1.0).slacks) for r in ratios]
+        slacks = [min(REGISTRY["EQ6"].report(r, 1.0).slacks) for r in ratios]
         assert all(x > y > 0 for x, y in zip(slacks, slacks[1:]))
 
     def test_eq13_toward_zero_disc(self):
@@ -293,7 +289,8 @@ class TestEqualityApproach:
         slacks = []
         for t in (0.5, 0.25, 0.125, 0.0625, 0.03125):
             d = target * (1.0 - t)
-            slacks.append(abs(slack_eq13(OrderedQuad(a, b, c, d), 2.0, 0.5).slacks[0]))
+            rep = REGISTRY["EQ13"].report(OrderedQuad(a, b, c, d), 2.0, 0.5)
+            slacks.append(abs(rep.slacks[0]))
         assert all(x > y > 0 for x, y in zip(slacks, slacks[1:]))
 
 
@@ -304,6 +301,11 @@ def _outcome(call, *args, **kwargs):
     except Exception as exc:                     # noqa: BLE001 -- compared, not swallowed
         return type(exc), str(exc)
     return repr((margin, verdict))
+
+
+def _alone(id, config):
+    """The group of one id, as a sweep of that id alone runs it."""
+    return sweep._group("catalog_sweep", config._replace(ids=(id,)), 0)
 
 
 def _reported(entry, **named):
@@ -319,7 +321,7 @@ class TestMarginsMatchReports:
         verdicts = {id: set() for id in ids}
         for id in ids:
             entry = REGISTRY[id]
-            group = sweep._catalog_group(entry, config)
+            group = _alone(id, config)
             for index in range(count):
                 inputs = group.draw(index)
                 got = _outcome(entry.margin, *inputs.values())
@@ -346,7 +348,7 @@ class TestMarginsMatchReports:
     def test_every_id_at_wide_bounds(self):
         # past the default bounds some rows raise; both paths raise alike
         seen = self.check_draws(SweepConfig(seed=3, bounds=(1e-300, 1e300)), 100)
-        assert {"OverflowError", "ValueError"} <= seen["EQ4"] | seen["EQ12"] | seen["SLOPE_3"]
+        assert {"OverflowError", "ValueError"} <= seen["EQ4"] | seen["SLOPE_3"]
 
     # EQ17's margin falls under its fixed tolerance from n = 1000 on; EQ15's
     # tolerance shrinks as 3/n, so it reads equality only from about 1.5e4
@@ -366,8 +368,8 @@ class TestMarginsMatchReports:
         ("EQ9", (OrderedQuad(4, 3, 2, 2, relaxed=True),)),
         ("SLOPE_3", (OrderedQuad(4, 4, 4, 4, relaxed=True),)),
         ("EQ6", (2.0, 4.0)), ("EQ6", (math.inf, 1.0)), ("EQ10", (1.0 + 1e-9, 1.0)),
-        ("EQ12", (OrderedQuad(1e200, 1e190, 2.0, 1.0),)),
-        ("EQ15", (0,)), ("EQ16", (True,)), ("EQ17", (2.5,)),
+        ("EQ12", (math.inf, 1.0)),
+        ("EQ15", (0,)), ("EQ16", (True,)), ("EQ17", (2.5,)), ("EQ12", (1.0, 2.0)),
     ])
     def test_bad_inputs_raise_alike(self, id, args):
         entry = REGISTRY[id]
@@ -378,7 +380,7 @@ class TestMarginsMatchReports:
     @pytest.mark.parametrize("id", catalog.INEQUALITY_IDS)
     def test_one_slack_per_link(self, id):
         entry = REGISTRY[id]
-        group = sweep._catalog_group(entry, SweepConfig(seed=7))
+        group = _alone(id, SweepConfig(seed=7))
         for index in range(20):
             slacks, tolerance, _ = entry.row(*group.draw(index).values())
             assert len(slacks) == len(entry.links) and type(tolerance) is float
@@ -391,19 +393,20 @@ def _reported_args(entry, args):
 
 
 #: sha256 of ``sweep``: the report less wall_time_s as ``report.dumps`` writes
-#: it, and the CSV, under sampling contract 2 (one shared quad draw per sample
-#: for every quad-arity id), with each pin's violation counts per id.
+#: it, and the CSV, under sampling contract 3 (one shared quad draw per sample
+#: for every quad-arity id, one n for the sequence ids, and EQ12's own (x, y)
+#: stream), with each pin's violation counts per id.
 SWEEP_PINS = {
     "all-any": ({"ids": ("ALL",), "samples": 3000, "seed": 42, "sign": "any"},
-                "eb350569f2dde0fdde3de7bb3931da7c797d8c9b6e213f22b7e7a028e4f8bd7c",
-                "460b26fcd3b721adc980ba0e56d9ce7b253b0581e4333c59b408e6b91951db9d", {}),
+                "fcbc162ac5b1bef4dc8f70fab8ac612c3859b6398893ae797fab601801d339a6",
+                "b2ca469f07a1313e48d30120da5a8d647b69053070b999529732024e0b47ed46", {}),
     "all-zero": ({"ids": ("ALL",), "samples": 3000, "seed": 42, "sign": "zero"},
-                 "57b1187b662ae266d8c47a66f9d4f85a1601f6a67e102f109ed76880425c4dc0",
-                 "cf58c5e6f3326c7d830461f89a0154e5ef525499592d4997c93c587c80d4258b", {}),
+                 "dbb35ab9be9576cca3d843ff3d48e7a81959279a1d216710a03022e33c5385ea",
+                 "40e9cc3b35706c27f6ddbb6bb537680f46650417d2f645f6badbf29c02e75c44", {}),
     # exits 1: 64 EQ13 and 1 EQ14 violations at rounding level, with their echoes
     "eq13-eq14-wide": ({"ids": ("EQ13", "EQ14"), "samples": 2000, "seed": 1,
                         "bounds": (1e-30, 1e30)},
-                       "d38251340e36ca81769246dd54106582481fa52fdce2b70c3f57556b42351c15",
+                       "66939344d522bc53f4848319546388b1167606c738e536d143f9fc47f9c56df3",
                        "baba9fc483f4296a4b05b782e7fe03a17aa59e46c2e7e86386c52d1f3b661ffa",
                        {"EQ13": 64, "EQ14": 1}),
 }
@@ -416,7 +419,7 @@ def test_sweep_bytes_pinned(tmp_path, name, workers):
     rows = tmp_path / "rows.csv"
     rep = run_sweep(SweepConfig(workers=workers, **fields), csv_path=str(rows))
     rep.pop("wall_time_s")
-    assert rep["sampling"] == 2
+    assert rep["sampling"] == 3
     assert list(rep["results"]) == list(sweep.resolve_ids(fields["ids"]))
     assert {id: r["violation_count"] for id, r in rep["results"].items()
             if r["violation_count"]} == violations

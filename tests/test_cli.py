@@ -164,6 +164,26 @@ class TestOracleCompare:
                                *flags)
         assert code == 0 and parse(out)["rel_err"] < 1e-15
 
+    @pytest.mark.parametrize("op,x", [("f", "-1e300"), ("f", "-1e10"), ("f_prime", "-1e10")])
+    def test_refuses_an_underflowed_value(self, capsys, op, x):
+        # f is about 3^x > 0, far below the oracle's smallest exponent: the zero
+        # it underflows to holds no digit of f.  At x = -1e10 the underflow
+        # happens inside the oracle's exp, in a context of its own
+        code, out, err = run_cli(capsys, "oracle-compare", "--op", op, "--a", "4", "--b", "3",
+                                 "--c", "2", "--d", "1", "--x", x)
+        assert (code, out) == (2, "")
+        assert err == (f"error: oracle {op} has no value at {{'a': 4.0, 'b': 3.0, 'c': 2.0, "
+                       f"'d': 1.0, 'x': {float(x)!r}}}: it needs inputs its closed form can "
+                       "evaluate at this precision\n")
+
+    def test_reports_past_an_underflowed_intermediate(self, capsys):
+        # an intermediate underflows, yet Lp is 1.0005e-300 and the fast path matches it
+        code, out, _ = run_cli(capsys, "oracle-compare", "--op", "Lp", "--a", "1e300",
+                               "--b", "1e-300", "--p", "-3e6")
+        data = parse(out)
+        assert code == 0 and data["oracle"].startswith("1.000465596749")
+        assert data["rel_err"] <= 1e-10
+
     def test_logarithmic(self, capsys):
         code, out, _ = run_cli(capsys, "oracle-compare", "--op", "L",
                                "--a", "4", "--b", "2")

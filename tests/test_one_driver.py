@@ -4,9 +4,10 @@ Every catalog id resolves, validates its named inputs and reports missing
 ones through its ``REGISTRY`` row; catalog and Ky Fan sweeps run through the
 same driver, which draws once per (group, sample) plus once per distinct
 argmin replay of the group: every quad-arity id of a catalog sweep reads one
-shared draw, every pair id draws from its own stream; a catalog sweep judges
-its samples through ``InequalityEntry.margin`` and a Ky Fan sweep through
-``kyfan.margins``, and neither builds a report.
+shared quad, every sequence id one shared n whose link values are computed
+once, and every pair or xy id draws from its own stream; a catalog sweep
+judges its samples through ``InequalityEntry.margin`` and a Ky Fan sweep
+through ``kyfan.margins``, and neither builds a report.
 """
 
 import json
@@ -25,9 +26,11 @@ VALID = {
     "quad": {"a": 4.0, "b": 3.0, "c": 2.0, "d": 1.0},
     "quad_pq": {"a": 4.0, "b": 3.0, "c": 2.0, "d": 1.0, "p": 2.0, "q": 3.0},
     "pair": {"a": 4.0, "b": 2.0},
+    "xy": {"x": 3.0, "y": 2.0},
     "seq_n": {"n": 3},
 }
-NAMES = {"quad": "a, b, c, d", "quad_pq": "a, b, c, d, p, q", "pair": "a, b", "seq_n": "n"}
+NAMES = {"quad": "a, b, c, d", "quad_pq": "a, b, c, d, p, q", "pair": "a, b",
+         "xy": "x, y (or a, b, c, d)", "seq_n": "n"}
 
 
 def run_cli(capsys, *argv):
@@ -104,7 +107,7 @@ def test_missing_input_is_a_hypothesis_violation(capsys, id):
     entry = catalog.REGISTRY[id]
     valid = VALID[entry.arity]
     assert catalog.evaluate(id, **valid).id == id
-    names = NAMES[entry.arity] + (" (or x, y)" if id == "EQ12" else "")
+    names = NAMES[entry.arity]
     for drop in [None, *valid]:
         inputs = {} if drop is None else {k: v for k, v in valid.items() if k != drop}
         with pytest.raises(HypothesisViolation) as info:
@@ -119,8 +122,13 @@ def test_eq12_xy_form(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["inputs"] == {"x": 3.0, "y": 2.0} and rep["verdict"] == "holds"
+    # a quad reads as x = ab, y = cd
     quad = catalog.evaluate("EQ12", **VALID["quad"])
     assert quad.inputs == {"x": 12.0, "y": 2.0}
+    assert quad.to_dict() == catalog.evaluate("EQ12", x=12.0, y=2.0).to_dict()
+    with pytest.raises(HypothesisViolation) as info:
+        catalog.evaluate("EQ12", a=4.0, b=3.0, c=2.0, x=3.0)
+    assert str(info.value) == "EQ12 requires inputs x, y (or a, b, c, d)"
 
 
 # --- the seams a sweep calls per sample -------------------------------------
@@ -165,42 +173,55 @@ def _by_stream(calls, name):
 
 
 QUAD_IDS = tuple(id for id, e in catalog.REGISTRY.items() if e.arity in ("quad", "quad_pq"))
+SEQ_IDS = tuple(id for id, e in catalog.REGISTRY.items() if e.arity == "seq_n")
 
 
-def _quad_argmins(rep):
-    """The distinct argmin indices of the quad-arity ids: each is replayed once."""
-    return sorted({rep["results"][id]["argmin_index"] for id in QUAD_IDS})
+def _argmins(rep, ids):
+    """The distinct argmin indices of a group's ids: each is replayed once."""
+    return sorted({rep["results"][id]["argmin_index"] for id in ids})
 
 
 def _catalog_draws(rep, seed, samples):
     """sampler -> Counter of (stream, index) that an all-ids sweep draws: one
     quad and one (p, q) on the shared quad streams per sample and per distinct
-    quad argmin, and each pair id's own stream per sample and its argmin."""
+    quad argmin, and each pair or xy id's own stream per sample and its
+    argmin.  The sequence ids' n comes from ``SampleStream.floats``, which is
+    not a sampler."""
     want = {name: Counter() for name in SAMPLERS}
-    replays = _quad_argmins(rep)
+    replays = _argmins(rep, QUAD_IDS)
     want["sample_quad"] = _expected("catalog/quad", seed, samples, replays)
     want["sample_exponent"] = _expected("catalog/quad/exponents", seed, samples, replays,
                                         per_sample=2)
     for id, entry in catalog.REGISTRY.items():
-        if entry.arity == "pair":
+        if entry.arity in ("pair", "xy"):
             want["sample_pair"] += _expected(f"catalog/{id}", seed, samples,
                                              [rep["results"][id]["argmin_index"]])
     return want
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_catalog_sweep_seams(seams, workers):
+def test_catalog_sweep_seams(seams, monkeypatch, workers):
     samples, seed = 40, 5
+    links, real_links = [], catalog.sequence_link_values
+    monkeypatch.setattr(catalog, "sequence_link_values",
+                        lambda n: links.append(n) or real_links(n))
+    monkeypatch.setattr(catalog, "_last_links", (None, ()))   # no n kept from another test
     rep = run_sweep(SweepConfig(ids=("ALL",), samples=samples, seed=seed, workers=workers))
-    replays = len(_quad_argmins(rep))
+    replays = {id: len(_argmins(rep, QUAD_IDS)) for id in QUAD_IDS}
+    replays.update(dict.fromkeys(SEQ_IDS, len(_argmins(rep, SEQ_IDS))))
     for id in catalog.REGISTRY:
         # judged once per sample and per replay of its group; no report is built
-        assert seams["margin", id] == samples + (replays if id in QUAD_IDS else 1), id
+        assert seams["margin", id] == samples + replays.get(id, 1), id
         assert seams["evaluate", id] == 0, id
     want = _catalog_draws(rep, seed, samples)
     for name in SAMPLERS:
         assert _by_stream(seams, name) == want[name], name
     assert seams["compute_stats",] == seams["margins",] == seams["all_slacks",] == 0
+    # one n per sample and per replay of the sequence group, its link values
+    # computed once for the three ids, and again only where n changes
+    stream = SampleStream(seed, "catalog/seq_n")
+    ns = [sweep._draw_n(stream, i) for i in [*range(samples), *_argmins(rep, SEQ_IDS)]]
+    assert links == [n for k, n in enumerate(ns) if k == 0 or n != ns[k - 1]]
     # without a quad_pq id the quad group draws no p and q
     seams.clear()
     run_sweep(SweepConfig(ids=("EQ5", "EQ14"), samples=samples, seed=seed, workers=workers))

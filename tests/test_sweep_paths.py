@@ -2,13 +2,15 @@
 
 The sweep passes sampled quads straight to the evaluators; every sample it
 reports must match what ``catalog.evaluate(id, **inputs)`` gives for the
-echoed inputs.  Every quad-arity id reads one shared draw per sample, yet
-each id's result is the same whichever other ids its sweep holds.
+echoed inputs.  Every quad-arity id reads one shared quad per sample, and
+every sequence id one shared n, yet each id's result is the same whichever
+other ids its sweep holds.
 """
 
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -123,25 +125,28 @@ def test_public_inputs_echo_quad_coordinates():
     assert list(sweep._public_inputs(inputs)) == ["a", "b", "c", "d", "p", "q"]
 
 
-# --- sampling contract 2: an id's result does not depend on the id set -------
+# --- sampling contract 3: an id's result does not depend on the id set -------
 
 #: Three chunks; one id alone clears the pool floor at 2 workers.
 CONTRACT_SAMPLES = 2100
 
-#: sha256 of ``report.dumps`` of each pair and sequence id's result in
-#: ``sweep --ids all --samples 2100``, as sampling contract 1 gave them: those
-#: ids keep their own streams, so contract 2 leaves them byte for byte.
+#: sha256 of ``report.dumps`` of each id's result that draws apart from the
+#: quad group in ``sweep --ids all --samples 2100``.  EQ6 and EQ10 keep the
+#: bytes sampling contract 1 gave them on their own streams; EQ12 (its own
+#: (x, y) stream) and EQ15..EQ17 (one n per sample) carry contract 3's.
 OWN_STREAM_PINS = {
     1: {"EQ6": "5f697e45dfc2ffdee0e070f1b784142e1cb3adac6be38bbd4dcb582457c1fee5",
         "EQ10": "2fce1f177e3b0f64b1f396ad09504b37ff973e5c239ddec71e5117ddc42dfe4b",
-        "EQ15": "a294ef255a5a86694d6a0dc7203b9ea7219362d906f07033834883d05b9bca1e",
-        "EQ16": "75cf6b0e41b86f1b3de2d0495d351eff0a5cdff0b63738f38eef4ea9963ed82a",
-        "EQ17": "24c2f50ca759304e262cf05d0028665fee450c96a7307b4dde24817eb0123853"},
+        "EQ12": "eb70e96e087bdba39f208e12fb7c6297e13f57a5718d120e0f17c53a63244401",
+        "EQ15": "ce08e6a126e6207aaa332c5ad6ff9b0e5f24e651c0bf259b887443eca3f317c0",
+        "EQ16": "f18abebfd3cae589cfa36323f69a690e625b8ef3204df259526a081a06cbf7fa",
+        "EQ17": "f4a6f3b3269f25603cff27abd0cf114eb30eb963c7998a2a82d7fda7af5ac1ff"},
     42: {"EQ6": "7e5593f98d3085fecf25959a368a22a29bc5949390457b0447514bf70e4a443e",
          "EQ10": "4121b1647c879d060a2941e9a37117c82bca0c031d99a3f12cd244f0498b4cdc",
-         "EQ15": "f7aebfa39b5a29273a54920aa47ef7e67b1527ad86a34bbb435dfc98c7a6fbae",
-         "EQ16": "c2c3cb082620ef359e5b3ac422cebf6ddad947f07be50f8bbf1c6647e4bb2147",
-         "EQ17": "cda343ae1aa15cefa65939e816ae89cb9f594e39e1837459a9cd08d14e08cd63"},
+         "EQ12": "00428327037c3ff6d4defdefff4d199e4f7cdddbc5668da0d111c0137cc1da5a",
+         "EQ15": "7e12bc70a754737ee8f426b2132bc84c1d79db8b18fd23367ccf54e984dfbef5",
+         "EQ16": "1242be512624133038b2d8b2cf745a6e1d20901a8bb4e5f7a24c240b3888037c",
+         "EQ17": "41b19a8bc4a81e4d237eb40f9f58ef16fc585f77f3cf2ffd65bfef2d0cdb1b3d"},
 }
 
 
@@ -186,3 +191,20 @@ def test_quad_ids_share_one_quad_and_echo_their_own_inputs(monkeypatch, tmp_path
         inputs13, inputs5 = json.loads(eq13["inputs"]), json.loads(eq5_row["inputs"])
         assert list(inputs13) == ["a", "b", "c", "d", "p", "q"]
         assert inputs5 == {k: inputs13[k] for k in "abcd"}
+
+
+def test_eq12_over_the_whole_binary64_range():
+    """EQ12 draws (x, y) within the sweep's bounds, so at bounds 1e+-300 no
+    sample raises and none reads NaN.  EQ4 and SLOPE_3 still raise there, so
+    EQ12's group is run chunk by chunk as the all-ids sweep lays it out."""
+    config = SweepConfig(ids=("ALL",), samples=2000, seed=42, bounds=(1e-300, 1e300))
+    pos = list(sweep._catalog_layout(config)).index("EQ12")
+    total = sweep._Agg()
+    for start in range(0, config.samples, sweep._CHUNK):
+        total.merge(sweep._run_chunk(("catalog_sweep", config, pos, start, None))["EQ12"])
+    # a NaN margin would read violated
+    assert (total.samples_run, total.violation_count) == (config.samples, 0)
+    assert 0.0 < total.min_margin < math.inf
+    rep = run_sweep(config._replace(ids=("EQ12",)))
+    assert (rep["results"]["EQ12"]["min_margin"], rep["total_violations"]) == (
+        total.min_margin, 0)

@@ -11,6 +11,7 @@ other seams in test_one_driver.py.
 """
 
 import concurrent.futures
+import math
 import multiprocessing
 import os
 import re
@@ -20,15 +21,25 @@ import threading
 
 import pytest
 
-from meanineq import sweep
+from meanineq import catalog, sweep
 from meanineq.cli import main
+from meanineq.report import check_finite_positive
 from meanineq.sweep import SweepConfig, run_kyfan_sweep, run_sweep
 
 
+@pytest.fixture
+def eq12_fault(monkeypatch):
+    """EQ12's row made to raise on every sample, as a row raises on a value
+    out of its domain.  Forked workers inherit the patch."""
+    entry = catalog.REGISTRY["EQ12"]
+    monkeypatch.setitem(catalog.REGISTRY, "EQ12", entry._replace(
+        row=lambda x, y: check_finite_positive("x", math.inf)))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_chunk_error_reaches_the_caller(monkeypatch, workers):
+def test_chunk_error_reaches_the_caller(monkeypatch, eq12_fault, workers):
     monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
-    config = SweepConfig(ids=("EQ12",), samples=3000, bounds=(1e-300, 1e300), workers=workers)
+    config = SweepConfig(ids=("EQ12",), samples=3000, workers=workers)
     with pytest.raises(ValueError) as info:
         run_sweep(config)
     assert type(info.value) is ValueError
@@ -36,22 +47,20 @@ def test_chunk_error_reaches_the_caller(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_chunk_error_leaves_no_csv_or_part_file(monkeypatch, tmp_path, workers):
+def test_chunk_error_leaves_no_csv_or_part_file(monkeypatch, eq12_fault, tmp_path, workers):
     monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
-    config = SweepConfig(ids=("EQ5", "EQ12"), samples=3000, bounds=(1e-300, 1e300),
-                         workers=workers)
+    config = SweepConfig(ids=("EQ5", "EQ12"), samples=3000, workers=workers)
     # EQ5's chunks write their part files before an EQ12 chunk raises
     with pytest.raises(ValueError, match="got inf"):
         run_sweep(config, csv_path=str(tmp_path / "rows.csv"))
     assert list(tmp_path.iterdir()) == []
 
 
-def test_chunk_error_exits_alike_at_any_worker_count(monkeypatch, capsys):
+def test_chunk_error_exits_alike_at_any_worker_count(monkeypatch, eq12_fault, capsys):
     monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
     outcomes = []
     for workers in ("1", "2"):
-        code = main(["sweep", "--ids", "EQ12", "--samples", "3000", "--range-lo", "1e-300",
-                     "--range-hi", "1e300", "--workers", workers])
+        code = main(["sweep", "--ids", "EQ12", "--samples", "3000", "--workers", workers])
         captured = capsys.readouterr()
         outcomes.append((code, captured.out, captured.err))
     assert outcomes[0] == outcomes[1] == (2, "", "error: x must be a finite positive real, "
@@ -62,8 +71,9 @@ def test_chunk_error_exits_alike_at_any_worker_count(monkeypatch, capsys):
 # first chunk SIGKILL itself; forked workers inherit the wrapped _run_chunk.
 DYING_WORKER_PROBE = """
 import functools, os, signal, sys
-from meanineq import sweep
+from meanineq import catalog, sweep
 from meanineq.cli import main
+from meanineq.report import check_finite_positive
 sweep._cpu_count = lambda: 2
 real = sweep._run_chunk
 caller = os.getpid()
