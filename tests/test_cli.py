@@ -2,8 +2,11 @@ import json
 import subprocess
 import sys
 
+from decimal import Decimal
+
 import pytest
 
+from meanineq import cli, oracle
 from meanineq.cli import main
 from meanineq.report import dumps
 
@@ -184,6 +187,28 @@ class TestOracleCompare:
         assert code == 0 and data["oracle"].startswith("1.000465596749")
         assert data["rel_err"] <= 1e-10
 
+    @pytest.mark.parametrize("x", ["-700", "-2e9"])
+    def test_accepts_a_correctly_rounded_zero(self, capsys, x):
+        # f lies below the smallest subnormal, so 0.0 is f rounded to binary64,
+        # though no relative bound can hold for it
+        code, out, err = run_cli(capsys, "oracle-compare", "--op", "f", "--a", "4", "--b", "3",
+                                 "--c", "2", "--d", "1", "--x", x)
+        data = parse(out)
+        assert code == 0 and (data["fast"], data["rel_err"]) == (0.0, 1.0)
+        assert Decimal(data["oracle"]) > 0 and float(Decimal(data["oracle"])) == 0.0
+        assert sorted(data) == ["digits", "fast", "inputs", "op", "oracle",
+                                "published_bound", "rel_err"]
+        assert err == ("f: rel_err 1.000e+00 vs bound 1e-10; "
+                       "fast is the oracle rounded to binary64\n")
+
+    def test_refuses_a_fast_value_off_the_rounded_oracle(self, capsys, monkeypatch):
+        # the smallest subnormal in place of f's correctly rounded 0.0
+        monkeypatch.setattr(cli, "_fast_path", lambda op, inputs: 5e-324)
+        code, out, err = run_cli(capsys, "oracle-compare", "--op", "f", "--a", "4", "--b", "3",
+                                 "--c", "2", "--d", "1", "--x", "-700")
+        assert code == 1 and parse(out)["fast"] == 5e-324
+        assert err.startswith("f: rel_err ") and err.endswith(" vs bound 1e-10\n")
+
     def test_logarithmic(self, capsys):
         code, out, _ = run_cli(capsys, "oracle-compare", "--op", "L",
                                "--a", "4", "--b", "2")
@@ -346,3 +371,28 @@ def test_a_flag_after_a_float_flag_is_still_a_usage_error(capsys, value):
                              "4")
     assert code == 2 and out == ""
     assert "argument --p: expected one argument" in err
+
+
+def test_op_choices_are_the_oracle_tags(capsys, monkeypatch):
+    assert tuple(cli._OP_INPUTS) == oracle.ORACLE_OP_TAGS
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, "oracle-compare", "--op", "X")
+    usage, error = err.rsplit("meanineq oracle-compare: error: ", 1)
+    assert (code, out) == (2, "")
+    assert usage == (
+        "usage: meanineq oracle-compare [-h] --op {A,G,H,L,I,Lp,f,g,f_prime,g_prime}\n"
+        "                               [--a A] [--b B] [--c C] [--d D] [--x X] [--p P]\n"
+        "                               [--digits DIGITS]\n")
+    # newer Pythons list the choices without quotes
+    assert error.replace("'", "") == ("argument --op: invalid choice: X (choose from "
+                                      "A, G, H, L, I, Lp, f, g, f_prime, g_prime)\n")
+
+
+@pytest.mark.parametrize("flags,bounds", [
+    ((), [1e-3, 1e3]),
+    (("--range-lo", "0.5"), [0.5, 1e3]),
+    (("--range-hi", "7"), [1e-3, 7.0]),
+])
+def test_sweep_bounds_default_to_the_sampling_range(capsys, flags, bounds):
+    code, out, _ = run_cli(capsys, "sweep", "--ids", "EQ6", "--samples", "5", *flags)
+    assert code == 0 and parse(out)["config"]["bounds"] == bounds

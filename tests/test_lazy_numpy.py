@@ -1,5 +1,7 @@
 """No command imports numpy, the sequence entries EQ15..EQ17 included, nor
-``dataclasses`` and the ``inspect`` module it pulls in.
+``dataclasses`` and the ``inspect`` module it pulls in; and each command
+loads only the meanineq modules it runs, and ``decimal`` and ``hashlib`` only
+where it runs the oracle or the sampler.
 
 Each command runs in a fresh interpreter, because this test process has
 imported numpy already.  numpy integers are still valid inputs.
@@ -14,14 +16,18 @@ import pytest
 from meanineq import catalog
 from meanineq.report import HypothesisViolation
 
+#: The modules a command loads only if it runs them.
+LAZY = ("meanineq.catalog", "meanineq.kyfan", "meanineq.oracle", "meanineq.rng",
+        "meanineq.sweep", "decimal", "hashlib")
+
 # Runs the CLI on its arguments (or only imports it, given none), then reports
-# on stderr which of numpy, dataclasses and inspect were loaded.
-PROBE = """
+# on stderr which of numpy, dataclasses, inspect and LAZY were loaded.
+PROBE = f"""
 import sys
 from meanineq.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-loaded = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
-sys.stderr.write(f"loaded: {' '.join(loaded)}\\n")
+loaded = [m for m in ("numpy", "dataclasses", "inspect", *{LAZY!r}) if m in sys.modules]
+sys.stderr.write(f"loaded: {{' '.join(loaded)}}\\n")
 sys.exit(code)
 """
 
@@ -55,6 +61,26 @@ def test_numpy_loads_only_for_sequence_entries(argv, loads_numpy):
 def test_no_command_loads_dataclasses_or_inspect(argv):
     loaded = _probe(argv)
     assert "dataclasses" not in loaded and "inspect" not in loaded, loaded
+
+
+EQ5_CHECK = ("ineq-check", "--id", "EQ5", "--a", "4", "--b", "3", "--c", "2", "--d", "1")
+
+
+@pytest.mark.parametrize("argv,loads,skips", [
+    ((), (), LAZY),
+    (EQ5_CHECK, ("meanineq.catalog",), LAZY[1:]),
+    (("means-eval", "--mean", "L", "--a", "4", "--b", "2"), (), LAZY),
+    (("oracle-compare", "--op", "f", "--a", "4", "--b", "3", "--c", "2", "--d", "1",
+      "--x", "1.7"), ("meanineq.oracle", "decimal"),
+     ("meanineq.catalog", "meanineq.kyfan", "meanineq.rng", "meanineq.sweep")),
+    (("kyfan-check", "--x", "0.1,0.2,0.3"), ("meanineq.catalog", "meanineq.kyfan"),
+     ("meanineq.oracle", "meanineq.rng", "meanineq.sweep")),
+    (("sweep", "--ids", "EQ5", "--samples", "20"),
+     ("meanineq.catalog", "meanineq.rng", "meanineq.sweep", "hashlib"), ("meanineq.oracle",)),
+], ids=["import", "ineq-check", "means-eval", "oracle-compare", "kyfan-check", "sweep"])
+def test_each_command_loads_only_what_it_runs(argv, loads, skips):
+    loaded = _probe(argv)
+    assert set(loads) <= set(loaded) and not set(skips) & set(loaded), loaded
 
 
 @pytest.mark.parametrize("n", [np.int64(7), np.uint8(7)])
