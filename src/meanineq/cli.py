@@ -9,10 +9,11 @@ sweep's worker process died).  The only state a command mutates is its
 beside the --csv file.
 
 Import loads means, ratio and report; each command adds what it runs: ineq-check
-catalog, kyfan-check and ineq-list catalog and kyfan, oracle-compare oracle and
-decimal, the sweeps catalog, kyfan, rng, hashlib and sweep.  Start-up without a
-bytecode cache is mostly compile time: ``import meanineq.cli`` takes 23 ms past
-the interpreter's 68 ms, 48 ms when it loaded every module (2-core Xeon, 3.11).
+catalog, kyfan-check kyfan, ineq-list catalog and kyfan, oracle-compare oracle
+and decimal, sweep catalog, rng, hashlib and sweep, kyfan-sweep those and
+kyfan.  Start-up without a bytecode cache is mostly compile time: ``import
+meanineq.cli`` takes 23 ms past the interpreter's 68 ms, 48 ms when it loaded
+every module (2-core Xeon, 3.11).
 """
 
 from __future__ import annotations

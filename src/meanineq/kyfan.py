@@ -36,7 +36,6 @@ from typing import NamedTuple
 from .means import ln_identric, ln_logarithmic
 from .ratio import OrderedQuad, log_ratio_value, ratio_value
 from .report import TOL_V, HypothesisViolation, build_report, judge
-from . import catalog
 
 __all__ = [
     "KyFanSample", "KyFanStats", "KYFAN_IDS",
@@ -289,6 +288,7 @@ def bridge_slacks(stats: KyFanStats) -> dict:
     the Ky Fan formulas on the stats versus the inequality catalog on the
     quadruple (A', G', A, G).  Used to certify the two stay within 1e-12.
     """
+    from . import catalog    # only this check reads the catalog
     quad = _stats_quad(stats)
     n = stats.n
     links = {id: slacks for id, _, _, slacks, _, _ in _rows(stats)}

@@ -18,21 +18,28 @@ r1 = ln(a/b), r2 = ln(c/d), r0 = ln(b/d), E1 = (a/b)^x and E2 = (c/d)^x:
     g = x r0 + ln((E1 - 1)/(E2 - 1))
     g' = r0 + h(r1, E1) - h(r2, E2),   h(r, E) = r E/(E - 1) -> 1/x as r -> 0
 
-Each logarithm is reduced to one of an argument near 1 (``_ln``):
-ln y = y0 + ln(y e^-y0), with y0 a binary64 estimate of ln y.  libmpdec's
-correctly rounded ln of a typical argument costs about twice its exp, and
-its ln of an argument within 1e-16 of 1 costs a fifth of its exp.  ``_ln``
-carries 3 + ceil(-log10|y0|) extra digits, so its error stays under one unit
-in the last place of the working precision: 0.5 from the final rounding and
-a few thousandths from the reduction.  Arguments within 1e-3 of 1 or of a
-power of ten, where libmpdec's ln is already fast, skip the reduction.
+Every logarithm and exponential is summed on Python ints in binary fixed
+point, with no Decimal arithmetic until one division of exact ints rounds
+the result once in the working context (Brent and Zimmermann, Modern
+Computer Arithmetic, 4.3-4.4).  ``_exp_fixed`` halves x to u = x/2^s <
+2^-10, sums sinh u, takes e^u = sinh u + sqrt(1 + sinh^2 u) and squares s
+times.  ``_ln_fixed`` takes y0, the binary64 estimate of ln y, forms t = y
+e^-y0 - 1 exactly from e^|y0|, sums ln(1 + t) = 2 atanh(t/(2 + t)), three
+or four terms at |t| < 2^-30, and adds the exact y0.  Past e^(+-2^10) both
+split off a power of ten exactly, so no int passes about 1700 bits, and
+the exponent takes it.  On the benchmark's inputs an op costs about 60% of
+what libmpdec's exp and ln made it cost.  libmpdec's exp is kept where it
+is fast or nothing is left to compute, at |z| <= 2^-10 and |z| >= 2^64,
+and its ln for arguments within 1e-3 of 1 or of a power of ten, ln 10 for
+the split included.  sqrt is libmpdec's, correctly rounded.
 
-Every exponential, the e^-y0 above included, is ``_exp``: e^z = (e^u)^(2^s)
-with u = z/2^s and |u| < 2^-10, where libmpdec's exp costs a fraction of what
-it costs at |z| >= 0.1.  It carries 3 + ceil(s log10 2) extra digits, which
-absorb the doubling of the error at each squaring, so its error too stays
-under 0.51 ulp: 0.5 from the final rounding and a few thousandths from the
-reduction.  sqrt is libmpdec's, correctly rounded.
+Every truncation in the two kernels is a floor, and their docstrings count
+them: ``_exp_fixed`` returns a lower bound within a relative 2^-bits, and
+``_ln_fixed`` a value within 2 units of 2^-bits; the split's ln 10 is
+correctly rounded, then floored once.  ``_exp`` and ``_ln`` ask for 8 or 9
+bits past the working precision, so the kernel's error is under a 250th of
+an ulp and each result is within 0.505 ulp, almost all of it the one
+rounding.
 
 The oracle computes in its own context (``_CONTEXT``): round half even,
 exponents to +-10^9, and traps on invalid operations, division by zero and
@@ -56,8 +63,8 @@ is the power-difference ratio (a^x - b^x)/(c^x - d^x) and g = ln f.
 from __future__ import annotations
 
 import math
-from decimal import (ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation,
-                     Overflow, Underflow, localcontext)
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero,
+                     InvalidOperation, Overflow, Underflow, getcontext, localcontext)
 from typing import NamedTuple
 
 __all__ = ["OracleResult", "oracle_eval", "oracle_rel_err", "ORACLE_OP_TAGS",
@@ -76,11 +83,18 @@ PUBLISHED_BOUNDS = {
 
 _BASE_GUARD = 15
 _LN10 = math.log(10.0)
+_LOG2_10 = math.log2(10.0)
 _LOG10_2 = math.log10(2.0)
 #: ``_exp`` calls libmpdec's exp at once at |z| <= 2^-10, where it is fast,
 #: and at |z| >= 2^64, where e^z overflows or underflows every decimal context
 _EXP_SMALL = Decimal("0.0009765625")
 _EXP_HUGE = 2 ** 64
+#: Past e^(+-2^10), ``_exp`` and ``_ln`` split off a power of ten, so their
+#: ints stay under about 1700 bits
+_SPLIT_BITS = 10
+#: ``_ln`` calls libmpdec's ln where y = m 10^e has m within 1e-3 of 1 or 10
+_LN_NEAR_1 = math.log(1.001)
+_LN_NEAR_10 = math.log(9.99)
 #: The oracle's working context, whatever the caller's: every field given, so
 #: neither the caller's context nor ``decimal.DefaultContext`` reaches it.
 #: ``localcontext`` works on a copy, so this one never changes.
@@ -109,45 +123,163 @@ def _cancel_guard(*magnitudes):
     return extra
 
 
+def _exp_fixed(n, d, bits):
+    """e^x at x = n/d >= 0 in binary fixed point: (F, wp) with
+    2^wp e^x (1 - 2^-bits) < F <= 2^wp e^x.
+
+    Every step is a floor on nonnegative ints, so F is a lower bound.  With s
+    the least count that makes u = x/2^s < 2^-10, and g the bit length of
+    bits + s, wp = bits + s + g.  In units of 2^-wp: the terms of sinh u,
+    T_1 = U = floor(u 2^wp) and T_(k+2) = floor(T_k U2/((k + 1)(k + 2) 2^wp))
+    with U2 = floor(U^2/2^wp), each lose under 1.01, and each is 20 bits or
+    more below the one before, so K <= wp/20 + 1 of them are nonzero.  With
+    U's own floor and the tail after the last term, sinh u loses under
+    1.01 K + 2.  e^u = sinh u + sqrt(1 + sinh^2 u) loses twice that, the
+    square root's slope being below 1, and its isqrt floors once more: under
+    2.02 K + 5, on an e^u of at least 1.  Each of the s squarings doubles the
+    relative error and floors once as it shifts the square back by wp bits,
+    which costs under 2^-wp on a value of at least 1.  In all, under 2^s
+    (2.02 K + 6) 2^-wp = (2.02 K + 6) 2^-(bits + g) < 2^-bits.  The callers
+    keep x under 2^10, so F stays under 2^wp e^1024 < 2^(wp + 1478).
+    """
+    s = max(0, n.bit_length() - d.bit_length() + 11)     # x < 2^(s - 10)
+    wp = bits + s + (bits + s).bit_length()
+    u = (n << (wp - s)) // d
+    u2 = u * u >> wp
+    f = term = u
+    k = 1
+    while term:
+        k += 2
+        term = (term * u2 >> wp) // (k * k - k)
+        f += term
+    f += math.isqrt(f * f + (1 << 2 * wp))
+    for _ in range(s):
+        f = f * f >> wp
+    return f, wp
+
+
+def _ln_fixed(n, d, y0, bits):
+    """ln y at y = n/d > 0 in binary fixed point: an int S with |S - 2^bits ln
+    y| < 2, given a binary64 y0 with |y0 - ln y| < 2^-30 and |y0| >= 2^-11.
+
+    Works at W = bits + g bits, g the bit length of bits.  F/2^wp = e^|y0| (1 -
+    theta), theta < 2^-W, from ``_exp_fixed``, gives t = y e^-y0 - 1 on ints,
+    exactly up to the floor T = floor(t 2^W), and ln y = y0 + ln(1 + t) -+ ln(1
+    - theta).  y0 2^W is exact.  ln(1 + t) = 2 atanh v with v = t/(2 + t), and
+    2 (v + v^3/3 + v^5/5 + ...) is summed on |v|, one floor per power and per
+    quotient; |v| < 2^-30, so each term gains 60 bits and K <= W/60 + 1 terms
+    are nonzero.  In units of 2^-W, theta costs 1.01, T's floor 1.01, the
+    floors of |v| and v^2 2.02 once doubled, each later term 2.68 doubled and
+    the tail 2: under 4K + 6 < 2^g in all.  The final shift by g bits floors
+    once more, so |S - 2^bits ln y| < 2.
+    """
+    g = bits.bit_length()
+    w = bits + g
+    a, b = abs(y0).as_integer_ratio()
+    f, wp = _exp_fixed(a, b, w)
+    if y0 > 0:                           # y e^-y0 = num/den
+        num, den = n << wp, d * f
+    else:
+        num, den = n * f, d << wp
+    t = ((num - den) << w) // den        # floor(t 2^W)
+    v = (abs(t) << w) // ((2 << w) + t)  # floor(|v| 2^W)
+    v2 = v * v >> w
+    total, k = 0, 1
+    while v:
+        total += v // k
+        v = v * v2 >> w
+        k += 2
+    y0_w = (a << w) // b
+    return ((y0_w if y0 > 0 else -y0_w) + (2 * total if t >= 0 else -2 * total)) >> g
+
+
+def _split_ln10(bits, top):
+    """ln 10 in binary fixed point, as (L, b) with |L - 2^b ln 10| < 2 at b =
+    bits + 2 + the bit length of ``top``: D ln 10 for any D <= top is then
+    within 2^-(bits + 1).
+
+    10 is a power of ten, so its ln is libmpdec's, as in ``_ln``: correctly
+    rounded at digits = ceil(b log10 2) + 2, within 10^(1 - digits) <=
+    2^-b/10, and floored once onto b bits.
+    """
+    b = bits + 2 + top.bit_length()
+    digits = math.ceil(b * _LOG10_2) + 2
+    ctx = Context(prec=digits)
+    return (int(ctx.scaleb(ctx.ln(10), digits - 1)) << b) // 10 ** (digits - 1), b
+
+
 def _exp(z):
     """e^z for a finite Decimal, under 0.51 ulp of the context precision.
 
-    libmpdec's correctly rounded exp is fast only for a small argument, so
-    e^z = (e^u)^(2^s) with u = z/2^s, |u| < 2^-10.  In relative error, with
-    eps = 10^(1 - P) at the working precision P = prec + 3 + ceil(s log10 2):
-    rounding u costs |z| eps/2 < 2^(s - 11) eps, and the s squarings double
-    the error of e^u while each adds eps/2 of its own, about 2^s eps in all.
-    The extra digits make 2^s eps at most 10^(1 - prec)/1000, a hundredth of
-    an ulp or less, so the error stays 0.5 ulp from the final rounding and a
-    few thousandths from the reduction.
+    ``_exp_fixed`` computes e^|z| on ints to a relative 2^-bits, bits =
+    ceil(prec log2 10) + 8, and one Decimal division of exact ints in the
+    caller's context rounds e^|z|, or its reciprocal for negative z, once.
+    2^-bits <= 10^-prec/256 is a 256th of an ulp at most, so the result is
+    within 0.505 ulp.  At |z| >= 2^10 a power of ten is split off first:
+    e^|z| = 10^D e^(|z| - D ln 10), with ln 10 from ``_split_ln10``, whose
+    error D carries is 2^-(bits + 1) at most, D = floor(|z|/ln 10) for that
+    ln 10, so |z| - D ln 10 is in [0, ln 10), and its exponential at bits +
+    1.  The quotient then takes D onto its exponent exactly, and a unary plus
+    applies the context's range.  Overflow and underflow are the context's
+    own, signalled by the division or by that plus, in the caller's flags,
+    which ``oracle_eval`` reads.
     """
-    if not _EXP_SMALL < abs(z) < _EXP_HUGE:    # e^0 is exactly 1 here
+    mag = z.copy_abs()
+    if not _EXP_SMALL < mag < _EXP_HUGE:     # e^0 is exactly 1 here
         return z.exp()
-    s = math.frexp(float(abs(z)))[1] + 10    # |z| < 2^(s - 10)
-    with localcontext() as ctx:
-        ctx.prec += 3 + math.ceil(s * _LOG10_2)
-        e = (z / 2 ** s).exp()
-        for _ in range(s):
-            e *= e
-    # the squarings' context is a copy: an e^z below the context's range
-    # underflows again in the caller's, whose flags ``oracle_eval`` reads
-    return z.exp() if ctx.flags[Underflow] else +e
+    bits = math.ceil(getcontext().prec * _LOG2_10) + 8
+    n, d = mag.as_integer_ratio()
+    tens = 0
+    if n >= d << _SPLIT_BITS:
+        ln10, b = _split_ln10(bits, n // d)
+        tens = (n << b) // (d * ln10)
+        n, d, bits = (n << b) - d * tens * ln10, d << b, bits + 1
+    num, wp = _exp_fixed(n, d, bits)
+    den = 1 << wp
+    if z < 0:
+        num, den, tens = den, num, -tens
+    out = Decimal(num) / den
+    if not tens:
+        return out
+    # shifted where every exponent is allowed, then ranged by the unary plus in
+    # the caller's context; past that range the shift only decides overflow or
+    # underflow, so it is clipped there
+    ctx = getcontext()
+    wide = Context(prec=ctx.prec, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return +wide.scaleb(out, max(ctx.Etiny() - 3, min(tens, ctx.Emax + 2)))
 
 
 def _ln(y):
-    """ln y for a finite positive Decimal, under one ulp of the context precision."""
+    """ln y for a finite positive Decimal, under 0.51 ulp of the context precision.
+
+    With y = n/d exactly, y0 = ln n - ln d is a binary64 estimate within
+    2^-30 of ln y.  ``_ln_fixed`` carries ln y to bits = ceil(prec log2 10) +
+    9 + max(0, ceil(-log2 |y0|)), so its error of 2 units is under a 250th
+    of an ulp, and one Decimal division of exact ints rounds it once: the
+    result is within 0.505 ulp.  Where |ln y| may reach 2^10, the power of
+    ten is split off exactly first, y = m 10^e and ln y = ln m + e ln 10,
+    each at bits + 2 + the bit length of e (``_split_ln10``).  Arguments
+    within 1e-3 of 1 or of a power of ten, where libmpdec's ln is fast, are
+    libmpdec's.
+    """
     if not y.is_finite() or y <= 0:
         raise ValueError(f"ln needs a finite positive argument, got {y}")
     e = y.adjusted()
-    m = float(y.scaleb(-e))                  # y = m 10^e, 1 <= m < 10
-    if m < 1.001 or m > 9.99:                # near 1 or a power of ten: ln is fast
+    split = (abs(e) + 1) * _LN10 >= 2 ** _SPLIT_BITS
+    if split:                                # m = y/10^e, exactly
+        _, digits, exp = y.as_tuple()
+        n, d = Decimal((0, digits, exp - e)).as_integer_ratio()
+    else:
+        n, d = y.as_integer_ratio()
+    y0 = math.log(n) - math.log(d)
+    ln_m = y0 if split else y0 - e * _LN10
+    if not _LN_NEAR_1 < ln_m < _LN_NEAR_10:   # near 1 or a power of ten: ln is fast
         return y.ln()
-    y0 = e * _LN10 + math.log(m)             # |y0| > 9e-4: y is not near 1
-    with localcontext() as ctx:
-        ctx.prec += 3 + max(0, math.ceil(-math.log10(abs(y0))))
-        d0 = Decimal(y0)                     # exact; exp reads every digit
-        out = d0 + (y * _exp(d0.copy_negate())).ln()
-    return +out
+    bits = math.ceil(getcontext().prec * _LOG2_10) + 9 + max(0, 1 - math.frexp(y0)[1])
+    if not split:
+        return Decimal(_ln_fixed(n, d, y0, bits)) / (1 << bits)
+    ln10, b = _split_ln10(bits, abs(e))
+    return Decimal(_ln_fixed(n, d, y0, b) + e * ln10) / (1 << b)
 
 
 def _h(r, e, x):

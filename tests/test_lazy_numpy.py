@@ -73,10 +73,11 @@ EQ5_CHECK = ("ineq-check", "--id", "EQ5", "--a", "4", "--b", "3", "--c", "2", "-
     (("oracle-compare", "--op", "f", "--a", "4", "--b", "3", "--c", "2", "--d", "1",
       "--x", "1.7"), ("meanineq.oracle", "decimal"),
      ("meanineq.catalog", "meanineq.kyfan", "meanineq.rng", "meanineq.sweep")),
-    (("kyfan-check", "--x", "0.1,0.2,0.3"), ("meanineq.catalog", "meanineq.kyfan"),
-     ("meanineq.oracle", "meanineq.rng", "meanineq.sweep")),
+    (("kyfan-check", "--x", "0.1,0.2,0.3"), ("meanineq.kyfan",),
+     ("meanineq.catalog", "meanineq.oracle", "meanineq.rng", "meanineq.sweep")),
     (("sweep", "--ids", "EQ5", "--samples", "20"),
-     ("meanineq.catalog", "meanineq.rng", "meanineq.sweep", "hashlib"), ("meanineq.oracle",)),
+     ("meanineq.catalog", "meanineq.rng", "meanineq.sweep", "hashlib"),
+     ("meanineq.kyfan", "meanineq.oracle")),
 ], ids=["import", "ineq-check", "means-eval", "oracle-compare", "kyfan-check", "sweep"])
 def test_each_command_loads_only_what_it_runs(argv, loads, skips):
     loaded = _probe(argv)

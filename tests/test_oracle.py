@@ -1,13 +1,13 @@
 import hashlib
 import math
 import random
-from decimal import ROUND_FLOOR, Decimal, Inexact, localcontext
+from decimal import ROUND_FLOOR, Decimal, Inexact, Overflow, Underflow, localcontext
 
 import mpmath
 import pytest
 
-from meanineq.oracle import (ORACLE_OP_TAGS, PUBLISHED_BOUNDS, OracleResult, _exp, _ln,
-                             _pair_ratio_core, oracle_eval, oracle_rel_err)
+from meanineq.oracle import (_CONTEXT, ORACLE_OP_TAGS, PUBLISHED_BOUNDS, OracleResult, _exp,
+                             _ln, _pair_ratio_core, oracle_eval, oracle_rel_err)
 from meanineq.rng import SampleStream, sample_exponent, sample_pair, sample_quad
 
 
@@ -164,6 +164,48 @@ class TestExp:
                 ctx.prec = 713
                 got = _exp(v)
             assert _ulps(got, exact, 713) < Decimal("0.51"), v
+
+
+class TestWholeRange:
+    """Both kernels out to the ends of the oracle's exponent range (``_CONTEXT``),
+    where e^z reaches 10^(+-9.3e8), against Decimal's correctly rounded exp and
+    ln at 30 more digits.  These take the power-of-ten split and its exponent
+    bookkeeping."""
+
+    EXP_VALUES = [s * (Decimal(2) ** k + Decimal("0.3")) for k in (12, 16, 20, 30)
+                  for s in (1, -1)]
+    EXP_VALUES += [s * (Decimal(2) ** 31 - Decimal("0.5") + Decimal("0.3")) for s in (1, -1)]
+    LN_VALUES = [Decimal(v) for v in
+                 ("1e100000000", "3.7e-100000000", "2.5e999999999", "1e-999999998", "7.3e4000")]
+
+    @pytest.mark.parametrize("prec", [30, 67, 120])
+    def test_exp_within_half_an_ulp_and_a_hundredth(self, prec):
+        for v in self.EXP_VALUES:
+            with localcontext(_CONTEXT) as ctx:
+                ctx.prec = prec + 30
+                exact = v.exp()
+                ctx.prec = prec
+                got = _exp(v)
+                assert _ulps(got, exact, prec) < Decimal("0.51"), v
+
+    @pytest.mark.parametrize("prec", [30, 67, 120])
+    def test_ln_within_half_an_ulp_and_a_hundredth(self, prec):
+        for v in self.LN_VALUES:
+            with localcontext(_CONTEXT) as ctx:
+                ctx.prec = prec + 30
+                exact = v.ln()
+                ctx.prec = prec
+                got = _ln(v)
+                assert _ulps(got, exact, prec) < Decimal("0.51"), v
+
+    def test_past_the_range(self):
+        with localcontext(_CONTEXT) as ctx:
+            ctx.prec = 67
+            with pytest.raises(Overflow):
+                _exp(Decimal("2.4e9"))
+            assert not ctx.flags[Underflow]
+            assert _exp(Decimal("-2.4e9")) == 0
+            assert ctx.flags[Underflow]
 
 
 class TestDomain:
