@@ -8,7 +8,6 @@ an arbitrary-precision oracle.  See the README for the CLI and JSON schema.
 """
 
 from .means import (
-    ExponentKind, PExponent,
     arithmetic_mean, geometric_mean, harmonic_mean,
     logarithmic_mean, identric_mean, p_logarithmic_mean,
     ln_identric, mean_chain_slacks, evaluate_mean,

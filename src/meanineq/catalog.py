@@ -15,6 +15,8 @@ Each formula is written once, in its row.  ``InequalityEntry.report`` and
 ``evaluate`` build a SlackReport from the row, for callers that show one;
 ``InequalityEntry.margin`` judges the same row to ``(margin, verdict)``
 through ``report.judge`` without a report, which is all a sweep folds.
+The inputs a report shows, and a sweep echoes, come from one function per
+arity (``ARITY_ECHO``); a keyed entry's report adds the discriminant class.
 A sweep judges every quad-arity id on one shared quad per sample, and
 every sequence id on one shared n; the means several of their rows read
 are kept in the quad's ``memo``, so each is computed once per quad.
@@ -30,16 +32,16 @@ from typing import Callable, NamedTuple
 # The means' unchecked kernels: every coordinate reaching them is a float
 # already checked, by OrderedQuad or by a pair entry itself.  They keep the
 # public names, which the benchmark's tracer wraps.
-from .means import (_ln_identric as ln_identric, _logarithmic_mean as logarithmic_mean,
-                    _p_logarithmic_mean as p_logarithmic_mean, P_SNAP, PExponent,
-                    ExponentKind)
+from .means import (_finite_exponent, _ln_identric as ln_identric,
+                    _logarithmic_mean as logarithmic_mean,
+                    _p_logarithmic_mean as p_logarithmic_mean, P_SNAP)
 from .ratio import (DiscClass, OrderedQuad, ln_identric_ratio_pow,
                     log_secant_slope_gap)
 from .report import TOL_V, HypothesisViolation, build_report, check_finite_positive, judge
 
 __all__ = [
-    "INEQUALITY_IDS", "REGISTRY", "ARITY_INPUTS", "InequalityEntry", "UnknownIdError",
-    "evaluate", "lookup", "sequence_link_values", "SEQUENCE_LINK_NAMES",
+    "INEQUALITY_IDS", "REGISTRY", "ARITY_INPUTS", "ARITY_ECHO", "InequalityEntry",
+    "UnknownIdError", "evaluate", "lookup", "sequence_link_values", "SEQUENCE_LINK_NAMES",
 ]
 
 #: EQ10's last member divides by ln(I(a,b)/b); the hypothesis keeps the ratio
@@ -55,8 +57,8 @@ EQ_MANIFOLD_DIST = 1e-3
 SEQ_EQUALITY_N = 10 ** 3
 
 
-#: Enum members bound once for the hot paths, as ``means._GENERIC`` is.
-_GENERIC, _ZERO, _NEGATIVE = ExponentKind.GENERIC, DiscClass.ZERO, DiscClass.NEGATIVE
+#: Enum members bound once for the hot paths, as ``ratio`` binds them.
+_ZERO, _NEGATIVE = DiscClass.ZERO, DiscClass.NEGATIVE
 
 
 def _require(cond, msg):
@@ -65,21 +67,21 @@ def _require(cond, msg):
 
 
 def _generic_exponent(name, p):
-    """The tagged exponent, built once and shared by every mean it enters."""
-    px = p if isinstance(p, PExponent) else PExponent.from_value(p)
-    if px.kind is not _GENERIC:
+    """p as a finite float clear of 0 and -1, where Lp snaps to its limits."""
+    p = _finite_exponent(p)
+    if abs(p) <= P_SNAP or abs(p + 1.0) <= P_SNAP:
         raise HypothesisViolation(
-            f"{name} must stay at least {P_SNAP} away from 0 and -1, got {px.value}")
-    return px
+            f"{name} must stay at least {P_SNAP} away from 0 and -1, got {p}")
+    return p
 
 
 def _quad_degeneracy(quad):
     return (quad.a - quad.d) / (quad.a + quad.d)
 
 
-def _ln_lp_ratio(quad, px):
-    return (math.log(p_logarithmic_mean(quad.a, quad.b, px))
-            - math.log(p_logarithmic_mean(quad.c, quad.d, px)))
+def _ln_lp_ratio(quad, p):
+    return (math.log(p_logarithmic_mean(quad.a, quad.b, p))
+            - math.log(p_logarithmic_mean(quad.c, quad.d, p)))
 
 
 # --- means shared by several rows, computed once per quad ---------------------
@@ -106,14 +108,14 @@ def _ln_i_ratio(quad):
     return out
 
 
-def _tangent_logs(quad, px, qx):
+def _tangent_logs(quad, p, q):
     """ln of the Lp ratio, of the Lq ratio and of the Ipow ratio at q + 1:
-    the terms of EQ4's and EQ13's tangent bound at exponents px, qx."""
-    memo, key = quad.memo, (px.value, qx.value)
+    the terms of EQ4's and EQ13's tangent bound at exponents p, q."""
+    memo, key = quad.memo, (p, q)
     out = memo.get(key)
     if out is None:
-        out = memo[key] = (_ln_lp_ratio(quad, px), _ln_lp_ratio(quad, qx),
-                           ln_identric_ratio_pow(quad, qx.value + 1.0))
+        out = memo[key] = (_ln_lp_ratio(quad, p), _ln_lp_ratio(quad, q),
+                           ln_identric_ratio_pow(quad, q + 1.0))
     return out
 
 
@@ -134,10 +136,9 @@ def _eq4(quad: OrderedQuad, p, q):
     nonnegative with equality iff p = q.
     """
     quad.require_strict()
-    px = _generic_exponent("p", p)
-    qx = _generic_exponent("q", q)
-    p, q = px.value, qx.value
-    ln_lp, ln_lq, ln_ipow = _tangent_logs(quad, px, qx)
+    p = _generic_exponent("p", p)
+    q = _generic_exponent("q", q)
+    ln_lp, ln_lq, ln_ipow = _tangent_logs(quad, p, q)
     lhs = math.exp(p * ln_lp)
     tq = math.exp(q * ln_lq)
     rhs = tq * (1.0 + ((p - q) / (q + 1.0)) * ln_ipow)
@@ -235,10 +236,9 @@ def _eq13(quad: OrderedQuad, p, q):
     ad = bc or p = q.
     """
     quad.require_strict()
-    px = _generic_exponent("p", p)
-    qx = _generic_exponent("q", q)
-    p, q = px.value, qx.value
-    ln_lp, ln_lq, ln_ipow = _tangent_logs(quad, px, qx)
+    p = _generic_exponent("p", p)
+    q = _generic_exponent("q", q)
+    ln_lp, ln_lq, ln_ipow = _tangent_logs(quad, p, q)
     raw = p * ln_lp - q * ln_lq - ((p - q) / (q + 1.0)) * ln_ipow
     disc_class = quad.disc_class
     return ((-raw if disc_class is _NEGATIVE else raw,), TOL_V,
@@ -360,27 +360,15 @@ def _slope3(quad: OrderedQuad):
             _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
 
 
-# --- echoes: the inputs a report shows, from the row's arguments -------------
+# --- echoes: the inputs a report or a sweep shows, from the row's arguments ---
 #
-# An echo runs after its row has checked the arguments, and builds a dict the
-# report keeps as its own.
-
-def _exponent_value(p):
-    return p.value if isinstance(p, PExponent) else float(p)
-
+# One echo per arity, in ARITY_ECHO.  An echo runs after its row has checked
+# the arguments, and builds a dict the report keeps as its own.  A sweep's
+# aggregates hold echoes and come back from worker processes by pickle, so
+# each is a module-level function.
 
 def _echo_quad_pq(quad, p, q):
-    out = quad.as_dict()
-    out["p"] = _exponent_value(p)
-    out["q"] = _exponent_value(q)
-    return out
-
-
-def _echo_keyed(quad, *pq):
-    """A direction-keyed id's inputs name the discriminant class they were read at."""
-    out = _echo_quad_pq(quad, *pq) if pq else quad.as_dict()
-    out["disc_class"] = quad.disc_class.value
-    return out
+    return {**quad.as_dict(), "p": float(p), "q": float(q)}
 
 
 def _echo_pair(a, b):
@@ -409,18 +397,22 @@ ARITY_INPUTS = {
 }
 _GET_INPUTS = {arity: itemgetter(*names) for arity, names in ARITY_INPUTS.items()}
 
+#: Each arity's echo: its row's arguments -> the inputs a report or a sweep shows.
+ARITY_ECHO = {"quad": OrderedQuad.as_dict, "quad_pq": _echo_quad_pq, "pair": _echo_pair,
+              "xy": _echo_xy, "seq_n": _echo_n}
+
 
 class InequalityEntry(NamedTuple):
     id: str
     row: Callable            # the arity's arguments -> (slacks, tolerance, on_equality_manifold)
-    echo: Callable           # the same arguments -> the inputs its report shows
-    arity: str               # a key of ARITY_INPUTS
+    arity: str               # a key of ARITY_INPUTS and ARITY_ECHO
     links: tuple             # the link names, one per slack
     domain: str              # the slacks' margin domain: "log_ratio" or "additive"
     description: str
     scale_invariant: bool    # slack invariant under (a,b,c,d) -> (la,lb,lc,ld)
     relaxed_quad: bool = False
     min_ratio: float = 1.0   # a pair arity's sampled a/b stays at or above this
+    keyed: bool = False      # direction keyed: its report names the quad's discriminant class
 
     def margin(self, *args):
         """``(margin, verdict)`` of the row at the arity's arguments, as its
@@ -431,7 +423,10 @@ class InequalityEntry(NamedTuple):
     def report(self, *args):
         """The SlackReport of the row at the arity's arguments."""
         slacks, tolerance, on_equality_manifold = self.row(*args)
-        return build_report(self.id, self.echo(*args), self.links, slacks, self.domain,
+        inputs = ARITY_ECHO[self.arity](*args)
+        if self.keyed:
+            inputs["disc_class"] = args[0].disc_class.value
+        return build_report(self.id, inputs, self.links, slacks, self.domain,
                             tolerance, on_equality_manifold)
 
     def evaluate(self, **inputs):
@@ -461,42 +456,42 @@ class InequalityEntry(NamedTuple):
 
 
 REGISTRY = {e.id: e for e in (
-    InequalityEntry("EQ4", _eq4, _echo_quad_pq, "quad_pq", ("tangent",), "additive",
+    InequalityEntry("EQ4", _eq4, "quad_pq", ("tangent",), "additive",
                     "tangent bound of the Lp^p ratio at exponent q", True),
-    InequalityEntry("EQ5", _eq5, OrderedQuad.as_dict, "quad", ("lower", "upper"), "log_ratio",
+    InequalityEntry("EQ5", _eq5, "quad", ("lower", "upper"), "log_ratio",
                     "two-sided exp bounds of the identric ratio via L", True),
-    InequalityEntry("EQ6", _eq6, _echo_pair, "pair", ("lower", "upper"), "log_ratio",
+    InequalityEntry("EQ6", _eq6, "pair", ("lower", "upper"), "log_ratio",
                     "two-sided exp bounds of I(a,b)/b via L(a,b)/b", True),
-    InequalityEntry("EQ8", _eq8, OrderedQuad.as_dict, "quad", ("L_vs_G", "G_vs_product"),
+    InequalityEntry("EQ8", _eq8, "quad", ("L_vs_G", "G_vs_product"),
                     "additive", "L ratio vs 1 + ln G ratio vs 2ab/(ab+cd); the second link"
                     " is t/2 - tanh(t/2) at t = ln(ab/cd), as EQ11 and EQ12 at x=ab, y=cd",
                     True),
-    InequalityEntry("EQ9", _eq9, OrderedQuad.as_dict, "quad", ("L_vs_logquotient",), "additive",
+    InequalityEntry("EQ9", _eq9, "quad", ("L_vs_logquotient",), "additive",
                     "L ratio vs ln G ratio / ln I ratio", True),
-    InequalityEntry("EQ10", _eq10, _echo_pair, "pair",
+    InequalityEntry("EQ10", _eq10, "pair",
                     ("L_vs_halflog", "halflog_vs_ratio", "ratio_vs_logquotient"), "additive",
                     "L/b vs 1 + ln(a/b)/2 vs 2a/(a+b) vs log quotient", True,
                     min_ratio=EQ10_MIN_RATIO),
-    InequalityEntry("EQ11", _eq11, OrderedQuad.as_dict, "quad", ("G_vs_fraction",), "additive",
+    InequalityEntry("EQ11", _eq11, "quad", ("G_vs_fraction",), "additive",
                     "ln G ratio vs (ab-cd)/(ab+cd): t/2 - tanh(t/2) at t = ln(ab/cd), as"
                     " EQ8's second link and EQ12 at x=ab, y=cd", True),
-    InequalityEntry("EQ12", _eq12, _echo_xy, "xy", ("halflog_vs_fraction",), "additive",
+    InequalityEntry("EQ12", _eq12, "xy", ("halflog_vs_fraction",), "additive",
                     "half-log of x/y vs (x/y-1)/(x/y+1): t/2 - tanh(t/2) at t = ln(x/y), as"
                     " EQ11 and EQ8's second link at x=ab, y=cd", True),
-    InequalityEntry("EQ13", _eq13, _echo_keyed, "quad_pq", ("tangent",), "log_ratio",
-                    "log tangent bound, direction keyed to sign(ad-bc)", True),
-    InequalityEntry("EQ14", _eq14, _echo_keyed, "quad",
+    InequalityEntry("EQ13", _eq13, "quad_pq", ("tangent",), "log_ratio",
+                    "log tangent bound, direction keyed to sign(ad-bc)", True, keyed=True),
+    InequalityEntry("EQ14", _eq14, "quad",
                     ("H_to_G", "G_to_L", "L_to_I", "I_to_A"), "log_ratio",
                     "mean-ratio chain H,G,L,I,A keyed to sign(ad-bc)", True,
-                    relaxed_quad=True),
-    InequalityEntry("EQ15", _eq15, _echo_n, "seq_n", SEQUENCE_LINK_NAMES[0:2], "additive",
+                    relaxed_quad=True, keyed=True),
+    InequalityEntry("EQ15", _eq15, "seq_n", SEQUENCE_LINK_NAMES[0:2], "additive",
                     "sequence chain at (n+2, n+1, n+1, n): product vs half-log vs L",
                     False),
-    InequalityEntry("EQ16", _eq16, _echo_n, "seq_n", SEQUENCE_LINK_NAMES[2:3], "additive",
+    InequalityEntry("EQ16", _eq16, "seq_n", SEQUENCE_LINK_NAMES[2:3], "additive",
                     "sequence bound: log quotient vs L ratio", False),
-    InequalityEntry("EQ17", _eq17, _echo_n, "seq_n", SEQUENCE_LINK_NAMES[3:7], "log_ratio",
+    InequalityEntry("EQ17", _eq17, "seq_n", SEQUENCE_LINK_NAMES[3:7], "log_ratio",
                     "sequence mean-ratio chain (descending case)", False),
-    InequalityEntry("SLOPE_3", _slope3, OrderedQuad.as_dict, "quad", ("slope_gap",), "log_ratio",
+    InequalityEntry("SLOPE_3", _slope3, "quad", ("slope_gap",), "log_ratio",
                     "chord slopes of r at the quad's own coordinates", False),
 )}
 

@@ -10,8 +10,8 @@ beside the --csv file.
 
 Import loads means, ratio and report; each command adds what it runs: ineq-check
 catalog, kyfan-check kyfan, ineq-list catalog and kyfan, oracle-compare oracle
-and decimal, sweep catalog, rng, hashlib and sweep, kyfan-sweep those and
-kyfan.  Start-up without a bytecode cache is mostly compile time: ``import
+and decimal, sweep catalog, rng, hashlib and sweep, kyfan-sweep kyfan, rng,
+hashlib and sweep.  Start-up without a bytecode cache is mostly compile time: ``import
 meanineq.cli`` takes 23 ms past the interpreter's 68 ms, 48 ms when it loaded
 every module (2-core Xeon, 3.11).
 """

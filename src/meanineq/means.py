@@ -17,13 +17,10 @@ degree-1 homogeneity survives to a few ulp.
 from __future__ import annotations
 
 import math
-from enum import Enum
-from typing import NamedTuple
 
 from .report import check_finite_positive
 
 __all__ = [
-    "ExponentKind", "PExponent",
     "arithmetic_mean", "geometric_mean", "harmonic_mean",
     "logarithmic_mean", "identric_mean", "p_logarithmic_mean",
     "ln_identric", "ln_logarithmic", "mean_chain_slacks", "evaluate_mean",
@@ -36,37 +33,6 @@ P_SNAP = 1e-6
 IDENTRIC_SERIES_T = 1e-3
 
 MEAN_IDS = ("A", "G", "H", "L", "I", "Lp")
-
-
-class ExponentKind(Enum):
-    GENERIC = "generic"
-    ZERO_LIMIT = "zero_limit"
-    MINUS_ONE_LIMIT = "minus_one_limit"
-
-
-#: Bound once for the hot paths: on Python 3.11 each ``ExponentKind.X`` lookup
-#: takes the slow attribute path of a metaclass with ``__getattr__``.
-_GENERIC = ExponentKind.GENERIC
-
-
-class PExponent(NamedTuple):
-    """Real exponent of the p-logarithmic mean with its limit-point tag."""
-
-    value: float
-    kind: ExponentKind
-
-    @classmethod
-    def from_value(cls, p: float) -> "PExponent":
-        p = float(p)
-        if not math.isfinite(p):
-            raise ValueError(f"exponent must be finite, got {p!r}")
-        if abs(p) <= P_SNAP:
-            kind = ExponentKind.ZERO_LIMIT
-        elif abs(p + 1.0) <= P_SNAP:
-            kind = ExponentKind.MINUS_ONE_LIMIT
-        else:
-            kind = ExponentKind.GENERIC
-        return cls(p, kind)
 
 
 # L, I, ln I and Lp check their inputs with _pair and hand them to private
@@ -235,18 +201,24 @@ def p_logarithmic_mean(a, b, p) -> float:
     cancellation.
     """
     a, b = _pair(a, b)
-    return _p_logarithmic_mean(a, b, p if isinstance(p, PExponent) else PExponent.from_value(p))
+    return _p_logarithmic_mean(a, b, _finite_exponent(p))
 
 
-def _p_logarithmic_mean(a, b, px):
-    """Lp at a tagged exponent ``px``."""
+def _finite_exponent(p):
+    p = float(p)
+    if not math.isfinite(p):
+        raise ValueError(f"exponent must be finite, got {p!r}")
+    return p
+
+
+def _p_logarithmic_mean(a, b, p):
+    """Lp at a finite float exponent p."""
     if a == b:
         return a
-    if px.kind is not _GENERIC:
-        if px.kind is ExponentKind.ZERO_LIMIT:
-            return _identric_mean(a, b)
+    if abs(p) <= P_SNAP:
+        return _identric_mean(a, b)
+    if abs(p + 1.0) <= P_SNAP:
         return _logarithmic_mean(a, b)              # the p = -1 limit
-    p = px.value
     hi, lo, m = _unit_scaled(*_sorted_pair(a, b))
     t = (0.5 * hi - 0.5 * lo) / (0.5 * hi + 0.5 * lo)
     if t <= 0.1 and abs(p) <= 8.0:

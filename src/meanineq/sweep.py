@@ -8,7 +8,10 @@ so reports are byte-identical for any worker count; re-evaluating the
 reported argmin inputs reproduces the minimum margin bit-for-bit.
 
 Both sweeps run through one driver over a list of groups: a group is one
-draw per sample and the ids that read it.  Under the catalog's sampling
+draw per sample and the ids that read it.  A draw is a tuple of the rows'
+arguments, ``(quad, p, q)`` or ``(quad,)``, ``(a, b)``, ``(x, y)``,
+``(n,)`` or Ky Fan's ``(n, values)``, and each row takes a prefix of it.
+Under the catalog's sampling
 contract 3 (``SAMPLING``, which its report names), every quad-arity id of a
 sweep reads one quad per sample from the stream ``catalog/quad``, plus one
 p and one q from ``catalog/quad/exponents`` when a quad_pq id is in the
@@ -23,8 +26,9 @@ the aggregate and dropped before the next.  Both halves judge rows through
 ``report.judge`` and build no SlackReport: a catalog sample through its
 entry's ``InequalityEntry.margin``, a Ky Fan sample through
 ``kyfan.margins``.  A report is built only where a caller shows one.  The
-sampled quad goes to the row as is; an id's echoed input dict, which holds
-only the inputs its own row reads, is built only for violation echoes, CSV
+sampled quad goes to the row as is; an id's echoed input dict, which its
+arity's echo (``catalog.ARITY_ECHO``, the one a report reads) builds from
+the arguments its own row takes, is built only for violation echoes, CSV
 rows and ``argmin_inputs``.
 
 A chunk of up to ``_CHUNK`` samples of one group is the unit of work.  Its
@@ -51,7 +55,6 @@ import tempfile
 import time
 from typing import Callable, NamedTuple
 
-from . import catalog
 from .report import EQUALITY, VIOLATED, dumps
 from .rng import (DEFAULT_RANGE, SampleStream, _log_bounds, accepted_classes, sample_exponent,
                   sample_int, sample_kyfan_values, sample_pair, sample_quad)
@@ -138,6 +141,9 @@ class SweepConfig(_SweepFields):
 def resolve_ids(ids) -> tuple:
     if isinstance(ids, str):
         ids = [ids]
+    if not ids:                     # a Ky Fan sweep's config: no catalog to compile
+        return ()
+    from . import catalog
     out = []
     for id in ids:
         if id.strip().upper() == "ALL":
@@ -155,26 +161,19 @@ def _draw_n(stream, index):
     return max(lo, min(hi, n))
 
 
-def _public_inputs(inputs, names=None):
-    """The inputs ``names`` (every input by default) as reports and CSV rows
-    echo them: the quad's coordinates in place of the quad."""
-    out = {}
-    for name in names or inputs:
-        if name == "quad":
-            out.update(inputs["quad"].as_dict())
-        else:
-            out[name] = inputs[name]
-    return out
+def _echo_kyfan(n, values):
+    return {"n": n, "values": values}
 
 
 class _Agg:
     """One id's counts, minimum margin and echoed violations over its samples."""
 
-    __slots__ = ("names", "samples_run", "equality_cases", "min_margin", "argmin_index",
-                 "violations", "violation_count")
+    __slots__ = ("echo", "count", "samples_run", "equality_cases", "min_margin",
+                 "argmin_index", "violations", "violation_count")
 
-    def __init__(self, names=None):
-        self.names = names              # the inputs its echoes show; None for every input
+    def __init__(self, echo=None, count=0):
+        self.echo = echo                # its first ``count`` arguments -> the inputs it shows
+        self.count = count
         self.samples_run = 0
         self.equality_cases = 0
         self.min_margin = float("inf")
@@ -182,13 +181,13 @@ class _Agg:
         self.violations = []
         self.violation_count = 0
 
-    def update(self, index, margin, verdict, inputs):
+    def update(self, index, margin, verdict, args):
         self.samples_run += 1
         if verdict == VIOLATED:
             self.violation_count += 1
             if len(self.violations) < _MAX_VIOLATION_ECHOES:
                 self.violations.append({"sample_index": index, "margin": margin,
-                                        "inputs": _public_inputs(inputs, self.names)})
+                                        "inputs": self.echo(*args[:self.count])})
         elif verdict == EQUALITY:
             self.equality_cases += 1
         if margin < self.min_margin or (margin == self.min_margin
@@ -212,94 +211,87 @@ class _Agg:
 class _Group(NamedTuple):
     """Ids evaluated together from one draw per sample."""
     ids: tuple
-    draw: Callable                    # index -> inputs; the argmin replay uses it too
-    evaluate: Callable                # inputs -> iterable of (id, margin, verdict)
-    reads: dict                       # id -> names of the inputs its echoes show
+    draw: Callable                    # index -> the rows' arguments; the argmin replay uses it too
+    evaluate: Callable                # arguments -> iterable of (id, margin, verdict)
+    echoes: dict                      # id -> (echo, count): echo shows its first count arguments
 
 
-#: The drawn inputs each arity's row takes, in its order.  Every draw lists
-#: its inputs in that order, and a quad id's row takes a prefix of the quad
-#: group's draw: the quad, then p and q.
-_ROW_INPUTS = {"quad": ("quad",), "quad_pq": ("quad", "p", "q"), "pair": ("a", "b"),
-               "xy": ("x", "y"), "seq_n": ("n",)}
-
-
-#: The arities whose ids share one draw per sample, by the key of their
-#: group; any other id draws alone.  A group draws from ``catalog/{key}``.
-_SHARED_DRAWS = {"quad": "quad", "quad_pq": "quad", "seq_n": "seq_n"}
-
-
-def _catalog_layout(config):
-    """Each group's entries by draw key, in group order: a group is placed
-    where the first of its ids is listed."""
+def _layout(kind, config):
+    """Each group's ids by draw key, in group order: a catalog group is
+    placed where the first of its ids is listed; Ky Fan is one group."""
+    if kind == "kyfan_sweep":
+        from . import kyfan     # a catalog sweep never compiles the Ky Fan module
+        return {"kyfan": kyfan.KYFAN_IDS}
+    from . import catalog
     layout = {}
     for id in resolve_ids(config.ids):
-        entry = catalog.REGISTRY[id]
-        layout.setdefault(_SHARED_DRAWS.get(entry.arity, id), []).append(entry)
+        arity = catalog.REGISTRY[id].arity
+        # quad and quad_pq ids share a quad, seq_n ids an n; pair and xy ids draw alone
+        layout.setdefault(id if arity in ("pair", "xy") else arity.removesuffix("_pq"),
+                          []).append(id)
     return layout
-
-
-def _kyfan_group(config):
-    from . import kyfan     # a catalog sweep never compiles the Ky Fan module
-    nlo, nhi = config.kyfan_n_range
-    stream = SampleStream(config.seed, "kyfan/values")
-    nstream = SampleStream(config.seed, "kyfan/n")
-
-    def draw(index):
-        n = sample_int(nstream, index, nlo, nhi)
-        return {"n": n, "values": sample_kyfan_values(stream, index, n)}
-
-    def evaluate(inputs):
-        return kyfan.margins(kyfan.compute_stats(kyfan.KyFanSample(inputs["values"])))
-
-    return _Group(kyfan.KYFAN_IDS, draw, evaluate,
-                  dict.fromkeys(kyfan.KYFAN_IDS, ("n", "values")))
 
 
 def _group(kind, config, pos):
     """Group ``pos`` of a sweep; the driver and every chunk build groups here.
 
-    A catalog group judges the ids of one draw key on one draw per sample.
+    A draw returns the rows' arguments, and each row takes a prefix of them.
     The quad group draws one quad, plus one p and one q from
     ``catalog/quad/exponents`` only when a quad_pq id is among its ids, so
     an id's draws do not depend on which other ids its sweep holds.  Its
     rows share the quad's means through ``OrderedQuad.memo``, as the
-    sequence rows share the link values of their n.
+    sequence rows share the link values of their n.  A Ky Fan draw is
+    ``(n, values)``, and one sample's statistics feed every id.
     """
-    if kind == "kyfan_sweep":
-        return _kyfan_group(config)
-    key, entries = list(_catalog_layout(config).items())[pos]
-    stream = SampleStream(config.seed, f"catalog/{key}")
-    sign, bounds = config.sign, config.bounds
+    key, ids = list(_layout(kind, config).items())[pos]
     # each draw calls its samplers by their module names on every sample, so
     # wrapping those names sees every draw
-    if key == "seq_n":
-        def draw(index):
-            return {"n": _draw_n(stream, index)}
-    elif key != "quad":                     # a pair or xy id, alone
-        names, min_ratio = catalog.ARITY_INPUTS[entries[0].arity], entries[0].min_ratio
+    if key == "kyfan":
+        from . import kyfan
+        nlo, nhi = config.kyfan_n_range
+        stream = SampleStream(config.seed, "kyfan/values")
+        nstream = SampleStream(config.seed, "kyfan/n")
 
         def draw(index):
-            return dict(zip(names, sample_pair(stream, index, bounds=bounds,
-                                               min_ratio=min_ratio)))
+            n = sample_int(nstream, index, nlo, nhi)
+            return n, sample_kyfan_values(stream, index, n)
+
+        def evaluate(args):
+            return kyfan.margins(kyfan.compute_stats(kyfan.KyFanSample(args[1])))
+
+        return _Group(ids, draw, evaluate, dict.fromkeys(ids, (_echo_kyfan, 2)))
+    from . import catalog
+    entries = [catalog.REGISTRY[id] for id in ids]
+    stream = SampleStream(config.seed, f"catalog/{key}")
+    sign, bounds = config.sign, config.bounds
+    if key == "seq_n":
+        def draw(index):
+            return (_draw_n(stream, index),)
+    elif key != "quad":                     # a pair or xy id, alone
+        min_ratio = entries[0].min_ratio
+
+        def draw(index):
+            return sample_pair(stream, index, bounds=bounds, min_ratio=min_ratio)
     elif any(entry.arity == "quad_pq" for entry in entries):
         pstream = SampleStream(config.seed, "catalog/quad/exponents")
 
         def draw(index):
-            return {"quad": sample_quad(stream, index, sign=sign, bounds=bounds),
-                    "p": sample_exponent(pstream, index, salt0=1),
-                    "q": sample_exponent(pstream, index, salt0=2)}
+            return (sample_quad(stream, index, sign=sign, bounds=bounds),
+                    sample_exponent(pstream, index, salt0=1),
+                    sample_exponent(pstream, index, salt0=2))
     else:
         def draw(index):
-            return {"quad": sample_quad(stream, index, sign=sign, bounds=bounds)}
-    reads = {entry.id: _ROW_INPUTS[entry.arity] for entry in entries}
-    rows = [(entry.id, entry.margin, len(reads[entry.id])) for entry in entries]
+            return (sample_quad(stream, index, sign=sign, bounds=bounds),)
+    # a row's arguments are its arity's inputs, a quad in place of a, b, c, d
+    echoes = {entry.id: (catalog.ARITY_ECHO[entry.arity],
+                         len(catalog.ARITY_INPUTS[entry.arity]) - (3 if key == "quad" else 0))
+              for entry in entries}
+    rows = [(entry.id, entry.margin, echoes[entry.id][1]) for entry in entries]
 
-    def evaluate(inputs):
-        args = tuple(inputs.values())
+    def evaluate(args):
         return [(id, *margin(*args[:count])) for id, margin, count in rows]
 
-    return _Group(tuple(reads), draw, evaluate, reads)
+    return _Group(tuple(ids), draw, evaluate, echoes)
 
 
 def _run_chunk(task):
@@ -314,19 +306,19 @@ def _run_chunk(task):
     """
     kind, config, pos, start, part = task
     group = _group(kind, config, pos)
-    aggs = {id: _Agg(group.reads[id]) for id in group.ids}
+    aggs = {id: _Agg(*group.echoes[id]) for id in group.ids}
     with open(part, "w", newline="") if part else contextlib.nullcontext() as fh:
         for index in range(start, min(start + _CHUNK, config.samples)):
-            inputs = group.draw(index)
-            texts = {}                  # one quoted echo per set of names read
-            for id, margin, verdict in group.evaluate(inputs):
+            args = group.draw(index)
+            texts = {}                  # one quoted echo per echo function
+            for id, margin, verdict in group.evaluate(args):
                 agg = aggs[id]
-                agg.update(index, margin, verdict, inputs)
+                agg.update(index, margin, verdict, args)
                 if part:
-                    text = texts.get(agg.names)
+                    text = texts.get(agg.echo)
                     if text is None:
-                        text = dumps(_public_inputs(inputs, agg.names))
-                        text = texts[agg.names] = '"' + text.replace('"', '""') + '"'
+                        text = dumps(agg.echo(*args[:agg.count]))
+                        text = texts[agg.echo] = '"' + text.replace('"', '""') + '"'
                     fh.write(f"{id},{index},{text},{margin!r},{verdict}\r\n")
     return aggs
 
@@ -371,7 +363,7 @@ def _chunk_results(tasks, evals, workers):
             raise
 
 
-def _run_groups(kind, config, ids, n_groups, csv_path):
+def _run_groups(kind, config, ids, csv_path):
     """Run every group over the configured samples and assemble the report,
     its results in the order of ``ids``.
 
@@ -381,13 +373,13 @@ def _run_groups(kind, config, ids, n_groups, csv_path):
     distinct argmin index once, in this process.
     """
     t0 = time.monotonic()
-    groups = [_group(kind, config, pos) for pos in range(n_groups)]
+    groups = [_group(kind, config, pos) for pos in range(len(_layout(kind, config)))]
     evals = config.samples * sum(len(group.ids) for group in groups)
     totals = {id: _Agg() for group in groups for id in group.ids}
     with (tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(csv_path)))
           if csv_path else contextlib.nullcontext()) as parts:
         tasks = [(kind, config, pos, start, parts and os.path.join(parts, f"{pos}-{start}.csv"))
-                 for pos in range(n_groups) for start in range(0, config.samples, _CHUNK)]
+                 for pos in range(len(groups)) for start in range(0, config.samples, _CHUNK)]
         for aggs in _chunk_results(tasks, evals, config.workers):
             for id, agg in aggs.items():
                 totals[id].merge(agg)
@@ -404,11 +396,12 @@ def _run_groups(kind, config, ids, n_groups, csv_path):
                 echo = replay = None
             else:
                 if index not in replays:
-                    inputs = group.draw(index)
-                    replays[index] = inputs, {
-                        k: margin for k, margin, _ in group.evaluate(inputs)}
-                inputs, margins = replays[index]
-                echo = _public_inputs(inputs, group.reads[id])
+                    args = group.draw(index)
+                    replays[index] = args, {
+                        k: margin for k, margin, _ in group.evaluate(args)}
+                args, margins = replays[index]
+                show, count = group.echoes[id]
+                echo = show(*args[:count])
                 replay = margins[id]
             results[id] = {
                 "samples_run": agg.samples_run,
@@ -439,8 +432,7 @@ def run_sweep(config: SweepConfig, csv_path: str | None = None) -> dict:
     dumps one row per id and sample.  The report names its ``sampling``
     contract.
     """
-    report = _run_groups("catalog_sweep", config, resolve_ids(config.ids),
-                         len(_catalog_layout(config)), csv_path)
+    report = _run_groups("catalog_sweep", config, resolve_ids(config.ids), csv_path)
     report["sampling"] = SAMPLING
     return report
 
@@ -448,7 +440,7 @@ def run_sweep(config: SweepConfig, csv_path: str | None = None) -> dict:
 def run_kyfan_sweep(config: SweepConfig, csv_path: str | None = None) -> dict:
     """Evaluate EQ18 .. EQ31 over random Ky Fan samples with random n."""
     from . import kyfan
-    return _run_groups("kyfan_sweep", config, kyfan.KYFAN_IDS, 1, csv_path)
+    return _run_groups("kyfan_sweep", config, kyfan.KYFAN_IDS, csv_path)
 
 
 def _write_csv(path, parts):

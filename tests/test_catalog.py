@@ -322,10 +322,11 @@ class TestMarginsMatchReports:
         for id in ids:
             entry = REGISTRY[id]
             group = _alone(id, config)
+            echo, _ = group.echoes[id]
             for index in range(count):
-                inputs = group.draw(index)
-                got = _outcome(entry.margin, *inputs.values())
-                want = _outcome(_reported, entry, **sweep._public_inputs(inputs))
+                args = group.draw(index)
+                got = _outcome(entry.margin, *args)
+                want = _outcome(_reported, entry, **echo(*args))
                 assert got == want, (id, index)
                 # the verdict, or the name of the exception raised
                 verdicts[id].add(got.rsplit("'", 2)[-2] if isinstance(got, str)
@@ -382,7 +383,7 @@ class TestMarginsMatchReports:
         entry = REGISTRY[id]
         group = _alone(id, SweepConfig(seed=7))
         for index in range(20):
-            slacks, tolerance, _ = entry.row(*group.draw(index).values())
+            slacks, tolerance, _ = entry.row(*group.draw(index))
             assert len(slacks) == len(entry.links) and type(tolerance) is float
             assert all(type(s) is float for s in slacks)
 

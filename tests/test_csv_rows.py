@@ -32,8 +32,7 @@ def _checked_rows(path, kind, config):
 
     header, *rows = rows
     assert header == HEADER
-    n_groups = 1 if kind == "kyfan_sweep" else len(sweep._catalog_layout(config))
-    groups = [sweep._group(kind, config, pos) for pos in range(n_groups)]
+    groups = [sweep._group(kind, config, pos) for pos in range(len(sweep._layout(kind, config)))]
     owner = {id: group for group in groups for id in group.ids}
     drawn = {}
     for id, index, inputs, margin, verdict in rows:
@@ -41,8 +40,8 @@ def _checked_rows(path, kind, config):
         key = (group.ids, int(index))
         if key not in drawn:
             drawn[key] = group.draw(int(index))
-        assert json.loads(inputs) == sweep._public_inputs(drawn[key], group.reads[id]), (
-            id, index)
+        echo, count = group.echoes[id]
+        assert json.loads(inputs) == echo(*drawn[key][:count]), (id, index)
         assert repr(float(margin)) == margin
     return rows
 

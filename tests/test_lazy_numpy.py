@@ -78,7 +78,10 @@ EQ5_CHECK = ("ineq-check", "--id", "EQ5", "--a", "4", "--b", "3", "--c", "2", "-
     (("sweep", "--ids", "EQ5", "--samples", "20"),
      ("meanineq.catalog", "meanineq.rng", "meanineq.sweep", "hashlib"),
      ("meanineq.kyfan", "meanineq.oracle")),
-], ids=["import", "ineq-check", "means-eval", "oracle-compare", "kyfan-check", "sweep"])
+    (("kyfan-sweep", "--samples", "20"), ("meanineq.kyfan", "meanineq.rng", "meanineq.sweep"),
+     ("meanineq.catalog", "meanineq.oracle")),
+], ids=["import", "ineq-check", "means-eval", "oracle-compare", "kyfan-check", "sweep",
+        "kyfan-sweep"])
 def test_each_command_loads_only_what_it_runs(argv, loads, skips):
     loaded = _probe(argv)
     assert set(loads) <= set(loaded) and not set(skips) & set(loaded), loaded

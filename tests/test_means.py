@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from meanineq import means
 from meanineq.means import (arithmetic_mean, geometric_mean, harmonic_mean,
                             identric_mean, ln_identric, logarithmic_mean,
-                            mean_chain_slacks, p_logarithmic_mean,
-                            ExponentKind, PExponent)
+                            mean_chain_slacks, p_logarithmic_mean)
 from meanineq.oracle import PUBLISHED_BOUNDS, oracle_eval, oracle_rel_err
 from meanineq.rng import SampleStream
 
@@ -57,18 +56,24 @@ class TestWorkedValues:
                                                                rel=1e-6)
 
     def test_exponent_kinds(self):
-        assert PExponent.from_value(0.5).kind is ExponentKind.GENERIC
-        assert PExponent.from_value(1e-6).kind is ExponentKind.ZERO_LIMIT
-        assert PExponent.from_value(-1.0 - 1e-6).kind is ExponentKind.MINUS_ONE_LIMIT
-        assert PExponent.from_value(-1.0 - 2e-6).kind is ExponentKind.GENERIC
+        def snapped(p):
+            """The limit mean Lp(4, 2) snaps p to: "I", "L", or None for the closed form."""
+            value = p_logarithmic_mean(4, 2, p)
+            return {identric_mean(4, 2): "I", logarithmic_mean(4, 2): "L"}.get(value)
+
+        assert snapped(0.5) is None
+        assert snapped(1e-6) == "I"
+        assert snapped(-1.0 - 1e-6) == "L"
+        assert snapped(-1.0 - 2e-6) is None
         for p in (0, 0.0, means.P_SNAP, -means.P_SNAP):
-            assert PExponent.from_value(p).kind is ExponentKind.ZERO_LIMIT, p
+            assert snapped(p) == "I", p
         for p in (-1, -1.0):
-            assert PExponent.from_value(p).kind is ExponentKind.MINUS_ONE_LIMIT, p
+            assert snapped(p) == "L", p
         for p in (2 * means.P_SNAP, -2 * means.P_SNAP, 0.5):
-            assert PExponent.from_value(p).kind is ExponentKind.GENERIC, p
-        px = PExponent.from_value(-1)
-        assert px.value == -1.0 and type(px.value) is float
+            assert snapped(p) is None, p
+        for p in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"exponent must be finite, got {p!r}"):
+                p_logarithmic_mean(4, 2, p)
 
     def test_chain_worked(self):
         assert mean_chain_slacks(1, 1) == (0.0, 0.0, 0.0, 0.0)
@@ -229,8 +234,7 @@ class TestProperties:
                 # -1 + 1e-6 parses a hair outside the snap window; either way
                 # the value must sit within 1e-5 of the logarithmic mean
                 assert abs(p_logarithmic_mean(a, b, p) - l_val) / l_val <= 1e-5
-            if PExponent.from_value(-1.0 - 1e-6).kind is ExponentKind.MINUS_ONE_LIMIT:
-                assert p_logarithmic_mean(a, b, -1.0 - 1e-6) == l_val
+            assert p_logarithmic_mean(a, b, -1.0 - 1e-6) == l_val   # snapped exactly
             for p in (2e-6, -2e-6):
                 assert abs(p_logarithmic_mean(a, b, p) - i_val) / i_val <= 1e-5
             for p in (-1.0 + 2e-6, -1.0 - 2e-6):

@@ -4,12 +4,11 @@ import pickle
 
 import pytest
 
-from meanineq import catalog, kyfan, means, oracle
+from meanineq import catalog, kyfan, oracle
 from meanineq.sweep import SweepConfig
 
 # Each record type with a way to build one and one of its fields.
 RECORDS = {
-    "PExponent": (lambda: means.PExponent.from_value(0.5), "kind"),
     "OracleResult": (lambda: oracle.oracle_eval("A", {"a": 4.0, "b": 1.0}, digits=30),
                      "value"),
     "InequalityEntry": (lambda: catalog.REGISTRY["EQ5"], "links"),

@@ -5,6 +5,7 @@ import pytest
 
 from meanineq.report import (EQUALITY, HOLDS, VIOLATED, SlackReport, build_report, dumps,
                              judge)
+from meanineq.catalog import _echo_pair
 from meanineq.sweep import _Agg
 
 
@@ -30,14 +31,14 @@ class TestNanVerdicts:
         assert rep.margin == -1e-12
 
     def test_nan_violated_sample_counts_and_echoes(self):
-        agg = _Agg()
-        agg.update(0, math.nan, VIOLATED, {"a": 1.0})
-        agg.update(1, 0.5, HOLDS, {"a": 2.0})
+        agg = _Agg(_echo_pair, 2)
+        agg.update(0, math.nan, VIOLATED, (1.0, 3.0, "unread"))
+        agg.update(1, 0.5, HOLDS, (2.0, 3.0, "unread"))
         assert agg.violation_count == 1
         assert agg.samples_run == 2
         assert agg.violations[0]["sample_index"] == 0
         assert math.isnan(agg.violations[0]["margin"])
-        assert agg.violations[0]["inputs"] == {"a": 1.0}
+        assert agg.violations[0]["inputs"] == {"a": 1.0, "b": 3.0}
 
     def test_report_is_immutable(self):
         rep = build_report("X", {"a": 1.0}, ("s",), (1.0,), "log_ratio", 1e-9, False)

@@ -14,10 +14,10 @@ import math
 
 import pytest
 
-from meanineq import catalog, rng, sweep
+from meanineq import catalog, kyfan, rng, sweep
 from meanineq.report import EQUALITY, VIOLATED, dumps
 from meanineq.rng import SampleStream
-from meanineq.sweep import SweepConfig, run_sweep
+from meanineq.sweep import SweepConfig, run_kyfan_sweep, run_sweep
 
 #: Just over one chunk, so the second chunk is a short tail.
 SAMPLES = 1030
@@ -117,12 +117,12 @@ def test_one_quad_per_sample(monkeypatch):
     assert len(set(built)) == samples
 
 
-def test_public_inputs_echo_quad_coordinates():
+def test_quad_pq_echo_shows_quad_coordinates():
     stream = SampleStream(3, "echo")
     quad = rng.sample_quad(stream, 0)
-    inputs = {"quad": quad, "p": 0.5, "q": 2.0}
-    assert sweep._public_inputs(inputs) == {**quad.as_dict(), "p": 0.5, "q": 2.0}
-    assert list(sweep._public_inputs(inputs)) == ["a", "b", "c", "d", "p", "q"]
+    echo = catalog.ARITY_ECHO["quad_pq"](quad, 0.5, 2.0)
+    assert echo == {**quad.as_dict(), "p": 0.5, "q": 2.0}
+    assert list(echo) == ["a", "b", "c", "d", "p", "q"]
 
 
 # --- sampling contract 3: an id's result does not depend on the id set -------
@@ -198,7 +198,7 @@ def test_eq12_over_the_whole_binary64_range():
     sample raises and none reads NaN.  EQ4 and SLOPE_3 still raise there, so
     EQ12's group is run chunk by chunk as the all-ids sweep lays it out."""
     config = SweepConfig(ids=("ALL",), samples=2000, seed=42, bounds=(1e-300, 1e300))
-    pos = list(sweep._catalog_layout(config)).index("EQ12")
+    pos = list(sweep._layout("catalog_sweep", config)).index("EQ12")
     total = sweep._Agg()
     for start in range(0, config.samples, sweep._CHUNK):
         total.merge(sweep._run_chunk(("catalog_sweep", config, pos, start, None))["EQ12"])
@@ -208,3 +208,37 @@ def test_eq12_over_the_whole_binary64_range():
     rep = run_sweep(config._replace(ids=("EQ12",)))
     assert (rep["results"]["EQ12"]["min_margin"], rep["total_violations"]) == (
         total.min_margin, 0)
+
+
+# --- every echo is a valid input that reproduces its margin ------------------
+
+@pytest.mark.parametrize("sign", ["any", "positive", "negative", "zero"])
+@pytest.mark.parametrize("seed", [1, 42])
+def test_argmin_inputs_reproduce_min_margin(seed, sign):
+    rep = run_sweep(SweepConfig(ids=("ALL",), samples=500, seed=seed, sign=sign))
+    for id, result in rep["results"].items():
+        again = catalog.evaluate(id, **result["argmin_inputs"])
+        assert repr(again.margin) == repr(result["min_margin"]), (id, result)
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_violation_echoes_reproduce_their_margins(seed):
+    # at 1e+-30 EQ13 and EQ14 lose their smallest slacks to rounding
+    rep = run_sweep(SweepConfig(ids=("EQ13", "EQ14"), samples=2000, seed=seed,
+                                bounds=(1e-30, 1e30)))
+    assert rep["total_violations"] > 0
+    for id, result in rep["results"].items():
+        echoes = [(v["inputs"], v["margin"]) for v in result["violations"]]
+        for inputs, margin in echoes + [(result["argmin_inputs"], result["min_margin"])]:
+            again = catalog.evaluate(id, **inputs)
+            assert repr(again.margin) == repr(margin), (id, inputs)
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_kyfan_argmin_values_reproduce_min_margin(seed):
+    rep = run_kyfan_sweep(SweepConfig(ids=(), samples=500, seed=seed))
+    for id, result in rep["results"].items():
+        inputs = result["argmin_inputs"]
+        assert len(inputs["values"]) == inputs["n"]
+        reports = kyfan.all_slacks(kyfan.compute_stats(kyfan.KyFanSample(inputs["values"])))
+        assert repr(reports[id].margin) == repr(result["min_margin"]), id
