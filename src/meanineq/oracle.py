@@ -21,25 +21,35 @@ r1 = ln(a/b), r2 = ln(c/d), r0 = ln(b/d), E1 = (a/b)^x and E2 = (c/d)^x:
 Every logarithm and exponential is summed on Python ints in binary fixed
 point, with no Decimal arithmetic until one division of exact ints rounds
 the result once in the working context (Brent and Zimmermann, Modern
-Computer Arithmetic, 4.3-4.4).  ``_exp_fixed`` halves x to u = x/2^s <
-2^-10, sums sinh u, takes e^u = sinh u + sqrt(1 + sinh^2 u) and squares s
-times.  ``_ln_fixed`` takes y0, the binary64 estimate of ln y, forms t = y
-e^-y0 - 1 exactly from e^|y0|, sums ln(1 + t) = 2 atanh(t/(2 + t)), three
-or four terms at |t| < 2^-30, and adds the exact y0.  Past e^(+-2^10) both
-split off a power of ten exactly, so no int passes about 1700 bits, and
-the exponent takes it.  On the benchmark's inputs an op costs about 60% of
-what libmpdec's exp and ln made it cost.  libmpdec's exp is kept where it
-is fast or nothing is left to compute, at |z| <= 2^-10 and |z| >= 2^64,
-and its ln for arguments within 1e-3 of 1 or of a power of ten, ln 10 for
-the split included.  sqrt is libmpdec's, correctly rounded.
+Computer Arithmetic, 4.3-4.4).  Both reduce their argument against tables
+of constants (Tang, ACM TOMS 15(2), 1989 and 16(4), 1990).  ``_exp`` writes
+|z| = E ln 2 + j/2^8 + k/2^16 + r with r < 2^-16 and multiplies the tables'
+e^(j/2^8) and e^(k/2^16) by e^r = sinh r + sqrt(1 + sinh^2 r); 2^E goes
+onto the quotient exactly.  ``_ln`` divides y exactly on ints into 2^E (1 +
+j/2^8) (1 + k/2^16) (1 + t) with t < 2^-16, sums ln(1 + t) = 2 atanh(t/(2 +
+t)), seven terms at 50 digits, and adds E ln 2 and the tables' two
+logarithms.  The tables hold ln 2, ln 10, ln(1 + j/2^8), ln(1 + k/2^16),
+e^(j/2^8) and e^(k/2^16) for j, k < 256, one set per precision bucket of 64
+bits (``_tables``).  ``_ln_fixed`` and ``_exp_fixed``, which take ln y from
+e^|y0| and e^x by halving and squaring, build each entry on first use, and
+the entries are kept for the life of the process: a full set is 100 KiB at
+50 digits.  Past e^(+-2^10) both split off a power of ten exactly, with the
+tables' ln 10, so no int passes about 1700 bits, and the exponent takes it.
+On the benchmark's inputs an op costs about a fifth of what libmpdec's exp
+and ln would make it cost, and three quarters of what the halving and
+squaring cost on every call.  Each kernel takes this one path at every
+precision, ln at every argument; libmpdec's exp is kept at |z| <= 2^-10,
+where it is as fast and a tiny z's exact ratio could be huge, and at |z| >=
+2^64, where e^z overflows or underflows every context.  sqrt is libmpdec's,
+correctly rounded.
 
-Every truncation in the two kernels is a floor, and their docstrings count
-them: ``_exp_fixed`` returns a lower bound within a relative 2^-bits, and
-``_ln_fixed`` a value within 2 units of 2^-bits; the split's ln 10 is
-correctly rounded, then floored once.  ``_exp`` and ``_ln`` ask for 8 or 9
-bits past the working precision, so the kernel's error is under a 250th of
-an ulp and each result is within 0.505 ulp, almost all of it the one
-rounding.
+Every truncation in the kernels is a floor, and their docstrings count
+them.  Each table entry is a floor, below the true constant by under 1.02
+units of its last bit.  ``_exp`` and ``_ln`` work at the bucket's B bits,
+at least 9 past the 8 or 9 bits they ask for beyond the working precision,
+so their counts, under 2.02 K + 10 and 2.68 K + 6 units of 2^-B with K
+about B/32 series terms, stay under a 256th of an ulp, and each result is
+within 0.505 ulp, almost all of it the one rounding.
 
 The oracle computes in its own context (``_CONTEXT``): round half even,
 exponents to +-10^9, and traps on invalid operations, division by zero and
@@ -84,22 +94,22 @@ PUBLISHED_BOUNDS = {
 _BASE_GUARD = 15
 _LN10 = math.log(10.0)
 _LOG2_10 = math.log2(10.0)
-_LOG10_2 = math.log10(2.0)
-#: ``_exp`` calls libmpdec's exp at once at |z| <= 2^-10, where it is fast,
-#: and at |z| >= 2^64, where e^z overflows or underflows every decimal context
+#: ``_exp`` calls libmpdec's exp at once at |z| <= 2^-10, where it is as
+#: fast and the exact ratio of a tiny z could be huge, and at |z| >= 2^64,
+#: where e^z overflows or underflows every decimal context
 _EXP_SMALL = Decimal("0.0009765625")
 _EXP_HUGE = 2 ** 64
 #: Past e^(+-2^10), ``_exp`` and ``_ln`` split off a power of ten, so their
 #: ints stay under about 1700 bits
 _SPLIT_BITS = 10
-#: ``_ln`` calls libmpdec's ln where y = m 10^e has m within 1e-3 of 1 or 10
-_LN_NEAR_1 = math.log(1.001)
-_LN_NEAR_10 = math.log(9.99)
 #: The oracle's working context, whatever the caller's: every field given, so
 #: neither the caller's context nor ``decimal.DefaultContext`` reaches it.
 #: ``localcontext`` works on a copy, so this one never changes.
 _CONTEXT = Context(prec=28, rounding=ROUND_HALF_EVEN, Emax=10 ** 9, Emin=-(10 ** 9),
                    capitals=1, clamp=0, traps=[InvalidOperation, DivisionByZero, Overflow])
+#: Precision bucket B -> ``_Tables``, the constants ``_exp`` and ``_ln``
+#: reduce against, kept for the life of the process
+_TABLES = {}
 _RATIO_OPS = ("f", "g", "f_prime", "g_prime")
 _INPUT_KEYS = {"L": "ab", "I": "ab", "Lp": "abp", **dict.fromkeys(_RATIO_OPS, "abcdx")}
 
@@ -123,28 +133,17 @@ def _cancel_guard(*magnitudes):
     return extra
 
 
-def _exp_fixed(n, d, bits):
-    """e^x at x = n/d >= 0 in binary fixed point: (F, wp) with
-    2^wp e^x (1 - 2^-bits) < F <= 2^wp e^x.
+def _exp_small(u, wp):
+    """e^(u/2^wp) at 0 <= u < 2^(wp - 10), as an int at most 2^wp e^(u/2^wp).
 
-    Every step is a floor on nonnegative ints, so F is a lower bound.  With s
-    the least count that makes u = x/2^s < 2^-10, and g the bit length of
-    bits + s, wp = bits + s + g.  In units of 2^-wp: the terms of sinh u,
-    T_1 = U = floor(u 2^wp) and T_(k+2) = floor(T_k U2/((k + 1)(k + 2) 2^wp))
-    with U2 = floor(U^2/2^wp), each lose under 1.01, and each is 20 bits or
-    more below the one before, so K <= wp/20 + 1 of them are nonzero.  With
-    U's own floor and the tail after the last term, sinh u loses under
-    1.01 K + 2.  e^u = sinh u + sqrt(1 + sinh^2 u) loses twice that, the
-    square root's slope being below 1, and its isqrt floors once more: under
-    2.02 K + 5, on an e^u of at least 1.  Each of the s squarings doubles the
-    relative error and floors once as it shifts the square back by wp bits,
-    which costs under 2^-wp on a value of at least 1.  In all, under 2^s
-    (2.02 K + 6) 2^-wp = (2.02 K + 6) 2^-(bits + g) < 2^-bits.  The callers
-    keep x under 2^10, so F stays under 2^wp e^1024 < 2^(wp + 1478).
+    Sums the terms of sinh, T_1 = u and T_(k+2) = floor(T_k U2/((k + 1)(k +
+    2) 2^wp)) with U2 = floor(u^2/2^wp), then takes sinh + sqrt(1 + sinh^2)
+    with one ``isqrt``.  In units of 2^-wp each term loses under 1.01 and is
+    at least 20 bits below the one before, so K <= wp/20 + 1 of them are
+    nonzero; with the tail, sinh loses under 1.01 K + 1.  The square root's
+    slope is below 1, so the result loses twice that and one floor more:
+    under 2.02 K + 3, on a value of at least 2^wp.
     """
-    s = max(0, n.bit_length() - d.bit_length() + 11)     # x < 2^(s - 10)
-    wp = bits + s + (bits + s).bit_length()
-    u = (n << (wp - s)) // d
     u2 = u * u >> wp
     f = term = u
     k = 1
@@ -152,7 +151,43 @@ def _exp_fixed(n, d, bits):
         k += 2
         term = (term * u2 >> wp) // (k * k - k)
         f += term
-    f += math.isqrt(f * f + (1 << 2 * wp))
+    return f + math.isqrt(f * f + (1 << 2 * wp))
+
+
+def _atanh(v, w):
+    """2^w atanh(v/2^w) at 0 <= v < 2^(w - 17), as v + v^3/3 + v^5/5 + ...
+
+    One floor per power and per quotient.  In units of 2^-w each term after
+    the first loses under 1.34 and the tail under 1, so the sum of K nonzero
+    terms is at most 2^w atanh(v/2^w) and within 1.34 K of it.  Each power
+    is at least 34 bits below the one before: K <= w/34 + 1.
+    """
+    v2 = v * v >> w
+    total, k = 0, 1
+    while v:
+        total += v // k
+        v = v * v2 >> w
+        k += 2
+    return total
+
+
+def _exp_fixed(n, d, bits):
+    """e^x at x = n/d >= 0 in binary fixed point: (F, wp) with
+    2^wp e^x (1 - 2^-bits) < F <= 2^wp e^x.  It builds the tables' e^(j/2^8)
+    and e^(k/2^16) (``_exp_floor``), and nothing else.
+
+    Every step is a floor on nonnegative ints, so F is a lower bound.  With s
+    the least count that makes u = x/2^s < 2^-10, and g the bit length of
+    bits + s, wp = bits + s + g.  ``_exp_small`` takes e^u from U =
+    floor(u 2^wp): with U's own floor, under 2.02 K + 5 units of 2^-wp on an
+    e^u of at least 1, K <= wp/20 + 1.  Each of the s squarings doubles the
+    relative error and floors once as it shifts the square back by wp bits,
+    which costs under 2^-wp on a value of at least 1.  In all, under 2^s
+    (2.02 K + 6) 2^-wp = (2.02 K + 6) 2^-(bits + g) < 2^-bits.
+    """
+    s = max(0, n.bit_length() - d.bit_length() + 11)     # x < 2^(s - 10)
+    wp = bits + s + (bits + s).bit_length()
+    f = _exp_small((n << (wp - s)) // d, wp)
     for _ in range(s):
         f = f * f >> wp
     return f, wp
@@ -160,18 +195,19 @@ def _exp_fixed(n, d, bits):
 
 def _ln_fixed(n, d, y0, bits):
     """ln y at y = n/d > 0 in binary fixed point: an int S with |S - 2^bits ln
-    y| < 2, given a binary64 y0 with |y0 - ln y| < 2^-30 and |y0| >= 2^-11.
+    y| < 2, given a binary64 y0, a multiple of 2^-bits, with |y0 - ln y| <
+    2^-30.  It builds the tables' ln 2, ln 10, ln(1 + j/2^8) and ln(1 +
+    k/2^16) (``_ln_floor``), and nothing else.
 
     Works at W = bits + g bits, g the bit length of bits.  F/2^wp = e^|y0| (1 -
     theta), theta < 2^-W, from ``_exp_fixed``, gives t = y e^-y0 - 1 on ints,
     exactly up to the floor T = floor(t 2^W), and ln y = y0 + ln(1 + t) -+ ln(1
     - theta).  y0 2^W is exact.  ln(1 + t) = 2 atanh v with v = t/(2 + t), and
-    2 (v + v^3/3 + v^5/5 + ...) is summed on |v|, one floor per power and per
-    quotient; |v| < 2^-30, so each term gains 60 bits and K <= W/60 + 1 terms
-    are nonzero.  In units of 2^-W, theta costs 1.01, T's floor 1.01, the
-    floors of |v| and v^2 2.02 once doubled, each later term 2.68 doubled and
-    the tail 2: under 4K + 6 < 2^g in all.  The final shift by g bits floors
-    once more, so |S - 2^bits ln y| < 2.
+    ``_atanh`` sums it on |v|; |v| < 2^-30, so each term gains 60 bits and K
+    <= W/60 + 1 terms are nonzero.  In units of 2^-W, theta costs 1.01, T's
+    floor 1.01, the floors of |v| and v^2 2.02 once doubled, each later term
+    2.68 doubled and the tail 2: under 4K + 6 < 2^g in all.  The final shift
+    by g bits floors once more, so |S - 2^bits ln y| < 2.
     """
     g = bits.bit_length()
     w = bits + g
@@ -182,60 +218,109 @@ def _ln_fixed(n, d, y0, bits):
     else:
         num, den = n * f, d << wp
     t = ((num - den) << w) // den        # floor(t 2^W)
-    v = (abs(t) << w) // ((2 << w) + t)  # floor(|v| 2^W)
-    v2 = v * v >> w
-    total, k = 0, 1
-    while v:
-        total += v // k
-        v = v * v2 >> w
-        k += 2
+    total = _atanh((abs(t) << w) // ((2 << w) + t), w)
     y0_w = (a << w) // b
     return ((y0_w if y0 > 0 else -y0_w) + (2 * total if t >= 0 else -2 * total)) >> g
 
 
-def _split_ln10(bits, top):
-    """ln 10 in binary fixed point, as (L, b) with |L - 2^b ln 10| < 2 at b =
-    bits + 2 + the bit length of ``top``: D ln 10 for any D <= top is then
-    within 2^-(bits + 1).
+def _ln_floor(n, d, bits):
+    """An int L with 0 <= 2^bits ln(n/d) - L < 1.02, for n >= d > 0 and n/d
+    <= 10: ``_ln_fixed`` at bits + 8 is within 2 units, so 2 less is below
+    2^(bits + 8) ln(n/d) by under 4, and the shift by 8 bits floors once.
+    ln(n/d) >= 0, so 0 is a floor too, and ln 1 is exactly 0."""
+    return max(0, (_ln_fixed(n, d, math.log(n / d), bits + 8) - 2) >> 8)
 
-    10 is a power of ten, so its ln is libmpdec's, as in ``_ln``: correctly
-    rounded at digits = ceil(b log10 2) + 2, within 10^(1 - digits) <=
-    2^-b/10, and floored once onto b bits.
-    """
-    b = bits + 2 + top.bit_length()
-    digits = math.ceil(b * _LOG10_2) + 2
-    ctx = Context(prec=digits)
-    return (int(ctx.scaleb(ctx.ln(10), digits - 1)) << b) // 10 ** (digits - 1), b
+
+def _exp_floor(n, d, bits):
+    """An int E with 0 <= 2^bits e^x - E < 1.02 at x = n/d in [0, 1):
+    ``_exp_fixed`` at bits + 8 is a lower bound within e^x 2^-8 < 0.011
+    units, and the shift floors once."""
+    f, wp = _exp_fixed(n, d, bits + 8)
+    return f >> (wp - bits)
+
+
+class _Table(dict):
+    """index -> constant, each built by ``build(index)`` on first use and kept."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, i):
+        value = self[i] = self.build(i)
+        return value
+
+
+class _Tables:
+    """The constants of one precision bucket B, every one a floor (``_ln_floor``,
+    ``_exp_floor``): below 2^B c, or 2^(B + 64) c for ln 2 and ln 10, by
+    under 1.02.  ln 2 and ln 10 are built with the bucket, the four tables
+    entry by entry as the kernels read them."""
+
+    __slots__ = ("bits", "ln2", "ln10", "ln_hi", "ln_lo", "exp_hi", "exp_lo")
+
+    def __init__(self, b):
+        self.bits = b
+        self.ln2 = _ln_floor(2, 1, b + 64)
+        self.ln10 = _ln_floor(10, 1, b + 64)
+        self.ln_hi = _Table(lambda j: _ln_floor(256 + j, 256, b))
+        self.ln_lo = _Table(lambda k: _ln_floor(65536 + k, 65536, b))
+        self.exp_hi = _Table(lambda j: _exp_floor(j, 256, b))
+        self.exp_lo = _Table(lambda k: _exp_floor(k, 65536, b))
+
+
+def _tables(bits):
+    """The constants at B, bits + g rounded up to a multiple of 64, g = 1 + the
+    bit length of bits: a count of C units of 2^-B is then under 2^-bits for
+    every C < 2 bits.  Built once per bucket and kept."""
+    b = -(-(bits + bits.bit_length() + 1) // 64) * 64
+    t = _TABLES.get(b)
+    if t is None:
+        t = _TABLES[b] = _Tables(b)
+    return t
 
 
 def _exp(z):
     """e^z for a finite Decimal, under 0.51 ulp of the context precision.
 
-    ``_exp_fixed`` computes e^|z| on ints to a relative 2^-bits, bits =
-    ceil(prec log2 10) + 8, and one Decimal division of exact ints in the
-    caller's context rounds e^|z|, or its reciprocal for negative z, once.
-    2^-bits <= 10^-prec/256 is a 256th of an ulp at most, so the result is
-    within 0.505 ulp.  At |z| >= 2^10 a power of ten is split off first:
-    e^|z| = 10^D e^(|z| - D ln 10), with ln 10 from ``_split_ln10``, whose
-    error D carries is 2^-(bits + 1) at most, D = floor(|z|/ln 10) for that
-    ln 10, so |z| - D ln 10 is in [0, ln 10), and its exponential at bits +
-    1.  The quotient then takes D onto its exponent exactly, and a unary plus
-    applies the context's range.  Overflow and underflow are the context's
-    own, signalled by the division or by that plus, in the caller's flags,
-    which ``oracle_eval`` reads.
+    e^|z| is taken on ints to a relative 2^-bits, bits = ceil(prec log2 10) +
+    8, against the constants of ``_tables(bits)`` at B bits, and one Decimal
+    division of exact ints in the caller's context rounds e^|z|, or its
+    reciprocal for negative z, once.  2^-bits <= 10^-prec/256 is a 256th of
+    an ulp at most, so the result is within 0.505 ulp.
+
+    X = floor(|z| 2^(B + 64)) is reduced on ints: past e^(2^10) by D ln 10,
+    D = floor(X/ln10) for the table's ln 10, then by E ln 2 the same way,
+    so x = |z| - D ln 10 - E ln 2 is in [0, ln 2).  With X shifted back to B
+    bits, x = j/2^8 + k/2^16 + r, r < 2^-16, and e^|z| = 10^D 2^E e^(j/2^8)
+    e^(k/2^16) e^r, e^r from ``_exp_small`` at B.  In units of 2^-B, as
+    relative errors: x loses under 1.01 to the floors and D ln 10 + E ln 2
+    under 1.02 (D + E) 2^-64 < 0.52 (D < 2^63 as |z| < 2^64, E < 2^11),
+    which e^x turns into under 1.55; e^r loses under 2.02 K + 3, K <= B/32
+    + 1; each table entry 1.02 and each product's floor 1.  Under 2.02 K +
+    10 in all, below 2 bits, so under 2^-bits.  The quotient then takes D
+    onto its exponent exactly, and a unary plus applies the context's range.
+    Overflow and underflow are the context's own, signalled by the division
+    or by that plus, in the caller's flags, which ``oracle_eval`` reads.
     """
     mag = z.copy_abs()
     if not _EXP_SMALL < mag < _EXP_HUGE:     # e^0 is exactly 1 here
         return z.exp()
-    bits = math.ceil(getcontext().prec * _LOG2_10) + 8
+    t = _tables(math.ceil(getcontext().prec * _LOG2_10) + 8)
+    b = t.bits
     n, d = mag.as_integer_ratio()
+    x = (n << (b + 64)) // d
     tens = 0
     if n >= d << _SPLIT_BITS:
-        ln10, b = _split_ln10(bits, n // d)
-        tens = (n << b) // (d * ln10)
-        n, d, bits = (n << b) - d * tens * ln10, d << b, bits + 1
-    num, wp = _exp_fixed(n, d, bits)
-    den = 1 << wp
+        tens, x = divmod(x, t.ln10)
+    twos, x = divmod(x, t.ln2)
+    x >>= 64
+    f = _exp_small(x & ((1 << (b - 16)) - 1), b) * t.exp_hi[x >> (b - 8)] >> b
+    f = f * t.exp_lo[(x >> (b - 16)) & 255] >> b
+    shift = b - twos                         # e^|z| = f 2^-shift 10^tens
+    num, den = (f, 1 << shift) if shift >= 0 else (f << -shift, 1)
     if z < 0:
         num, den, tens = den, num, -tens
     out = Decimal(num) / den
@@ -252,15 +337,23 @@ def _exp(z):
 def _ln(y):
     """ln y for a finite positive Decimal, under 0.51 ulp of the context precision.
 
-    With y = n/d exactly, y0 = ln n - ln d is a binary64 estimate within
-    2^-30 of ln y.  ``_ln_fixed`` carries ln y to bits = ceil(prec log2 10) +
-    9 + max(0, ceil(-log2 |y0|)), so its error of 2 units is under a 250th
-    of an ulp, and one Decimal division of exact ints rounds it once: the
-    result is within 0.505 ulp.  Where |ln y| may reach 2^10, the power of
-    ten is split off exactly first, y = m 10^e and ln y = ln m + e ln 10,
-    each at bits + 2 + the bit length of e (``_split_ln10``).  Arguments
-    within 1e-3 of 1 or of a power of ten, where libmpdec's ln is fast, are
-    libmpdec's.
+    ln y is taken on ints against the constants of ``_tables(bits)`` at B
+    bits, to within 2^-bits, and one Decimal division of exact ints rounds
+    it once.  With y = n/d exactly, bits = ceil(prec log2 10) + 9 + near,
+    near = max(0, bitlen(d) - bitlen(|n - d|) + 2) >= -log2 |ln y|, since
+    |ln y| >= |y - 1|/2 within a factor 2 of 1: 2^-bits is a 512th of an
+    ulp at most, and the result is within 0.505 ulp.  Where |ln y| may
+    reach 2^10, the power of ten is split off exactly first, y = m 10^e and
+    ln y = ln m + e ln 10, with near = 0; otherwise e = 0 below.
+
+    The reduction divides exactly on ints: y = 10^e 2^E (1 + j/2^8) (1 +
+    k/2^16) (1 + t) with t < 2^-16, so ln y = e ln 10 + E ln 2 + ln(1 +
+    j/2^8) + ln(1 + k/2^16) + 2 atanh(t/(2 + t)).  In units of 2^-B: the
+    floor of t/(2 + t) and ``_atanh`` lose under 1.34 K + 1, K <= B/34 + 1,
+    and 2.68 K + 2 once doubled; each table entry 1.02; e ln 10 + E ln 2,
+    at B + 64 bits, under 1.02 (|e| + |E|) 2^-64 < 0.52 (|e| < 2^63, |E| <
+    2^11), and its shift to B bits 1.  Under 2.68 K + 6 in all, below 2
+    bits, so under 2^-bits.  ln 1 is exactly 0: the tables' ln 1 is 0.
     """
     if not y.is_finite() or y <= 0:
         raise ValueError(f"ln needs a finite positive argument, got {y}")
@@ -271,15 +364,21 @@ def _ln(y):
         n, d = Decimal((0, digits, exp - e)).as_integer_ratio()
     else:
         n, d = y.as_integer_ratio()
-    y0 = math.log(n) - math.log(d)
-    ln_m = y0 if split else y0 - e * _LN10
-    if not _LN_NEAR_1 < ln_m < _LN_NEAR_10:   # near 1 or a power of ten: ln is fast
-        return y.ln()
-    bits = math.ceil(getcontext().prec * _LOG2_10) + 9 + max(0, 1 - math.frexp(y0)[1])
-    if not split:
-        return Decimal(_ln_fixed(n, d, y0, bits)) / (1 << bits)
-    ln10, b = _split_ln10(bits, abs(e))
-    return Decimal(_ln_fixed(n, d, y0, b) + e * ln10) / (1 << b)
+    # the count is absolute: y near 1, where |ln y| is small, takes more bits
+    near = 0 if split else max(0, d.bit_length() - abs(n - d).bit_length() + 2)
+    t = _tables(math.ceil(getcontext().prec * _LOG2_10) + 9 + near)
+    b = t.bits
+    twos = n.bit_length() - d.bit_length()    # n/d = 2^twos num/den
+    num, den = (n, d << twos) if twos >= 0 else (n << -twos, d)
+    if num < den:                             # num/den in [1, 2)
+        num, twos = num << 1, twos - 1
+    j = ((num - den) << 8) // den
+    num, den = num << 8, den * (256 + j)
+    k = ((num - den) << 16) // den
+    num, den = num << 16, den * (65536 + k)   # num/den = 1 + t
+    s = 2 * _atanh(((num - den) << b) // (num + den), b) + t.ln_hi[j] + t.ln_lo[k]
+    s += (twos * t.ln2 + (e * t.ln10 if split else 0)) >> 64
+    return Decimal(s) / (1 << b)
 
 
 def _h(r, e, x):

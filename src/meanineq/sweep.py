@@ -129,7 +129,8 @@ class SweepConfig(_SweepFields):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         accepted_classes(self.sign)          # each raises on an unknown value
-        resolve_ids(self.ids)
+        # only a named id needs the catalog to check it; ALL is valid without it
+        resolve_ids([id for id in self.ids if id.strip().upper() != "ALL"])
         return self
 
     def to_dict(self, kind="catalog_sweep") -> dict:
@@ -141,7 +142,7 @@ class SweepConfig(_SweepFields):
 def resolve_ids(ids) -> tuple:
     if isinstance(ids, str):
         ids = [ids]
-    if not ids:                     # a Ky Fan sweep's config: no catalog to compile
+    if not ids:                     # no id to expand or look up: no catalog to compile
         return ()
     from . import catalog
     out = []

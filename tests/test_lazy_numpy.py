@@ -126,3 +126,29 @@ def test_pool_modules_load_only_for_a_pool(argv, loads_pool):
     assert proc.returncode == 0, proc.stderr
     loaded = "['concurrent.futures', 'multiprocessing']" if loads_pool else "[]"
     assert proc.stderr.endswith(f"pool modules loaded: {loaded}\n")
+
+
+# Builds sweep configs as a library caller does, then reports on stderr
+# whether the catalog was loaded.
+CONFIG_PROBE = """
+import sys
+from meanineq.sweep import SweepConfig, run_kyfan_sweep
+SweepConfig(ids=("all", "ALL"))
+run_kyfan_sweep(SweepConfig(samples=5))
+sys.stderr.write(f"catalog loaded: {'meanineq.catalog' in sys.modules}\\n")
+"""
+
+
+def test_a_config_of_all_ids_leaves_the_catalog_unloaded():
+    proc = subprocess.run([sys.executable, "-c", CONFIG_PROBE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith("catalog loaded: False\n")
+
+
+def test_a_config_naming_an_unknown_id_is_refused():
+    from meanineq.sweep import SweepConfig
+    with pytest.raises(catalog.UnknownIdError):
+        SweepConfig(ids=("EQ7",))
+    with pytest.raises(catalog.UnknownIdError):
+        SweepConfig(ids=("ALL", "EQ7"))

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from meanineq.oracle import (_CONTEXT, ORACLE_OP_TAGS, PUBLISHED_BOUNDS, OracleResult, _exp,
-                             _ln, _pair_ratio_core, oracle_eval, oracle_rel_err)
+                             _ln, _pair_ratio_core, _tables, oracle_eval, oracle_rel_err)
 from meanineq.rng import SampleStream, sample_exponent, sample_pair, sample_quad
 
 
@@ -206,6 +206,126 @@ class TestWholeRange:
             assert not ctx.flags[Underflow]
             assert _exp(Decimal("-2.4e9")) == 0
             assert ctx.flags[Underflow]
+
+
+class TestTables:
+    """Every constant ``_exp`` and ``_ln`` reduce against is a floor: below 2^B c,
+    or 2^(B + 64) c for ln 2 and ln 10, by under 1.02, against Decimal's
+    correctly rounded ln and exp at 30 more digits."""
+
+    @staticmethod
+    def _check(const, exact, scale):
+        with localcontext() as ctx:
+            ctx.prec = math.ceil(scale * math.log10(2)) + 30
+            below = exact * (1 << scale) - const
+        assert 0 <= below < Decimal("1.02"), below
+
+    @pytest.mark.parametrize("bits", [200, 450], ids=["B=256", "B=512"])
+    def test_each_constant_is_a_floor_within_its_count(self, bits):
+        t = _tables(bits)
+        b = t.bits
+        with localcontext() as ctx:
+            ctx.prec = math.ceil((b + 64) * math.log10(2)) + 30
+            self._check(t.ln2, Decimal(2).ln(), b + 64)
+            self._check(t.ln10, Decimal(10).ln(), b + 64)
+            for i in range(256):
+                hi, lo = 1 + Decimal(i) / 256, 1 + Decimal(i) / 65536
+                self._check(t.ln_hi[i], hi.ln(), b)
+                self._check(t.ln_lo[i], lo.ln(), b)
+                self._check(t.exp_hi[i], (hi - 1).exp(), b)
+                self._check(t.exp_lo[i], (lo - 1).exp(), b)
+
+    def test_one_bucket_per_multiple_of_64_bits(self):
+        assert [_tables(bits).bits for bits in (1, 50, 57, 58, 120, 121, 2377)] == \
+            [64, 64, 64, 128, 128, 192, 2432]
+        assert _tables(100) is _tables(110)
+
+
+def _ln_edge_values():
+    """y = 2^E (1 + j/2^8) (1 + k/2^16) (1 + t) at the ends of each factor's range,
+    and near 1."""
+    two = Decimal(2)
+    corners = [two ** k for k in (1, -1, 3, 30, -30, 1000, -1074)]
+    corners += [1 + Decimal(j) / 256 for j in (1, 2, 127, 128, 255)]
+    # j = 255 with its largest k, 128; k = 255 with j = 0; m just below 2
+    tops = [(1 + Decimal(255) / 256) * (1 + Decimal(128) / 65536), 1 + Decimal(255) / 65536,
+            2 - two ** -60, 1 + two ** -8 - two ** -70]
+    corners += [v * two ** k for v in tops for k in (0, 40, -40)]
+    corners += [two ** k * (1 + s * two ** -60) for k in (1, 5, -5, 700) for s in (1, -1)]
+    # near 1, where |ln y| is small: from either side, down to 1e-40 away
+    corners += [1 + s * d for d in (two ** -17, Decimal("1e-3"), Decimal("1e-40")) for s in (1, -1)]
+    corners += [Decimal(v) for v in ("2e500", "1.99609375e-600", "5.12e4000")]
+    return corners
+
+
+def _exp_edge_values():
+    """x just below, at and above E ln 2, and at j/2^8 + k/2^16 past it, E stepping
+    through the reduction; past 2^10, at D ln 10; and with E = j = 0."""
+    with localcontext() as ctx:
+        ctx.prec = 200
+        ln2, ln10 = Decimal(2).ln(), Decimal(10).ln()
+        out = []
+        for e in (1, 2, 3, 100, 1000, 1476, 1477):
+            for delta in (0, Decimal("1e-60"), Decimal("-1e-60"), Decimal("1e-20"),
+                          Decimal(255) / 65536, Decimal(177) / 256 + Decimal(255) / 65536):
+                out.append(e * ln2 + delta)
+        out += [d * ln10 + delta for d in (445, 1000, 10 ** 6)
+                for delta in (0, Decimal("1e-60"), Decimal("-1e-60"))]
+        out += [Decimal(2) ** -10 * (1 + Decimal("1e-12")), Decimal(255) / 65536]  # E = j = 0
+    return [Decimal(v) for z in out for v in (z, -z)]
+
+
+def _bucket_edge_precs(extra):
+    """The precisions just below and above each edge of ``_tables``' buckets up to
+    130 digits, where the kernels ask for ceil(prec log2 10) + extra bits."""
+    bucket = [_tables(math.ceil(p * math.log2(10)) + extra).bits for p in range(30, 132)]
+    return [p for i, p in enumerate(range(30, 131)) if bucket[i] != bucket[i + 1]
+            for p in (p, p + 1)]
+
+
+class TestReductionEdges:
+    """``_ln`` and ``_exp`` where the table reduction changes its indices: an exact
+    power of two, y = 1 + j/2^8 exactly, j = 255 and k = 255 (k is at most
+    128 at j = 255), y near 1, x just either side of a multiple of ln 2; at
+    several precisions, and on both sides of each bucket edge.  Each within
+    0.51 ulp of Decimal's correctly rounded value at 30 more digits."""
+
+    @pytest.mark.parametrize("prec", [30, 67, 300])
+    def test_ln_at_the_reduction_edges(self, prec):
+        self._ln_within(_ln_edge_values(), [prec])
+
+    @pytest.mark.parametrize("prec", [30, 67, 300])
+    def test_exp_at_the_reduction_edges(self, prec):
+        self._exp_within(_exp_edge_values(), [prec])
+
+    def test_both_sides_of_each_bucket_edge(self):
+        ln_precs, exp_precs = _bucket_edge_precs(9), _bucket_edge_precs(8)
+        assert len(ln_precs) >= 6 and len(exp_precs) >= 6
+        ys = [v for v in _ln_edge_values() if abs(v.ln()) >= 1]       # ln asks for no more bits
+        self._ln_within(ys, ln_precs)
+        self._exp_within(_exp_edge_values()[::3], exp_precs)
+
+    @staticmethod
+    def _ln_within(values, precs):
+        for prec in precs:
+            for v in values:
+                with localcontext(_CONTEXT) as ctx:
+                    ctx.prec = prec + 30
+                    exact = v.ln()
+                    ctx.prec = prec
+                    got = _ln(v)
+                assert _ulps(got, exact, prec) < Decimal("0.51"), (v, prec)
+
+    @staticmethod
+    def _exp_within(values, precs):
+        for prec in precs:
+            for v in values:
+                with localcontext(_CONTEXT) as ctx:
+                    ctx.prec = prec + 30
+                    exact = v.exp()
+                    ctx.prec = prec
+                    got = _exp(v)
+                assert _ulps(got, exact, prec) < Decimal("0.51"), (v, prec)
 
 
 class TestDomain:
