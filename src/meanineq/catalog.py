@@ -12,14 +12,15 @@ cancellation-free forms that stay positive in binary64 up to n = 10**6 and
 beyond; they read the seven link values of one n, kept for the last n asked.
 
 Each formula is written once, in its row.  ``InequalityEntry.report`` and
-``evaluate`` build a SlackReport from the row, for callers that show one;
-``InequalityEntry.margin`` judges the same row to ``(margin, verdict)``
-through ``report.judge`` without a report, which is all a sweep folds.
-The inputs a report shows, and a sweep echoes, come from one function per
-arity (``ARITY_ECHO``); a keyed entry's report adds the discriminant class.
-A sweep judges every quad-arity id on one shared quad per sample, and
-every sequence id on one shared n; the means several of their rows read
-are kept in the quad's ``memo``, so each is computed once per quad.
+``evaluate`` build a SlackReport from the row, for callers that show one; a
+sweep calls ``InequalityEntry.row`` itself and judges its output through
+``report.judge``, the rule a report's margin and verdict come from, without
+a report.  The inputs a report shows, and a sweep echoes, come from one
+function per arity (``ARITY_ECHO``); a keyed entry's report adds the
+discriminant class.  A sweep evaluates every quad-arity row on one shared
+quad per sample, and every sequence row on one shared n; the means several
+of their rows read are kept in the quad's ``memo``, so each is computed
+once per quad.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .means import (_finite_exponent, _ln_identric as ln_identric,
                     _p_logarithmic_mean as p_logarithmic_mean, P_SNAP)
 from .ratio import (DiscClass, OrderedQuad, ln_identric_ratio_pow,
                     log_secant_slope_gap)
-from .report import TOL_V, HypothesisViolation, build_report, check_finite_positive, judge
+from .report import TOL_V, HypothesisViolation, build_report, check_finite_positive
 
 __all__ = [
     "INEQUALITY_IDS", "REGISTRY", "ARITY_INPUTS", "ARITY_ECHO", "InequalityEntry",
@@ -125,8 +126,8 @@ def _tangent_logs(quad, p, q):
 # quad_pq; a, b for pair; x, y for xy; n for seq_n), checks the id's hypotheses and
 # returns ``(slacks, tolerance, on_equality_manifold)``.  Additive-domain
 # tolerances are TOL_V times the scale of the compared quantities;
-# log-ratio ones are TOL_V.  A report and a sweep's judgement read the same
-# row, so they cannot drift apart.
+# log-ratio ones are TOL_V.  A report and a sweep judge the same row, so
+# they cannot drift apart.
 
 def _eq4(quad: OrderedQuad, p, q):
     """Tangent-line bound of the p-logarithmic power ratio at exponent q.
@@ -268,7 +269,8 @@ def _eq14(quad: OrderedQuad):
     raw = (ln_gr - ln_hr, ln_lr - ln_gr, ln_ir - ln_lr, ln_ar - ln_ir)
     disc_class = quad.disc_class
     if disc_class is _NEGATIVE:
-        raw = tuple(-s for s in raw)
+        # negated, not written as ln_hr - ln_gr ...: y - x is +0.0 where -(x - y) is -0.0
+        raw = (-raw[0], -raw[1], -raw[2], -raw[3])
     return raw, TOL_V, disc_class is _ZERO
 
 
@@ -355,7 +357,7 @@ def _eq17(n):
 
 def _slope3(quad: OrderedQuad):
     """Chord-slope comparison m[d,b] < m[c,a] of r at the quad's own coordinates."""
-    quad.require_strict()
+    # log_secant_slope_gap requires the strict order itself
     return ((log_secant_slope_gap(quad),), TOL_V,
             _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
 
@@ -413,12 +415,6 @@ class InequalityEntry(NamedTuple):
     relaxed_quad: bool = False
     min_ratio: float = 1.0   # a pair arity's sampled a/b stays at or above this
     keyed: bool = False      # direction keyed: its report names the quad's discriminant class
-
-    def margin(self, *args):
-        """``(margin, verdict)`` of the row at the arity's arguments, as its
-        report reads them, without building the report; HypothesisViolation
-        on bad arguments.  A sweep judges every sample here."""
-        return judge(*self.row(*args))
 
     def report(self, *args):
         """The SlackReport of the row at the arity's arguments."""

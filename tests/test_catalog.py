@@ -8,7 +8,7 @@ import pytest
 from meanineq import catalog, sweep
 from meanineq.catalog import REGISTRY, evaluate, sequence_link_values
 from meanineq.ratio import OrderedQuad
-from meanineq.report import EQUALITY, HOLDS, VIOLATED, HypothesisViolation, dumps
+from meanineq.report import EQUALITY, HOLDS, VIOLATED, HypothesisViolation, dumps, judge
 from meanineq.rng import SampleStream, sample_quad
 from meanineq.sweep import SweepConfig, run_sweep
 
@@ -313,9 +313,14 @@ def _reported(entry, **named):
     return rep.margin, rep.verdict
 
 
+def _judged(entry, *args):
+    """The row at its arguments, judged as a sweep's chunk judges it."""
+    return judge(*entry.row(*args))
+
+
 class TestMarginsMatchReports:
-    """``InequalityEntry.margin``, which a sweep judges every sample with, reads
-    the row its report reads: the same margin and verdict, or the same error."""
+    """A sweep judges the row its report reads: the same margin and verdict,
+    or the same error; and a chunk folds what the reports show."""
 
     def check_draws(self, config, count, ids=catalog.INEQUALITY_IDS):
         verdicts = {id: set() for id in ids}
@@ -325,7 +330,7 @@ class TestMarginsMatchReports:
             echo, _ = group.echoes[id]
             for index in range(count):
                 args = group.draw(index)
-                got = _outcome(entry.margin, *args)
+                got = _outcome(_judged, entry, *args)
                 want = _outcome(_reported, entry, **echo(*args))
                 assert got == want, (id, index)
                 # the verdict, or the name of the exception raised
@@ -333,9 +338,39 @@ class TestMarginsMatchReports:
                                  else got[0].__name__)
         return verdicts
 
+    @staticmethod
+    def check_fold(config, count, ids=catalog.INEQUALITY_IDS):
+        """Each id's chunk, as a sweep of it alone runs it, against the fold
+        of its reports at the same draws."""
+        for id in ids:
+            alone = config._replace(ids=(id,), samples=count)
+            agg = sweep._run_chunk(("catalog_sweep", alone, 0, 0, None))[id]
+            group = _alone(id, config)
+            echo, _ = group.echoes[id]
+            reps = [REGISTRY[id].evaluate(**echo(*group.draw(i))) for i in range(count)]
+            low = min(range(count), key=lambda i: (reps[i].margin, i))
+            violated = [(i, rep) for i, rep in enumerate(reps) if rep.verdict == VIOLATED]
+            assert (agg.samples_run, agg.min_margin, agg.argmin_index) == (
+                count, reps[low].margin, low), id
+            assert agg.equality_cases == sum(rep.verdict == EQUALITY for rep in reps), id
+            assert agg.violation_count == len(violated), id
+            assert agg.violations == [{"sample_index": i, "margin": rep.margin,
+                                       "inputs": echo(*group.draw(i))}
+                                      for i, rep in violated[:10]], id
+
     @pytest.mark.parametrize("sign", ["any", "positive", "negative", "zero"])
     def test_default_bounds(self, sign):
-        self.check_draws(SweepConfig(seed=42, sign=sign), 300)
+        config = SweepConfig(seed=42, sign=sign)
+        self.check_draws(config, 300)
+        self.check_fold(config, 300)
+
+    def test_fold_of_violations_and_equalities(self):
+        # at 1e+-30 EQ13 reads violated on 30 of the first 1024 samples, more
+        # than the ten a chunk echoes; at sign zero both ids read equality
+        self.check_fold(SweepConfig(seed=1, bounds=(1e-30, 1e30)), sweep._CHUNK,
+                        ids=("EQ13", "EQ14"))
+        self.check_fold(SweepConfig(seed=1, sign="zero", bounds=(1e-30, 1e30)), 300,
+                        ids=("EQ13", "EQ14"))
 
     def test_wide_bounds_rounding_violations(self):
         # at 1e+-30 EQ13 and EQ14 lose their smallest slacks to rounding
@@ -360,8 +395,8 @@ class TestMarginsMatchReports:
     ])
     def test_long_sequences_read_equality(self, id, n, verdict):
         entry = REGISTRY[id]
-        assert entry.margin(n) == _reported(entry, n=n)
-        assert entry.margin(n)[1] == verdict
+        assert _judged(entry, n) == _reported(entry, n=n)
+        assert _judged(entry, n)[1] == verdict
 
     @pytest.mark.parametrize("id, args", [
         ("EQ4", (Q431, 1e-8, 2.0)), ("EQ4", (Q431, 2.0, -1.0)), ("EQ4", (Q431, 2.0, math.nan)),
@@ -374,7 +409,7 @@ class TestMarginsMatchReports:
     ])
     def test_bad_inputs_raise_alike(self, id, args):
         entry = REGISTRY[id]
-        got = _outcome(entry.margin, *args)
+        got = _outcome(_judged, entry, *args)
         assert not isinstance(got, str)
         assert got == _outcome(lambda: _reported_args(entry, args))
 

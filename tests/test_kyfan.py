@@ -7,13 +7,13 @@ import sys
 import mpmath
 import pytest
 
-from meanineq import catalog
+from meanineq import catalog, sweep
 from meanineq.cli import main
-from meanineq.kyfan import (KYFAN_IDS, SPREAD_EQUALITY, KyFanSample, all_slacks,
-                            bridge_slacks, complement_ratio_probe, compute_stats, margins)
+from meanineq.kyfan import (KYFAN_IDS, SPREAD_EQUALITY, KyFanSample, _rows, all_slacks,
+                            bridge_slacks, complement_ratio_probe, compute_stats)
 from meanineq.ratio import OrderedQuad, ratio_value
 from meanineq.report import EQUALITY, HOLDS, VIOLATED, HypothesisViolation
-from meanineq.report import dumps
+from meanineq.report import dumps, judge
 from meanineq.rng import SampleStream, sample_kyfan_values
 from meanineq.sweep import SweepConfig, run_kyfan_sweep
 
@@ -249,15 +249,46 @@ def test_eq27_tail_near_and_past_binary64(n):
             assert abs(tail - exact) <= 1e-12 * exact
 
 
+def _judged(stats):
+    """``(id, margin, verdict)`` of each table row, judged as a sweep judges it."""
+    return [(id, *judge(slacks, tolerance, eq)) for id, _, _, slacks, tolerance, eq
+            in _rows(stats)]
+
+
 class TestMarginsMatchReports:
-    """``margins`` judges the rows ``all_slacks`` builds its reports from: the
+    """A sweep judges the rows ``all_slacks`` builds its reports from: the
     same ids in the same order, each with the report's margin and verdict."""
 
     @staticmethod
     def assert_same(stats):
-        folded = [(id, repr(margin), verdict) for id, margin, verdict in margins(stats)]
+        folded = [(id, repr(margin), verdict) for id, margin, verdict in _judged(stats)]
         shown = [(id, repr(rep.margin), rep.verdict) for id, rep in all_slacks(stats).items()]
         assert folded == shown
+
+    @pytest.mark.parametrize("n_range", [(2, 20), (1, 3)])
+    def test_chunk_fold(self, n_range):
+        # the chunk's fold of a sweep's draws is the fold of their reports;
+        # n = 1 draws constant samples, which have rows for EQ18..EQ22 only
+        config = SweepConfig(samples=sweep._CHUNK, seed=8, kyfan_n_range=n_range)
+        aggs = sweep._run_chunk(("kyfan_sweep", config, 0, 0, None))
+        group = sweep._group("kyfan_sweep", config, 0)
+        want = {id: [0, math.inf, -1, 0, []] for id in KYFAN_IDS}
+        for index in range(config.samples):
+            for id, rep in all_slacks(compute_stats(KyFanSample(group.draw(index)[1]))).items():
+                w = want[id]
+                w[0] += 1
+                if rep.margin < w[1]:
+                    w[1:3] = rep.margin, index
+                w[3] += rep.verdict == EQUALITY
+                w[4] += [index] if rep.verdict == VIOLATED else []
+        for id, agg in aggs.items():
+            got = [agg.samples_run, agg.min_margin, agg.argmin_index, agg.equality_cases,
+                   [v["sample_index"] for v in agg.violations]]
+            assert got == want[id], id
+            assert agg.violation_count == len(want[id][4])
+        strict = [aggs[id].samples_run for id in KYFAN_IDS[5:]]
+        assert len(set(strict)) == 1
+        assert (strict[0] < config.samples) == (n_range[0] == 1)
 
     def test_sampled(self):
         stream = SampleStream(44, "test/margins")
@@ -285,7 +316,7 @@ class TestMarginsMatchReports:
     def test_nan_statistic(self):
         stats = stats_of([0.1, 0.2, 0.4])._replace(r=math.nan)
         self.assert_same(stats)
-        assert dict((id, verdict) for id, _, verdict in margins(stats))["EQ18"] == VIOLATED
+        assert dict((id, verdict) for id, _, verdict in _judged(stats))["EQ18"] == VIOLATED
 
     def test_near_constant_samples_report_or_raise(self):
         # means that binary64 cannot separate are a hypothesis error, not a crash
@@ -300,7 +331,7 @@ class TestMarginsMatchReports:
             try:
                 self.assert_same(stats)
             except HypothesisViolation:
-                for fn in (margins, all_slacks):
+                for fn in (_rows, all_slacks):
                     with pytest.raises(HypothesisViolation, match="A > G and A' > G'"):
                         fn(stats)
                 raised += 1

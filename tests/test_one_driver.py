@@ -6,8 +6,8 @@ same driver, which draws once per (group, sample) plus once per distinct
 argmin replay of the group: every quad-arity id of a catalog sweep reads one
 shared quad, every sequence id one shared n whose link values are computed
 once, and every pair or xy id draws from its own stream; a catalog sweep
-judges its samples through ``InequalityEntry.margin`` and a Ky Fan sweep
-through ``kyfan.margins``, and neither builds a report.
+calls each id's ``InequalityEntry.row`` and a Ky Fan sweep ``kyfan._rows``
+once per sample and per replay, and neither builds a report.
 """
 
 import json
@@ -139,8 +139,8 @@ SAMPLERS = ("sample_quad", "sample_pair", "sample_exponent", "sample_int",
 
 @pytest.fixture
 def seams(monkeypatch):
-    """Call counters on every wrapped name: (sampler, stream, index), ("margin",
-    id), ("evaluate", id) and (kyfan function,)."""
+    """Call counters on every wrapped name: (sampler, stream, index), ("row",
+    id), ("evaluate", id), ("report", id) and (kyfan function,)."""
     calls = Counter()
 
     def counted(fn, key):
@@ -152,11 +152,14 @@ def seams(monkeypatch):
     for name in SAMPLERS:
         monkeypatch.setattr(sweep, name, counted(getattr(sweep, name),
                                                  lambda s, i, *_, n=name: (n, s.stream, i)))
-    for name in ("margin", "evaluate"):
+    for id, entry in catalog.REGISTRY.items():
+        monkeypatch.setitem(catalog.REGISTRY, id, entry._replace(
+            row=counted(entry.row, lambda *_, id=id: ("row", id))))
+    for name in ("evaluate", "report"):
         monkeypatch.setattr(catalog.InequalityEntry, name,
                             counted(getattr(catalog.InequalityEntry, name),
                                     lambda entry, *_, n=name: (n, entry.id)))
-    for name in ("compute_stats", "margins", "all_slacks"):
+    for name in ("compute_stats", "_rows", "all_slacks"):
         monkeypatch.setattr(kyfan, name, counted(getattr(kyfan, name), lambda _, n=name: (n,)))
     return calls
 
@@ -210,13 +213,13 @@ def test_catalog_sweep_seams(seams, monkeypatch, workers):
     replays = {id: len(_argmins(rep, QUAD_IDS)) for id in QUAD_IDS}
     replays.update(dict.fromkeys(SEQ_IDS, len(_argmins(rep, SEQ_IDS))))
     for id in catalog.REGISTRY:
-        # judged once per sample and per replay of its group; no report is built
-        assert seams["margin", id] == samples + replays.get(id, 1), id
-        assert seams["evaluate", id] == 0, id
+        # its row runs once per sample and per replay of its group; no report is built
+        assert seams["row", id] == samples + replays.get(id, 1), id
+        assert seams["evaluate", id] == seams["report", id] == 0, id
     want = _catalog_draws(rep, seed, samples)
     for name in SAMPLERS:
         assert _by_stream(seams, name) == want[name], name
-    assert seams["compute_stats",] == seams["margins",] == seams["all_slacks",] == 0
+    assert seams["compute_stats",] == seams["_rows",] == seams["all_slacks",] == 0
     # one n per sample and per replay of the sequence group, its link values
     # computed once for the three ids, and again only where n changes
     stream = SampleStream(seed, "catalog/seq_n")
@@ -237,10 +240,10 @@ def test_kyfan_sweep_seams(seams, workers):
     assert _by_stream(seams, "sample_int") == _expected("kyfan/n", seed, samples, argmins)
     assert (_by_stream(seams, "sample_kyfan_values")
             == _expected("kyfan/values", seed, samples, argmins))
-    # the sweep folds (id, margin, verdict) triples and builds no SlackReport
-    assert seams["compute_stats",] == seams["margins",] == samples + len(argmins)
+    # the sweep judges the table's rows and builds no SlackReport
+    assert seams["compute_stats",] == seams["_rows",] == samples + len(argmins)
     assert seams["all_slacks",] == 0
-    assert not any(key[0] in ("margin", "evaluate") for key in seams)
+    assert not any(key[0] in ("row", "evaluate", "report") for key in seams)
     for name in ("sample_quad", "sample_pair", "sample_exponent"):
         assert not _by_stream(seams, name)
 

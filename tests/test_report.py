@@ -3,10 +3,9 @@ import pickle
 
 import pytest
 
+from meanineq import catalog, sweep
 from meanineq.report import (EQUALITY, HOLDS, VIOLATED, SlackReport, build_report, dumps,
                              judge)
-from meanineq.catalog import _echo_pair
-from meanineq.sweep import _Agg
 
 
 class TestNanVerdicts:
@@ -30,15 +29,26 @@ class TestNanVerdicts:
         assert rep.verdict == EQUALITY
         assert rep.margin == -1e-12
 
-    def test_nan_violated_sample_counts_and_echoes(self):
-        agg = _Agg(_echo_pair, 2)
-        agg.update(0, math.nan, VIOLATED, (1.0, 3.0, "unread"))
-        agg.update(1, 0.5, HOLDS, (2.0, 3.0, "unread"))
+    def test_nan_violated_sample_counts_and_echoes(self, monkeypatch):
+        # a row that reads NaN at sample 0 and holds at sample 1, judged and
+        # folded by a sweep's chunk
+        config = sweep.SweepConfig(ids=("EQ6",), samples=2, seed=0)
+        first = sweep._group("catalog_sweep", config, 0).draw(0)
+
+        def row(a, b):
+            return (math.nan if (a, b) == first else 0.5,), 1e-9, False
+
+        margin, verdict = judge(*row(*first))
+        assert math.isnan(margin) and verdict == VIOLATED
+        entry = catalog.REGISTRY["EQ6"]
+        monkeypatch.setitem(catalog.REGISTRY, "EQ6", entry._replace(row=row))
+        agg = sweep._run_chunk(("catalog_sweep", config, 0, 0, None))["EQ6"]
         assert agg.violation_count == 1
         assert agg.samples_run == 2
         assert agg.violations[0]["sample_index"] == 0
         assert math.isnan(agg.violations[0]["margin"])
-        assert agg.violations[0]["inputs"] == {"a": 1.0, "b": 3.0}
+        assert agg.violations[0]["inputs"] == {"a": first[0], "b": first[1]}
+        assert (agg.min_margin, agg.argmin_index) == (0.5, 1)
 
     def test_report_is_immutable(self):
         rep = build_report("X", {"a": 1.0}, ("s",), (1.0,), "log_ratio", 1e-9, False)

@@ -242,3 +242,64 @@ def test_kyfan_argmin_values_reproduce_min_margin(seed):
         assert len(inputs["values"]) == inputs["n"]
         reports = kyfan.all_slacks(kyfan.compute_stats(kyfan.KyFanSample(inputs["values"])))
         assert repr(reports[id].margin) == repr(result["min_margin"]), id
+
+
+# --- the chunk fold's edge cases ---------------------------------------------
+
+#: Three chunks, the last of one sample; enough evaluations of one id for the
+#: pool at two workers.
+FOLD_SAMPLES = 2 * sweep._CHUNK + 1
+
+
+def _plant(monkeypatch, id, row):
+    """Sweep ``id`` through ``row`` in place of its own, here and in forked
+    worker processes, which run at two workers on a 1-CPU machine too."""
+    monkeypatch.setitem(catalog.REGISTRY, id, catalog.REGISTRY[id]._replace(row=row))
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
+    assert FOLD_SAMPLES >= 2 * sweep._POOL_FLOOR
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_constant_margin_keeps_the_first_index(monkeypatch, workers):
+    _plant(monkeypatch, "EQ6", lambda a, b: ((0.5, 0.25), 1e-9, False))
+    rep = run_sweep(SweepConfig(ids=("EQ6",), samples=FOLD_SAMPLES, seed=3, workers=workers))
+    result = rep["results"]["EQ6"]
+    assert (result["samples_run"], result["min_margin"], result["argmin_index"],
+            result["argmin_margin_replay"]) == (FOLD_SAMPLES, 0.25, 0, 0.25)
+    assert result["equality_cases"] == result["violation_count"] == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_nan_counts_violated_and_is_never_the_minimum(monkeypatch, workers):
+    # NaN at the first and the last sample of the first chunk, equality at
+    # every other sample
+    config = SweepConfig(ids=("EQ6",), samples=FOLD_SAMPLES, seed=3, workers=workers)
+    draw = sweep._group("catalog_sweep", config, 0).draw
+    nans = {0: draw(0), sweep._CHUNK - 1: draw(sweep._CHUNK - 1)}
+    _plant(monkeypatch, "EQ6", lambda a, b: (
+        (1.0, math.nan if (a, b) in nans.values() else -1e-12), 1e-9, True))
+    result = run_sweep(config)["results"]["EQ6"]
+    assert result["samples_run"] == FOLD_SAMPLES
+    assert (result["violation_count"], result["equality_cases"]) == (2, FOLD_SAMPLES - 2)
+    assert [v["sample_index"] for v in result["violations"]] == list(nans)
+    for violation in result["violations"]:
+        assert math.isnan(violation["margin"])
+        assert violation["inputs"] == dict(zip("ab", nans[violation["sample_index"]]))
+    assert (result["min_margin"], result["argmin_index"], result["argmin_margin_replay"]) == (
+        -1e-12, 1, -1e-12)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kyfan_ids_count_their_own_samples(monkeypatch, workers):
+    # n = 1 draws a constant sample, which has rows for EQ18..EQ22 only
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
+    config = SweepConfig(samples=1100, seed=3, kyfan_n_range=(1, 3), workers=workers)
+    assert config.samples * len(kyfan.KYFAN_IDS) >= 2 * sweep._POOL_FLOOR
+    group = sweep._group("kyfan_sweep", config, 0)
+    varied = sum(group.draw(i)[0] > 1 for i in range(config.samples))
+    assert 0 < varied < config.samples
+    rep = run_kyfan_sweep(config)
+    assert {id: r["samples_run"] for id, r in rep["results"].items()} == {
+        id: config.samples if id in kyfan.KYFAN_IDS[:5] else varied for id in kyfan.KYFAN_IDS}
+    for id, result in rep["results"].items():
+        assert result["argmin_margin_replay"] == result["min_margin"], id
