@@ -20,7 +20,8 @@ function per arity (``ARITY_ECHO``); a keyed entry's report adds the
 discriminant class.  A sweep evaluates every quad-arity row on one shared
 quad per sample, and every sequence row on one shared n; the means several
 of their rows read are kept in the quad's ``memo``, so each is computed
-once per quad.
+once per quad, and so are the scaled pairs those means read and the
+exponents EQ4 and EQ13 check.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import numbers
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-# The means' unchecked kernels: every coordinate reaching them is a float
-# already checked, by OrderedQuad or by a pair entry itself.  They keep the
-# public names, which the benchmark's tracer wraps.
+# The means' unchecked kernels, which read scaled pairs: every coordinate
+# reaching them is a float already checked, by OrderedQuad or by a pair entry
+# itself.  They keep the public names, which the benchmark's tracer wraps.
 from .means import (_finite_exponent, _ln_identric as ln_identric,
                     _logarithmic_mean as logarithmic_mean,
-                    _p_logarithmic_mean as p_logarithmic_mean, P_SNAP)
+                    _p_logarithmic_mean as p_logarithmic_mean, _scaled_pair, P_SNAP)
 from .ratio import (DiscClass, OrderedQuad, ln_identric_ratio_pow,
                     log_secant_slope_gap)
 from .report import TOL_V, HypothesisViolation, build_report, check_finite_positive
@@ -76,27 +77,33 @@ def _generic_exponent(name, p):
     return p
 
 
-def _quad_degeneracy(quad):
-    return (quad.a - quad.d) / (quad.a + quad.d)
-
-
-def _ln_lp_ratio(quad, p):
-    return (math.log(p_logarithmic_mean(quad.a, quad.b, p))
-            - math.log(p_logarithmic_mean(quad.c, quad.d, p)))
+def _ln_lp_ratio(ab, cd, p):
+    return math.log(p_logarithmic_mean(ab, p)) - math.log(p_logarithmic_mean(cd, p))
 
 
 # --- means shared by several rows, computed once per quad ---------------------
 #
 # A sweep judges every quad-arity id on one quad per sample, so each of these
-# keeps its value in ``quad.memo`` the first time a row reads it.  Each calls
-# the means by this module's names, which the benchmark's tracer wraps.
+# keeps its value in ``quad.memo`` the first time a row reads it, and so do
+# the scaled pairs (a, b) and (c, d) that the means read.  Each calls the
+# means by this module's names, which the benchmark's tracer wraps.
+
+def _pairs(quad):
+    """The scaled pairs of (a, b) and (c, d)."""
+    memo = quad.memo
+    out = memo.get("pairs")
+    if out is None:
+        out = memo["pairs"] = (_scaled_pair(quad.a, quad.b), _scaled_pair(quad.c, quad.d))
+    return out
+
 
 def _l_means(quad):
     """(L(a,b), L(c,d))."""
     memo = quad.memo
     out = memo.get("L")
     if out is None:
-        out = memo["L"] = (logarithmic_mean(quad.a, quad.b), logarithmic_mean(quad.c, quad.d))
+        ab, cd = _pairs(quad)
+        out = memo["L"] = (logarithmic_mean(ab), logarithmic_mean(cd))
     return out
 
 
@@ -105,18 +112,27 @@ def _ln_i_ratio(quad):
     memo = quad.memo
     out = memo.get("I")
     if out is None:
-        out = memo["I"] = ln_identric(quad.a, quad.b) - ln_identric(quad.c, quad.d)
+        ab, cd = _pairs(quad)
+        out = memo["I"] = ln_identric(ab) - ln_identric(cd)
     return out
 
 
 def _tangent_logs(quad, p, q):
-    """ln of the Lp ratio, of the Lq ratio and of the Ipow ratio at q + 1:
-    the terms of EQ4's and EQ13's tangent bound at exponents p, q."""
-    memo, key = quad.memo, (p, q)
-    out = memo.get(key)
+    """p and q checked, then ln of the Lp ratio, of the Lq ratio and of the
+    Ipow ratio at q + 1: the terms of EQ4's and EQ13's tangent bound at
+    exponents p, q.  The exponents are checked once per (quad, p, q), where
+    the terms are computed; the entry keeps the checked floats, under them."""
+    memo = quad.memo
+    try:
+        out = memo.get((p, q))
+    except TypeError:           # an unhashable exponent, such as a 0-d array
+        out = None
     if out is None:
-        out = memo[key] = (_ln_lp_ratio(quad, p), _ln_lp_ratio(quad, q),
-                           ln_identric_ratio_pow(quad, q + 1.0))
+        p = _generic_exponent("p", p)
+        q = _generic_exponent("q", q)
+        ab, cd = _pairs(quad)
+        out = memo[p, q] = (p, q, _ln_lp_ratio(ab, cd, p), _ln_lp_ratio(ab, cd, q),
+                            ln_identric_ratio_pow(quad, q + 1.0))
     return out
 
 
@@ -137,14 +153,12 @@ def _eq4(quad: OrderedQuad, p, q):
     nonnegative with equality iff p = q.
     """
     quad.require_strict()
-    p = _generic_exponent("p", p)
-    q = _generic_exponent("q", q)
-    ln_lp, ln_lq, ln_ipow = _tangent_logs(quad, p, q)
+    p, q, ln_lp, ln_lq, ln_ipow = _tangent_logs(quad, p, q)
     lhs = math.exp(p * ln_lp)
     tq = math.exp(q * ln_lq)
     rhs = tq * (1.0 + ((p - q) / (q + 1.0)) * ln_ipow)
     return ((lhs - rhs,), TOL_V * max(abs(lhs), abs(rhs), 1e-300),
-            abs(p - q) <= EQ_MANIFOLD_DIST or _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
+            abs(p - q) <= EQ_MANIFOLD_DIST or quad.degeneracy <= EQ_MANIFOLD_DIST)
 
 
 def _eq5(quad: OrderedQuad):
@@ -154,7 +168,7 @@ def _eq5(quad: OrderedQuad):
     ln_ir = _ln_i_ratio(quad)
     s_lower = ln_ir - (1.0 - lcd / lab)
     s_upper = (lab / lcd - 1.0) - ln_ir
-    return (s_lower, s_upper), TOL_V, _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST
+    return (s_lower, s_upper), TOL_V, quad.degeneracy <= EQ_MANIFOLD_DIST
 
 
 def _eq6(a, b):
@@ -162,8 +176,9 @@ def _eq6(a, b):
     a = check_finite_positive("a", a)
     b = check_finite_positive("b", b)
     _require(a > b, "EQ6 requires a > b > 0")
-    l_over_b = logarithmic_mean(a, b) / b
-    ln_i_over_b = ln_identric(a, b) - math.log(b)
+    ab = _scaled_pair(a, b)
+    l_over_b = logarithmic_mean(ab) / b
+    ln_i_over_b = ln_identric(ab) - math.log(b)
     s_lower = ln_i_over_b - (1.0 - 1.0 / l_over_b)
     s_upper = (l_over_b - 1.0) - ln_i_over_b
     return (s_lower, s_upper), TOL_V, (a - b) / b <= EQ_MANIFOLD_DIST
@@ -178,7 +193,7 @@ def _eq8(quad: OrderedQuad):
     # 2ab/(ab+cd) = 2/(1 + cd/ab), overflow-safe through logs
     third = 2.0 / (1.0 + math.exp((quad.ln_c + quad.ln_d) - (quad.ln_a + quad.ln_b)))
     return ((l_ratio - 1.0 - ln_gr, 1.0 + ln_gr - third), TOL_V * max(l_ratio, 1.0),
-            _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
+            quad.degeneracy <= EQ_MANIFOLD_DIST)
 
 
 def _eq9(quad: OrderedQuad):
@@ -189,7 +204,7 @@ def _eq9(quad: OrderedQuad):
     ln_gr = quad.log_g_ratio()
     rhs = ln_gr / _ln_i_ratio(quad)
     return ((l_ratio - rhs,), TOL_V * max(l_ratio, 1.0),
-            _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
+            quad.degeneracy <= EQ_MANIFOLD_DIST)
 
 
 def _eq10(a, b):
@@ -200,10 +215,11 @@ def _eq10(a, b):
         raise HypothesisViolation(
             f"EQ10 requires a/b >= {EQ10_MIN_RATIO} (last member divides by ln(I/b))")
     lr = math.log(a) - math.log(b)
-    m1 = logarithmic_mean(a, b) / b
+    ab = _scaled_pair(a, b)
+    m1 = logarithmic_mean(ab) / b
     m2 = 1.0 + 0.5 * lr
     m3 = 2.0 / (1.0 + b / a)
-    m4 = lr / (2.0 * (ln_identric(a, b) - math.log(b)))
+    m4 = lr / (2.0 * (ln_identric(ab) - math.log(b)))
     return ((m1 - m2, m2 - m3, m3 - m4), TOL_V * max(m1, 1.0),
             (a - b) / b <= EQ_MANIFOLD_DIST)
 
@@ -237,9 +253,7 @@ def _eq13(quad: OrderedQuad, p, q):
     ad = bc or p = q.
     """
     quad.require_strict()
-    p = _generic_exponent("p", p)
-    q = _generic_exponent("q", q)
-    ln_lp, ln_lq, ln_ipow = _tangent_logs(quad, p, q)
+    p, q, ln_lp, ln_lq, ln_ipow = _tangent_logs(quad, p, q)
     raw = p * ln_lp - q * ln_lq - ((p - q) / (q + 1.0)) * ln_ipow
     disc_class = quad.disc_class
     return ((-raw if disc_class is _NEGATIVE else raw,), TOL_V,
@@ -358,8 +372,7 @@ def _eq17(n):
 def _slope3(quad: OrderedQuad):
     """Chord-slope comparison m[d,b] < m[c,a] of r at the quad's own coordinates."""
     # log_secant_slope_gap requires the strict order itself
-    return ((log_secant_slope_gap(quad),), TOL_V,
-            _quad_degeneracy(quad) <= EQ_MANIFOLD_DIST)
+    return ((log_secant_slope_gap(quad),), TOL_V, quad.degeneracy <= EQ_MANIFOLD_DIST)
 
 
 # --- echoes: the inputs a report or a sweep shows, from the row's arguments ---

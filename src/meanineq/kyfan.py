@@ -9,7 +9,8 @@ complements 1 - x_i, then evaluates:
 * EQ20  A^n - G^n <= A'^n - G'^n      (power analogue; identity for n <= 2)
 * EQ21 .. EQ31: refinements and inverses, expanded link by link in the log
   domain with the identric and logarithmic pieces delegated to the means
-  module on the pairs (A', G') and (A, G).
+  module's kernels on the scaled pairs of (A', G') and (A, G), each pair
+  built once per sample.
 
 Strict chains (EQ23 .. EQ31) require a not-all-equal sample; EQ21/EQ22 are
 non-strict and collapse to equality on constant samples.  Everything is a
@@ -19,11 +20,13 @@ A sample whose means binary64 cannot separate (A == G or A' == G' after
 rounding, while the values differ) admits no strict chain; ``_rows`` raises
 HypothesisViolation for it.
 
-``_rows`` is the Ky Fan table: one row per id, holding the id's link names,
-margin domain, slacks, tolerance and equality predicate, so each formula is
-written once, beside the names of its links.  ``all_slacks`` builds a
-SlackReport from each row, for callers that show them; a sweep reads the
-same rows' ``(slacks, tolerance, on_equality_manifold)`` and judges them
+The Ky Fan table has two parts.  ``TABLE`` holds each id's constant
+columns, its link names and margin domain, in a ``KyFanEntry`` as
+``catalog.InequalityEntry`` holds them for the catalog.  ``_rows`` computes
+each id's ``(slacks, tolerance, on_equality_manifold)`` from one sample's
+statistics, in ``KYFAN_IDS`` order, each formula written once under its
+``# EQnn`` comment.  ``all_slacks`` zips the two into a SlackReport per id,
+for callers that show them; a sweep judges ``_rows``' list as it is,
 through ``report.judge``, the rule a report's margin and verdict come from,
 without a report.
 """
@@ -34,17 +37,45 @@ import math
 import sys
 from typing import NamedTuple
 
-from .means import ln_identric, ln_logarithmic
+# The means' unchecked kernels, under the names the benchmark's tracer wraps;
+# ``_rows`` says why their arguments need no check.
+from .means import _ln_identric as ln_identric, _ln_logarithmic as ln_logarithmic, _scaled_pair
 from .ratio import OrderedQuad, log_ratio_value, ratio_value
 from .report import TOL_V, HypothesisViolation, build_report
 
 __all__ = [
-    "KyFanSample", "KyFanStats", "KYFAN_IDS",
+    "KyFanSample", "KyFanStats", "KyFanEntry", "TABLE", "KYFAN_IDS",
     "compute_stats", "all_slacks",
     "complement_ratio_probe", "bridge_slacks",
 ]
 
-KYFAN_IDS = tuple(f"EQ{k}" for k in range(18, 32))
+
+class KyFanEntry(NamedTuple):
+    id: str
+    links: tuple             # the link names, one per slack
+    domain: str              # the slacks' margin domain: "log_ratio" or "additive"
+
+
+#: The constant columns of the Ky Fan table, one entry per id in
+#: ``KYFAN_IDS`` order; ``_rows`` gives each its slacks.
+TABLE = (
+    KyFanEntry("EQ18", ("ratio",), "log_ratio"),
+    KyFanEntry("EQ19", ("difference",), "additive"),
+    KyFanEntry("EQ20", ("power_difference",), "additive"),
+    KyFanEntry("EQ21", ("exponent_sum",), "log_ratio"),
+    KyFanEntry("EQ22", ("exponent_cross",), "log_ratio"),
+    KyFanEntry("EQ23", ("first", "second", "third", "fourth"), "log_ratio"),
+    KyFanEntry("EQ24", ("max_pair", "combined", "upper"), "log_ratio"),
+    KyFanEntry("EQ25", ("inverse_power",), "log_ratio"),
+    KyFanEntry("EQ26", ("lower_max", "middle", "upper_min", "below_one"), "log_ratio"),
+    KyFanEntry("EQ27", ("first", "second", "third", "inverse_tail"), "log_ratio"),
+    KyFanEntry("EQ28", ("lower", "upper"), "log_ratio"),
+    KyFanEntry("EQ29", ("first", "min_pair", "upper"), "log_ratio"),
+    KyFanEntry("EQ30", ("lower", "upper"), "log_ratio"),
+    KyFanEntry("EQ31", ("min_pair", "below_one"), "log_ratio"),
+)
+
+KYFAN_IDS = tuple(entry.id for entry in TABLE)
 
 #: ln of the largest binary64: math.exp is finite up to here and raises past it.
 _LN_MAX = math.log(sys.float_info.max)
@@ -140,13 +171,14 @@ def _pow_diff(ln_u, r, k):
 
 
 def _rows(stats: KyFanStats) -> list:
-    """The Ky Fan table: one ``(id, links, domain, slacks, tolerance,
+    """The Ky Fan table's computed columns: one ``(slacks, tolerance,
     on_equality_manifold)`` row per id the sample admits, in KYFAN_IDS order.
 
     Each shared intermediate is computed once.  A constant sample has
     r = r' = 0, so EQ21/EQ22 (non-strict) read 0 there and the strict chains
-    EQ23 .. EQ31 have no row.  A sample that is not constant but whose means
-    coincide in binary64 raises HypothesisViolation.
+    EQ23 .. EQ31 have no row: its rows are EQ18 .. EQ22.  A sample that is
+    not constant but whose means coincide in binary64 raises
+    HypothesisViolation.
     """
     n, r, rp = stats.n, stats.r, stats.r_prime
     a, g, ap, gp = stats.a, stats.g, stats.a_prime, stats.g_prime
@@ -165,12 +197,16 @@ def _rows(stats: KyFanStats) -> list:
     # evaluates to pure roundoff of exactly this size)
     tol20 = max(1e-9 * max(pd, pdp, 1e-300), n * 5e-16)
     rows = [
-        ("EQ18", ("ratio",), "log_ratio", (r - rp,), TOL_V, eq),
-        ("EQ19", ("difference",), "additive", (d - dp,), TOL_V * max(d, dp, 1e-300), eq),
-        ("EQ20", ("power_difference",), "additive", (pdp - pd,), tol20,
-         eq or n <= 2 or underflow),
-        ("EQ21", ("exponent_sum",), "log_ratio", ((a + g) * r - (ap + gp) * rp,), TOL_V, eq),
-        ("EQ22", ("exponent_cross",), "log_ratio", (dp * r - d * rp,), TOL_V, eq),
+        # EQ18: A'/G' <= A/G
+        ((r - rp,), TOL_V, eq),
+        # EQ19: A' - G' <= A - G
+        ((d - dp,), TOL_V * max(d, dp, 1e-300), eq),
+        # EQ20: A^n - G^n <= A'^n - G'^n
+        ((pdp - pd,), tol20, eq or n <= 2 or underflow),
+        # EQ21: (A'/G')^(A'+G') <= (A/G)^(A+G)
+        (((a + g) * r - (ap + gp) * rp,), TOL_V, eq),
+        # EQ22: (A'/G')^(A-G) <= (A/G)^(A'-G')
+        ((dp * r - d * rp,), TOL_V, eq),
     ]
     if stats.all_equal:
         return rows
@@ -183,7 +219,12 @@ def _rows(stats: KyFanStats) -> list:
     secant = dp / d                                # (A'-G')/(A-G)
     dl = (ln_ap + stats.ln_g_prime) - (ln_a + stats.ln_g)   # ln(A'G'/(AG)) > 0
     ln_s = 0.5 * dl                                # ln sqrt(A'G'/(AG))
-    ln_ir = ln_identric(ap, gp) - ln_identric(a, g)
+    # the means' kernels take no check: compute_stats forms A, A' as means of
+    # values in (0, 1/2] and [1/2, 1) and G, G' as exp of means of their logs,
+    # so all four are finite and positive, and past the guard above A > G and
+    # A' > G'.  Each pair is scaled once, for ln I and ln L both.
+    pair, pair_p = _scaled_pair(a, g), _scaled_pair(ap, gp)
+    ln_ir = ln_identric(pair_p) - ln_identric(pair)
     ln_pd = _ln_pow_diff(ln_a, r, n)
     ln_pdp = _ln_pow_diff(ln_ap, rp, n)
     # each log once; the sums keep the grouping that fixes their rounding
@@ -201,9 +242,11 @@ def _rows(stats: KyFanStats) -> list:
     ln_t1 = rp * (1.0 + ln_s)
     ln_t3 = ln_t1 / secant
     mx = max(ln_t1, rp / secant)
+    eq24 = (mx - rp, ln_t3 - mx, r - ln_t3)
 
     # EQ25: power-difference ratio < (A'^n G'^n R') / (A^n G^n R)
     lhs = ln_pdp - ln_pd
+    eq25 = (n * dl + ln_rp - ln_r - lhs,)
 
     # EQ26: max{M0a, M0b} < R'/R < M2 < min{M3a, M3b} < 1 (logs of members)
     k2 = 0.5 * n * dl
@@ -224,40 +267,34 @@ def _rows(stats: KyFanStats) -> list:
 
     # EQ28: pd-ratio < ((A'G')^(n/2) R') / ((AG)^(n/2) R) < (A'G'/(AG))^(n/2)
     k1 = k2 + ln_rp - ln_r
+    eq28 = (k1 - lhs, k2 - k1)
 
     # EQ29: A'/G' < (A/G)^(sumratio*secant) < min pair < A/G
     sumratio = (a + g) / (ap + gp)
     ln_m1 = r * sumratio * secant
     mn29 = min(r * sumratio, r * secant)
+    eq29 = (ln_m1 - rp, mn29 - ln_m1, r - mn29)
 
     # EQ30: A'/G' < (A'/G')^(Ir/secant) < A/G with Ir = I(A',G')/I(A,G)
     ln_e1 = rp * math.exp(ln_ir) / secant
+    eq30 = (ln_e1 - rp, r - ln_e1)
 
     # EQ31: AG/(A'G') < min{ (L(A,G)/L(A',G'))^2, powered analogue } < 1
-    v1a = 2.0 * (ln_logarithmic(a, g) - ln_logarithmic(ap, gp))
+    v1a = 2.0 * (ln_logarithmic(pair) - ln_logarithmic(pair_p))
     v1b = (2.0 / n) * (ln_rp_r + (ln_pd - ln_pdp))
     mn31 = min(v1a, v1b)
+    eq31 = (mn31 + dl, -mn31)
 
-    return rows + [
-        ("EQ23", ("first", "second", "third", "fourth"), "log_ratio", eq23, TOL_V, eq),
-        ("EQ24", ("max_pair", "combined", "upper"), "log_ratio",
-         (mx - rp, ln_t3 - mx, r - ln_t3), TOL_V, eq),
-        ("EQ25", ("inverse_power",), "log_ratio", (n * dl + ln_rp - ln_r - lhs,), TOL_V, eq),
-        ("EQ26", ("lower_max", "middle", "upper_min", "below_one"), "log_ratio", eq26,
-         TOL_V, eq),
-        ("EQ27", ("first", "second", "third", "inverse_tail"), "log_ratio", eq27, TOL_V, eq),
-        ("EQ28", ("lower", "upper"), "log_ratio", (k1 - lhs, k2 - k1), TOL_V, eq),
-        ("EQ29", ("first", "min_pair", "upper"), "log_ratio",
-         (ln_m1 - rp, mn29 - ln_m1, r - mn29), TOL_V, eq),
-        ("EQ30", ("lower", "upper"), "log_ratio", (ln_e1 - rp, r - ln_e1), TOL_V, eq),
-        ("EQ31", ("min_pair", "below_one"), "log_ratio", (mn31 + dl, -mn31), TOL_V, eq),
-    ]
+    return rows + [(eq23, TOL_V, eq), (eq24, TOL_V, eq), (eq25, TOL_V, eq),
+                   (eq26, TOL_V, eq), (eq27, TOL_V, eq), (eq28, TOL_V, eq),
+                   (eq29, TOL_V, eq), (eq30, TOL_V, eq), (eq31, TOL_V, eq)]
 
 
 def all_slacks(stats: KyFanStats) -> dict:
     """EQ18 .. EQ31 keyed by id; strict ids are skipped for constant samples."""
-    return {id: build_report(id, stats.as_dict(), links, slacks, domain, tolerance, eq)
-            for id, links, domain, slacks, tolerance, eq in _rows(stats)}
+    return {entry.id: build_report(entry.id, stats.as_dict(), entry.links, slacks,
+                                   entry.domain, tolerance, eq)
+            for entry, (slacks, tolerance, eq) in zip(TABLE, _rows(stats))}
 
 
 def _stats_quad(stats: KyFanStats) -> OrderedQuad:
@@ -285,7 +322,7 @@ def bridge_slacks(stats: KyFanStats) -> dict:
     from . import catalog    # only this check reads the catalog
     quad = _stats_quad(stats)
     n = stats.n
-    links = {id: slacks for id, _, _, slacks, _, _ in _rows(stats)}
+    links = {entry.id: slacks for entry, (slacks, _, _) in zip(TABLE, _rows(stats))}
     out = {}
 
     # mean-ratio chain on the quadruple: catalog EQ14 vs stats-level formulas
@@ -293,7 +330,8 @@ def bridge_slacks(stats: KyFanStats) -> dict:
     secant = (stats.a_prime - stats.g_prime) / (stats.a - stats.g)
     ln_lr = math.log(secant) + math.log(stats.r) - math.log(stats.r_prime)
     ln_gr = 0.5 * ((stats.ln_a_prime + stats.ln_g_prime) - (stats.ln_a + stats.ln_g))
-    ln_ir = ln_identric(stats.a_prime, stats.g_prime) - ln_identric(stats.a, stats.g)
+    ln_ir = (ln_identric(_scaled_pair(stats.a_prime, stats.g_prime))
+             - ln_identric(_scaled_pair(stats.a, stats.g)))
     ln_ar = (math.log(stats.a_prime + stats.g_prime) - math.log(stats.a + stats.g))
     ln_hr = 2.0 * ln_gr - ln_ar
     ky14 = (ln_hr - ln_gr, ln_gr - ln_lr, ln_lr - ln_ir, ln_ir - ln_ar)

@@ -12,6 +12,12 @@ series / expm1 forms, so the relative error stays at a few ulp instead of
 degrading like 1/|a-b| or 1/min(|p|, |p+1|).  L, I and Lp internally rescale
 by a power of two so intermediate sums and products cannot overflow and
 degree-1 homogeneity survives to a few ulp.
+
+Each of L, ln L, I, ln I and Lp has one body, a private kernel that reads a
+*scaled pair* (``_scaled_pair``): the two arguments with their power-of-two
+rescaling and the quantities s and t that I and Lp share.  A caller that
+reads several means of one pair builds it once.  The public functions check
+their arguments, build the pair and call the same kernels.
 """
 
 from __future__ import annotations
@@ -35,27 +41,36 @@ IDENTRIC_SERIES_T = 1e-3
 MEAN_IDS = ("A", "G", "H", "L", "I", "Lp")
 
 
-# L, I, ln I and Lp check their inputs with _pair and hand them to private
-# kernels, each the one body of its formula.  A kernel takes two finite
-# positive floats; the catalog, whose coordinates are checked once per
-# sample, calls the kernels directly.
+# L, ln L, I, ln I and Lp check their inputs with _pair and hand their scaled
+# pair to private kernels, each the one body of its formula.  A kernel takes
+# the scaled pair of two finite positive floats; the catalog, Ky Fan and
+# ratio, whose arguments are checked or positive by construction, build the
+# pairs and call the kernels directly.
 
 def _pair(a, b):
     return check_finite_positive("a", a), check_finite_positive("b", b)
 
 
-def _unit_scaled(a, b):
-    """``(hi / m, lo / m, m)``: the pair sorted, hi >= lo, and rescaled by a
-    power of two m so its geometric mean is near 1.
+def _scaled_pair(a, b):
+    """``(a, b, hi, lo, m, s, t)``: the pair of finite positive floats a, b as
+    the kernels read it.
 
-    Power-of-two scaling is exact, which keeps the means' homogeneity tight
-    and removes overflow from intermediate sums and products.
+    hi >= lo are a and b sorted and divided by a power of two m, so their
+    geometric mean is near 1; power-of-two scaling is exact, which keeps the
+    means' homogeneity tight and removes overflow from intermediate sums and
+    products.  s = (hi + lo)/2 and t = (hi - lo)/(hi + lo), which I and Lp
+    both read, are formed from halves so the sum cannot overflow.  Equal
+    arguments are not scaled (m = 1, t = 0): every kernel returns their
+    common value before reading the rest.
     """
-    if a < b:
-        a, b = b, a
-    e = (math.frexp(a)[1] + math.frexp(b)[1]) >> 1
-    m = math.ldexp(1.0, e)
-    return a / m, b / m, m
+    if a == b:
+        return a, b, a, b, 1.0, a, 0.0
+    hi, lo = (a, b) if a > b else (b, a)
+    m = math.ldexp(1.0, (math.frexp(hi)[1] + math.frexp(lo)[1]) >> 1)
+    hi /= m
+    lo /= m
+    s = 0.5 * hi + 0.5 * lo
+    return a, b, hi, lo, m, s, (0.5 * hi - 0.5 * lo) / s
 
 
 def arithmetic_mean(a, b) -> float:
@@ -92,33 +107,36 @@ def logarithmic_mean(a, b) -> float:
     Uses the relative difference d = (hi - lo)/lo and log1p so the value is
     smooth and fully accurate as a -> b.
     """
-    return _logarithmic_mean(*_pair(a, b))
+    return _logarithmic_mean(_scaled_pair(*_pair(a, b)))
 
 
-def _logarithmic_mean(a, b):
+def _logarithmic_mean(pair):
+    a, b, hi, lo, m, _, _ = pair
     if a == b:
         return a
-    hi_s, lo_s, m = _unit_scaled(a, b)
-    d = (hi_s - lo_s) / lo_s
+    d = (hi - lo) / lo
     if not math.isfinite(d):
         # both differences change sign with the order, so the quotient does not
         return (a - b) / (math.log(a) - math.log(b))
-    return m * (lo_s * d / math.log1p(d))
+    return m * (lo * d / math.log1p(d))
 
 
 def ln_logarithmic(a, b) -> float:
     """ln L(a, b), stable for all argument separations."""
-    a, b = _pair(a, b)
+    return _ln_logarithmic(_scaled_pair(*_pair(a, b)))
+
+
+def _ln_logarithmic(pair):
+    a, b, hi, lo, m, _, _ = pair
     if a == b:
         return math.log(a)
-    hi_s, lo_s, m = _unit_scaled(a, b)
-    d = (hi_s - lo_s) / lo_s
+    d = (hi - lo) / lo
     if not math.isfinite(d):
         return math.log(abs(a - b)) - math.log(abs(math.log(a) - math.log(b)))
-    return math.log(m) + math.log(lo_s * d / math.log1p(d))
+    return math.log(m) + math.log(lo * d / math.log1p(d))
 
 
-def _identric_exponent(hi, lo, s):
+def _identric_exponent(hi, lo, s, t):
     """ln I - ln((a+b)/2) for the scaled pair, via series or the direct form.
 
     With t = (hi-lo)/(hi+lo) the gap is 1 - t^2/6 - t^4/20 - t^6/42 - ... - 1;
@@ -126,7 +144,6 @@ def _identric_exponent(hi, lo, s):
     would cancel, and the direct form (v ln v - u ln u)/(v - u) - 1 on the
     normalized arguments v = hi/s, u = lo/s is stable for every larger t.
     """
-    t = (0.5 * hi - 0.5 * lo) / s
     if t == 0.0:
         return 0.0
     if t < IDENTRIC_SERIES_T:
@@ -143,15 +160,14 @@ def _identric_exponent(hi, lo, s):
 
 def identric_mean(a, b) -> float:
     """(1/e) (a^a / b^b)^(1/(a-b)), extended by continuity to a at a = b."""
-    return _identric_mean(*_pair(a, b))
+    return _identric_mean(_scaled_pair(*_pair(a, b)))
 
 
-def _identric_mean(a, b):
+def _identric_mean(pair):
+    a, b, hi, lo, m, s, t = pair
     if a == b:
         return a
-    hi, lo, m = _unit_scaled(a, b)
-    s = 0.5 * hi + 0.5 * lo
-    return m * (s * math.exp(_identric_exponent(hi, lo, s)))
+    return m * (s * math.exp(_identric_exponent(hi, lo, s, t)))
 
 
 def ln_identric(a, b) -> float:
@@ -160,15 +176,14 @@ def ln_identric(a, b) -> float:
     Needed wherever ln I enters a difference whose scale is far below |ln I|
     itself (ratio-function derivatives, tangent-line slacks).
     """
-    return _ln_identric(*_pair(a, b))
+    return _ln_identric(_scaled_pair(*_pair(a, b)))
 
 
-def _ln_identric(a, b):
+def _ln_identric(pair):
+    a, b, hi, lo, m, s, t = pair
     if a == b:
         return math.log(a)
-    hi, lo, m = _unit_scaled(a, b)
-    s = 0.5 * hi + 0.5 * lo
-    return math.log(m) + math.log(s) + _identric_exponent(hi, lo, s)
+    return math.log(m) + math.log(s) + _identric_exponent(hi, lo, s, t)
 
 
 def _ln_sinhc(y):
@@ -199,7 +214,8 @@ def p_logarithmic_mean(a, b, p) -> float:
     cancellation.
     """
     a, b = _pair(a, b)
-    return _p_logarithmic_mean(a, b, _finite_exponent(p))
+    p = _finite_exponent(p)
+    return _p_logarithmic_mean(_scaled_pair(a, b), p)
 
 
 def _finite_exponent(p):
@@ -209,19 +225,18 @@ def _finite_exponent(p):
     return p
 
 
-def _p_logarithmic_mean(a, b, p):
-    """Lp at a finite float exponent p."""
+def _p_logarithmic_mean(pair, p):
+    """Lp of a scaled pair at a finite float exponent p."""
+    a, b, hi, lo, m, s, t = pair
     if a == b:
         return a
     if abs(p) <= P_SNAP:
-        return _identric_mean(a, b)
+        return _identric_mean(pair)
     if abs(p + 1.0) <= P_SNAP:
-        return _logarithmic_mean(a, b)              # the p = -1 limit
-    hi, lo, m = _unit_scaled(a, b)
-    t = (0.5 * hi - 0.5 * lo) / (0.5 * hi + 0.5 * lo)
+        return _logarithmic_mean(pair)              # the p = -1 limit
     if t <= 0.1 and abs(p) <= 8.0:
         # most accurate where it converges: a few ulp at any p in range
-        return m * _lp_series_form(hi, lo, p)
+        return m * _lp_series_form(s, t, p)
     parts = _lp_beta(hi, lo, p)
     if parts is not None:
         beta, damage = parts
@@ -236,14 +251,12 @@ def _p_logarithmic_mean(a, b, p):
     return m * _lp_plain_form(hi, lo, p)
 
 
-def _lp_series_form(hi, lo, p):
+def _lp_series_form(s, t, p):
     # ln Lp = ln s + w * log1p(p w)/(p w) where w is the odd binomial tail of
     # ((1+t)^{p+1} - (1-t)^{p+1}) / (2(p+1)t) with the leading p divided out
     # term by term, so nothing is amplified as p -> 0:
     #   w = sum_k c_{2k} t^{2k},  c_2 = (p-1)/6,
     #   c_{2k+2} = c_{2k} (p-2k)(p-2k-1) / ((2k+2)(2k+3))
-    s = 0.5 * hi + 0.5 * lo
-    t = (0.5 * hi - 0.5 * lo) / s
     tt = t * t
     c = (p - 1.0) / 6.0
     term = c * tt
@@ -328,8 +341,9 @@ def mean_chain_slacks(a, b):
         return (0.0, 0.0, 0.0, 0.0)
     g = geometric_mean(a, b)
     h = harmonic_mean(a, b)
-    ll = _logarithmic_mean(a, b)
-    i = _identric_mean(a, b)
+    pair = _scaled_pair(a, b)
+    ll = _logarithmic_mean(pair)
+    i = _identric_mean(pair)
     aa = arithmetic_mean(a, b)
     return (g - h, ll - g, i - ll, aa - i)
 

@@ -20,8 +20,8 @@ import math
 from enum import Enum
 
 # The unchecked kernel, under the name the benchmark's tracer wraps: every
-# argument reaching it is a float exp(z) > 0 or 1.0, as in catalog.py.
-from .means import _ln_identric as ln_identric, _log_expm1
+# pair reaching it is of a float exp(z) > 0 and 1.0, as in catalog.py.
+from .means import _ln_identric as ln_identric, _log_expm1, _scaled_pair
 from .report import HypothesisViolation, check_finite_positive
 
 __all__ = [
@@ -62,7 +62,9 @@ class OrderedQuad:
     The strict form is the domain of the ratio functions; the relaxed form is
     accepted only by the mean-ratio chain check that tolerates ties.  Logs and
     log-ratios of the pairs are cached because every consumer needs them, and
-    so is ``is_strict``, which ``require_strict`` reads.
+    so is ``is_strict``, which ``require_strict`` reads.  ``degeneracy`` is
+    (a - d)/(a + d), the quad's relative spread, which the catalog's
+    equality predicates read.
     ``memo`` starts empty: the catalog's rows fill it with the means they
     share, each the first time a row reads it, so rows judged on one quad
     compute each shared mean once.
@@ -70,7 +72,7 @@ class OrderedQuad:
 
     __slots__ = ("a", "b", "c", "d", "relaxed", "is_strict",
                  "ln_a", "ln_b", "ln_c", "ln_d",
-                 "r_ab", "r_cd", "h_ab", "h_cd", "disc_class", "memo")
+                 "r_ab", "r_cd", "h_ab", "h_cd", "disc_class", "degeneracy", "memo")
 
     def __init__(self, a, b, c, d, relaxed=False):
         # four floats already in strict order, as the sampler draws them, pass
@@ -93,6 +95,7 @@ class OrderedQuad:
         self.r_cd = r_cd = _ln_ratio(c, d)
         self.h_ab = 0.5 * r_ab
         self.h_cd = 0.5 * r_cd
+        self.degeneracy = (a - d) / (a + d)
         # scale-free discriminant classification of ad - bc: both sides are
         # divided by max(a, b, c, d), which is a, so (a / a) * d is d
         x1 = d
@@ -156,7 +159,7 @@ def _ln_identric_exp(z):
         return z - 1.0
     if z < -300.0:
         return -1.0
-    return ln_identric(math.exp(z), 1.0)
+    return ln_identric(_scaled_pair(math.exp(z), 1.0))
 
 
 def ln_identric_ratio_pow(quad: OrderedQuad, s: float) -> float:

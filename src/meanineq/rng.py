@@ -33,6 +33,7 @@ DEFAULT_RANGE = (1e-3, 1e3)
 B_EQ_C_PROB = 0.2
 #: Ky Fan values are drawn uniformly from (KYFAN_EPS, 1/2].
 KYFAN_EPS = 1e-6
+_KYFAN_SPAN = 0.5 - KYFAN_EPS
 
 #: Redraw cap for constrained rejection sampling.
 MAX_REDRAWS = 10_000
@@ -186,6 +187,6 @@ def sample_kyfan_values(stream: SampleStream, index: int, n: int):
     """n values uniform in (KYFAN_EPS, 1/2], deterministic in (stream, index)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    us = stream.floats_open(index, n)
-    span = 0.5 - KYFAN_EPS
-    return [KYFAN_EPS + span * u for u in us]
+    # each word as floats_open turns it into u in (0, 1], then scaled, in one pass
+    return [KYFAN_EPS + _KYFAN_SPAN * (((w >> 11) + 1) * _INV_2_53)
+            for w in stream.words(index, n)]

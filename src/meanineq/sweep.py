@@ -263,9 +263,7 @@ def _group(kind, config, pos):
             return n, sample_kyfan_values(stream, index, n)
 
         def evaluate(args):
-            # a table row is (id, links, domain, slacks, tolerance, on_equality_manifold)
-            return [row[3:] for row in
-                    kyfan._rows(kyfan.compute_stats(kyfan.KyFanSample(args[1])))]
+            return kyfan._rows(kyfan.compute_stats(kyfan.KyFanSample(args[1])))
 
         return _Group(ids, draw, evaluate, dict.fromkeys(ids, (_echo_kyfan, 2)))
     from . import catalog

@@ -9,7 +9,7 @@ import pytest
 
 from meanineq import catalog, sweep
 from meanineq.cli import main
-from meanineq.kyfan import (KYFAN_IDS, SPREAD_EQUALITY, KyFanSample, _rows, all_slacks,
+from meanineq.kyfan import (KYFAN_IDS, SPREAD_EQUALITY, TABLE, KyFanSample, _rows, all_slacks,
                             bridge_slacks, complement_ratio_probe, compute_stats)
 from meanineq.ratio import OrderedQuad, ratio_value
 from meanineq.report import EQUALITY, HOLDS, VIOLATED, HypothesisViolation
@@ -249,10 +249,38 @@ def test_eq27_tail_near_and_past_binary64(n):
             assert abs(tail - exact) <= 1e-12 * exact
 
 
+class TestTable:
+    """The Ky Fan table's constant columns and ``_rows``' computed ones line
+    up, as each catalog entry's links and its row's slacks do."""
+
+    def test_entries_in_id_order(self):
+        assert tuple(entry.id for entry in TABLE) == KYFAN_IDS
+        assert KYFAN_IDS == tuple(f"EQ{k}" for k in range(18, 32))
+        assert all(entry.domain in ("log_ratio", "additive") for entry in TABLE)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_one_slack_per_link(self, n):
+        stream = SampleStream(27, "test/table")
+        for index in range(10):
+            values = sample_kyfan_values(stream, index, n)
+            for sample in (values, [values[0]] * n):
+                stats = stats_of(sample)
+                rows = _rows(stats)
+                # a constant sample has rows for EQ18..EQ22 only, any other all fourteen
+                assert len(rows) == (5 if stats.all_equal else len(TABLE))
+                assert stats.all_equal == (sample is not values or n == 1)
+                if stats.all_equal:
+                    assert list(all_slacks(stats)) == ["EQ18", "EQ19", "EQ20", "EQ21", "EQ22"]
+                for entry, (slacks, tolerance, _) in zip(TABLE, rows):
+                    assert len(slacks) == len(entry.links), entry.id
+                    assert type(tolerance) is float
+                    assert all(type(s) is float for s in slacks), entry.id
+
+
 def _judged(stats):
     """``(id, margin, verdict)`` of each table row, judged as a sweep judges it."""
-    return [(id, *judge(slacks, tolerance, eq)) for id, _, _, slacks, tolerance, eq
-            in _rows(stats)]
+    return [(id, *judge(slacks, tolerance, eq)) for id, (slacks, tolerance, eq)
+            in zip(KYFAN_IDS, _rows(stats))]
 
 
 class TestMarginsMatchReports:

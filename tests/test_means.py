@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,16 +263,116 @@ class TestBranchSeams:
     @pytest.mark.parametrize("p", [1e-3, -1e-3, -1.0 + 1e-3, -1.0 - 1e-3])
     def test_lp_stabilized_vs_plain_at_boundary(self, p):
         for (a, b) in [(4.0, 2.0), (9.0, 5.5), (1.9, 1.1)]:
-            hi, lo, m = means._unit_scaled(max(a, b), min(a, b))
+            hi, lo, m = means._scaled_pair(a, b)[2:5]
             stabilized = p_logarithmic_mean(a, b, p)
             plain = m * means._lp_plain_form(hi, lo, p)
             assert abs(stabilized - plain) <= 1e-12 * plain, (a, b, p)
 
     def test_lp_sinhc_vs_expm1_at_window_edge(self):
         for (a, b) in [(4.0, 2.0), (1.9, 1.1)]:
-            hi, lo, m = means._unit_scaled(a, b)
+            hi, lo, m = means._scaled_pair(a, b)[2:5]
             for p in (-1.0 + 1e-3, -1.0 - 1e-3):
                 v1 = m * means._lp_sinhc_form(hi, lo, p)
                 beta, _ = means._lp_beta(hi, lo, p)
                 v2 = m * math.exp(math.log1p(beta) / p)
                 assert abs(v1 - v2) <= 1e-12 * v1
+
+
+def _kernel_grid():
+    """Seeded pairs and exponents that reach every branch of the L, I and Lp
+    kernels: pairs near a/b = 1, past a/b = 2^1023 and near both ends of the
+    binary64 range, and exponents in every Lp form and near p = 0 and -1."""
+    rng = random.Random(27)
+    pairs = [(2.0, 2.0), (1.7e308, 1.7e308), (5e-324, 5e-324),
+             (1.7e308, 1e-300), (1e308, 5e-324), (2.0 ** 1000, 2.0 ** -100),
+             (5e-324, 1e-323), (2.2250738585072014e-308, 1e-310), (1.7e308, 1.6e308),
+             (1.7976931348623157e308, 8.98846567431158e307), (1.0, 1.0000000000000002),
+             (4.0, 2.0), (1e10, 1.0), (1.0, 1e-10)]
+    for _ in range(60):
+        x = 10.0 ** rng.uniform(-300.0, 300.0)
+        rel = rng.choice([2.2e-16, 1e-12, 1e-8, 1e-4, 1e-3, 0.02, 0.1, 0.3, 1.0, 30.0, 1e6])
+        y = x * (1.0 + rel * rng.random())
+        pairs.append((y, x) if rng.random() < 0.5 else (x, y))
+    ps = [1e-7, -1e-7, 1e-6, -1e-6, 1.1e-6, 1e-5, -1e-5, -1.0 + 1e-7, -1.0 - 1e-7,
+          -1.0 + 1.1e-6, -1.0 - 1e-5, -0.6, -1.4, 0.5, -0.5, 2.0, -3.0, 8.0, 9.0, -9.0,
+          100.0, -100.0, 700.0, 1e5, -1e5]
+    ps += [rng.uniform(-12.0, 12.0) for _ in range(15)]
+    return pairs, ps
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+
+
+class TestScaledPairKernels:
+    """Each mean's kernel, read from one scaled pair per argument pair, gives
+    its public function's value bit for bit, and so did the public functions
+    before the kernels took scaled pairs (``PUBLIC_SHA``)."""
+
+    #: sha256 of the public functions' outcomes over ``_kernel_grid``, from
+    #: before the kernels read scaled pairs.
+    PUBLIC_SHA = "a2bd476a8c99ee2b905d6dcc2a9eb80ebb7a34934fe4f5ccf6bad509ad26f4c0"
+
+    @staticmethod
+    def public_outcomes(a, b, ps):
+        return ([_outcome(f, a, b) for f in (logarithmic_mean, means.ln_logarithmic,
+                                             identric_mean, ln_identric)]
+                + [_outcome(p_logarithmic_mean, a, b, p) for p in ps])
+
+    def test_kernels_match_public_functions(self, monkeypatch):
+        reached = set()
+
+        def seen(name, fn):
+            def wrapper(*args):
+                reached.add(name)
+                return fn(*args)
+            monkeypatch.setattr(means, f"_lp_{name}_form", wrapper)
+
+        for name in ("series", "sinhc", "plain"):
+            seen(name, getattr(means, f"_lp_{name}_form"))
+        real_beta = means._lp_beta
+
+        def beta(hi, lo, p):
+            parts = real_beta(hi, lo, p)
+            if parts is None and p * math.log(hi) >= 700.0:
+                reached.add("beta_700")
+            elif parts is not None and parts[1] <= 300.0:
+                reached.add("beta")
+            return parts
+        monkeypatch.setattr(means, "_lp_beta", beta)
+
+        pairs, ps = _kernel_grid()
+        digest = hashlib.sha256()
+        for a, b in pairs:
+            public = self.public_outcomes(a, b, ps)
+            digest.update(repr(public).encode())
+            try:
+                pair = means._scaled_pair(a, b)
+            except OverflowError:   # both past 2^1023: the public functions raise alike
+                assert set(public) == {"OverflowError"}, (a, b)
+                reached.add("overflow")
+                continue
+            kernels = ([_outcome(f, pair) for f in (means._logarithmic_mean,
+                                                    means._ln_logarithmic,
+                                                    means._identric_mean, means._ln_identric)]
+                       + [_outcome(means._p_logarithmic_mean, pair, p) for p in ps])
+            assert kernels == public, (a, b)
+            _, _, hi, lo, _, s, t = pair
+            if a == b:
+                reached.add("equal")
+                continue
+            reached.add("L_finite" if math.isfinite((hi - lo) / lo) else "L_nonfinite")
+            if t < means.IDENTRIC_SERIES_T:
+                reached.add("I_series")
+            elif lo / s == 0.0:
+                reached.add("I_u_zero")
+            else:
+                reached.add("I_direct")
+        assert digest.hexdigest() == self.PUBLIC_SHA
+        assert reached == {"series", "beta", "beta_700", "sinhc", "plain", "overflow", "equal",
+                           "L_finite", "L_nonfinite", "I_series", "I_u_zero", "I_direct"}
+        assert any(abs(p) <= means.P_SNAP for p in ps)
+        assert any(abs(p + 1.0) <= means.P_SNAP for p in ps)
