@@ -2,16 +2,18 @@
 
 For an ordered quadruple a > b >= c > d > 0 the ratio r is positive, strictly
 increasing and strictly convex on the whole real line, while ln r is convex,
-concave or linear according to the sign of the discriminant a*d - b*c.  This
-module evaluates r, ln r and their first derivatives stably:
+concave or linear according to the sign of the discriminant a*d - b*c.
 
-* everything runs in the log domain, so a^x never overflows before the final
-  exponentiation;
-* x = 0 is a removable singularity with value ln(a/b)/ln(c/d); a small window
-  around it uses that value with its exact first-order correction;
-* the derivative (ln r)'(x) = (1/x) * ln( I(a^x,b^x) / I(c^x,d^x) ) is
-  computed through a scaled identric helper, so it stays accurate down to
-  x = 0 where it equals ln( G(a,b) / G(c,d) ).
+With h_ab = ln(a/b)/2, h_cd = ln(c/d)/2 and a^x - b^x =
+2x h_ab (ab)^(x/2) sinh(x h_ab)/(x h_ab), ln r is one expression on all of R:
+
+    ln r(x) = x ln(G(a,b)/G(c,d)) + ln(h_ab/h_cd) + lambda(x h_ab) - lambda(x h_cd),
+
+where lambda(w) = ln(sinh w / w) is even and smooth, with lambda(0) = 0.  Its
+derivative lambda'(w) = coth w - 1/w gives (ln r)' and the identric ratio of
+the powers, since ln I(e^w, e^-w) = w lambda'(w).  Nothing forms a^x, so only
+the final exponentiation in ``ratio_value`` can overflow, and x = 0 is no
+special case: ln r(0) = ln(h_ab/h_cd) and (ln r)'(0) = ln(G(a,b)/G(c,d)).
 """
 
 from __future__ import annotations
@@ -19,22 +21,19 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-# The unchecked kernel, under the name the benchmark's tracer wraps: every
-# pair reaching it is of a float exp(z) > 0 and 1.0, as in catalog.py.
-from .means import _ln_identric as ln_identric, _log_expm1, _scaled_pair
+# lambda(w) = ln(sinh w / w).  ``ln_identric`` stays bound under the name the
+# benchmark's tracer wraps, though nothing here calls it.
+from .means import _ln_identric as ln_identric, _ln_sinhc as _lam
 from .report import HypothesisViolation, check_finite_positive
 
 __all__ = [
     "DiscClass", "ConvexityClass", "OrderedQuad",
     "ratio_value", "log_ratio_value", "ratio_derivative", "log_ratio_derivative",
     "convexity_class", "secant_slope", "midpoint_convexity_slack",
-    "log_secant_slope_gap", "ln_identric_ratio_pow", "TAU_X",
+    "log_secant_slope_gap", "ln_identric_ratio_pow",
 ]
 
 _INF = math.inf
-
-#: Half-width of the removable-singularity window around x = 0.
-TAU_X = 1e-7
 
 #: |ad - bc| <= DISC_ZERO_REL * (ad + bc) classifies the discriminant as zero.
 DISC_ZERO_REL = 1e-12
@@ -153,25 +152,31 @@ def _ln_ratio(hi, lo):
     return math.log(hi) - math.log(lo)
 
 
-def _ln_identric_exp(z):
-    """ln I(e^z, 1) for any real z."""
-    if z > 300.0:
-        return z - 1.0
-    if z < -300.0:
-        return -1.0
-    return ln_identric(_scaled_pair(math.exp(z), 1.0))
+def _dlam(w):
+    """lambda'(w) = coth w - 1/w for any real w (odd in w).
+
+    Below |w| = 0.3, where the direct form cancels, the Bernoulli series
+    sum 2^2n B_2n w^(2n-1) / (2n)! through w^13: the first term it leaves out
+    is under 4e-15 of the sum.  The direct form is good to about 7e-15 from
+    there on.
+    """
+    if abs(w) < 0.3:
+        ww = w * w
+        return w * (1.0 / 3.0 + ww * (-1.0 / 45.0 + ww * (2.0 / 945.0 + ww * (
+            -1.0 / 4725.0 + ww * (2.0 / 93555.0 + ww * (
+                -1382.0 / 638512875.0 + ww * (4.0 / 18243225.0)))))))
+    return 1.0 / math.tanh(w) - 1.0 / w
 
 
 def ln_identric_ratio_pow(quad: OrderedQuad, s: float) -> float:
-    """ln( I(a^s, b^s) / I(c^s, d^s) ) without forming the powers, s != 0.
+    """ln( I(a^s, b^s) / I(c^s, d^s) ) without forming the powers.
 
-    Uses degree-1 homogeneity of I: I(a^s, b^s) = b^s * I((a/b)^s, 1).
+    With w = s*h, I(a^s, b^s) = G(a,b)^s * I(e^w, e^-w) and
+    ln I(e^w, e^-w) = w coth w - 1 = w lambda'(w).
     """
-    if s == 0.0:
-        raise ValueError("s must be nonzero")
-    return (s * (quad.ln_b - quad.ln_d)
-            + _ln_identric_exp(s * quad.r_ab)
-            - _ln_identric_exp(s * quad.r_cd))
+    w_ab = s * quad.h_ab
+    w_cd = s * quad.h_cd
+    return s * quad.log_g_ratio() + w_ab * _dlam(w_ab) - w_cd * _dlam(w_cd)
 
 
 def log_ratio_value(quad: OrderedQuad, x: float) -> float:
@@ -182,56 +187,28 @@ def log_ratio_value(quad: OrderedQuad, x: float) -> float:
 
 def _log_ratio_value(quad, x):
     """ln r(x) at a float x on a strict quad: ``log_ratio_value``'s one formula."""
-    if abs(x) <= TAU_X:
-        # removable singularity: r(0) = ln(a/b)/ln(c/d), first-order slope
-        # g'(0); ln r(0) through log1p when the ratio is near 1 (nearly
-        # proportional pairs), through the plain log difference otherwise
-        rr = (quad.r_ab - quad.r_cd) / quad.r_cd
-        if abs(rr) <= 0.5:
-            ln_r0 = math.log1p(rr)
-        else:
-            ln_r0 = math.log(quad.r_ab) - math.log(quad.r_cd)
-        return ln_r0 + math.log1p(x * quad.log_g_ratio())
-    if x > 0.0:
-        return (x * (quad.ln_b - quad.ln_d)
-                + _log_expm1(x * quad.r_ab) - _log_expm1(x * quad.r_cd))
-    return (x * (quad.ln_a - quad.ln_c)
-            + _log_expm1(-x * quad.r_ab) - _log_expm1(-x * quad.r_cd))
+    # ln r(0) = ln(h_ab/h_cd), through log1p when the pairs are nearly proportional
+    rr = (quad.r_ab - quad.r_cd) / quad.r_cd
+    ln_r0 = math.log1p(rr) if abs(rr) <= 0.5 else math.log(quad.r_ab / quad.r_cd)
+    return x * quad.log_g_ratio() + ln_r0 + _lam(x * quad.h_ab) - _lam(x * quad.h_cd)
 
 
 def ratio_value(quad: OrderedQuad, x: float) -> float:
     """r(x) = (a^x - b^x)/(c^x - d^x); raises OverflowError if it exceeds binary64."""
     quad.require_strict()
-    x = float(x)
-    if abs(x) <= TAU_X:
-        r0 = quad.r_ab / quad.r_cd
-        return r0 * (1.0 + x * quad.log_g_ratio())
-    return math.exp(_log_ratio_value(quad, x))
+    return math.exp(_log_ratio_value(quad, float(x)))
 
 
 def log_ratio_derivative(quad: OrderedQuad, x: float) -> float:
-    """(ln r)'(x) = (1/x) ln( I(a^x,b^x)/I(c^x,d^x) ), and ln(G(a,b)/G(c,d)) at 0.
+    """(ln r)'(x) = ln(G(a,b)/G(c,d)) + h_ab lambda'(x h_ab) - h_cd lambda'(x h_cd).
 
-    Always positive (r is strictly increasing).  A short odd series in x is
-    used while |x|*max(h) is small, where the 1/x cancellation would otherwise
-    amplify rounding; h denotes half the log-ratio of a pair.
+    Always positive (r is strictly increasing); ln(G(a,b)/G(c,d)) at x = 0.
     """
     quad.require_strict()
     x = float(x)
-    g0 = quad.log_g_ratio()
-    if x == 0.0:
-        return g0
-    y = abs(x) * max(quad.h_ab, quad.h_cd)
-    if y <= 0.03:
-        ha2 = quad.h_ab * quad.h_ab
-        hc2 = quad.h_cd * quad.h_cd
-        x2 = x * x
-        # h*coth(x h) - 1/x = x h^2/3 - x^3 h^4/45 + 2 x^5 h^6/945 - ...
-        return g0 + x * ((ha2 - hc2) / 3.0
-                         - x2 * (ha2 * ha2 - hc2 * hc2) / 45.0
-                         + x2 * x2 * 2.0 * (ha2 ** 3 - hc2 ** 3) / 945.0)
-    return (quad.ln_b - quad.ln_d) + (
-        _ln_identric_exp(x * quad.r_ab) - _ln_identric_exp(x * quad.r_cd)) / x
+    h_ab = quad.h_ab
+    h_cd = quad.h_cd
+    return quad.log_g_ratio() + h_ab * _dlam(x * h_ab) - h_cd * _dlam(x * h_cd)
 
 
 def ratio_derivative(quad: OrderedQuad, x: float) -> float:
@@ -278,13 +255,18 @@ def log_secant_slope_gap(quad: OrderedQuad) -> float:
 
     The chord abscissae are the quad's own coordinates, so this is evaluated
     fully in the log domain (the raw slopes overflow binary64 for large
-    coordinates).  Positive for every strict quad by convexity of r.
+    coordinates).  Positive for every strict quad by convexity of r.  Each
+    difference of ln r is taken as differences of lambda, so ln(h_ab/h_cd)
+    cancels exactly and no two values near ln r(0) are subtracted.
     """
     quad.require_strict()
     a, b, c, d = quad.a, quad.b, quad.c, quad.d
-    g_a = _log_ratio_value(quad, a)
-    g_b = _log_ratio_value(quad, b)
-    # ln m[u, v] = ln( (r(v) - r(u)) / (v - u) ) = g(v) + ln(1 - e^(g(u) - g(v))) - ln(v - u)
-    ln_m_ca = g_a + math.log1p(-math.exp(_log_ratio_value(quad, c) - g_a)) - math.log(a - c)
-    ln_m_db = g_b + math.log1p(-math.exp(_log_ratio_value(quad, d) - g_b)) - math.log(b - d)
-    return ln_m_ca - ln_m_db
+    g, h_ab, h_cd = quad.log_g_ratio(), quad.h_ab, quad.h_cd
+    lam_a = _lam(a * h_ab) - _lam(a * h_cd)
+    lam_b = _lam(b * h_ab) - _lam(b * h_cd)
+    lam_c = _lam(c * h_ab) - _lam(c * h_cd)
+    lam_d = _lam(d * h_ab) - _lam(d * h_cd)
+    # ln m[u, v] = ln r(v) + ln(1 - e^-(ln r(v) - ln r(u))) - ln(v - u)
+    ln_m_ca = math.log(-math.expm1(-((a - c) * g + lam_a - lam_c))) - math.log(a - c)
+    ln_m_db = math.log(-math.expm1(-((b - d) * g + lam_b - lam_d))) - math.log(b - d)
+    return (a - b) * g + lam_a - lam_b + ln_m_ca - ln_m_db

@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from meanineq.oracle import oracle_eval, oracle_rel_err
-from meanineq.ratio import (ConvexityClass, DiscClass, OrderedQuad, TAU_X,
+from meanineq.ratio import (ConvexityClass, DiscClass, OrderedQuad,
                             convexity_class, log_ratio_derivative,
-                            log_ratio_value, log_secant_slope_gap,
+                            ln_identric_ratio_pow, log_ratio_value, log_secant_slope_gap,
                             midpoint_convexity_slack, ratio_derivative,
                             ratio_value, secant_slope)
 from meanineq.report import HypothesisViolation
@@ -15,6 +16,9 @@ from meanineq.rng import SampleStream, sample_quad
 Q431 = OrderedQuad(4, 3, 2, 1)
 Q821 = OrderedQuad(8, 2, 2, 1)
 Q421 = OrderedQuad(4, 2, 2, 1)   # ad = bc: the ratio is exactly (b/d)^x
+
+#: An x near 0 where r is checked against the direct ln(e^y - 1) form.
+SEAM_X = 1e-7
 
 
 def rand_quads(n, seed=1, sign="any"):
@@ -263,9 +267,10 @@ class TestProperties:
             assert abs(fd - an) <= 1e-6 * abs(an)
 
     def test_value_seam_continuity(self):
+        # r near x = 0 against the direct ln(e^y - 1) form of the power differences
         from meanineq.means import _log_expm1
         for quad in rand_quads(200, seed=9):
-            for x in (TAU_X, -TAU_X):
+            for x in (SEAM_X, -SEAM_X):
                 sing = ratio_value(quad, x)
                 direct = math.exp(
                     x * (quad.ln_b - quad.ln_d)
@@ -332,3 +337,62 @@ class TestProperties:
                     continue
                 g = log_ratio_value(quad, float(x))
                 assert abs(g - x * slope) <= 1e-12 * abs(x * slope) + 1e-15
+
+
+def _mp_ratio_logs(quad, x):
+    """ln r(x), (ln r)'(x) and the two leading terms' size |ln r(0)| + |x ln(G(a,b)/G(c,d))|,
+    in 80-digit mpmath from the power differences themselves."""
+    with mpmath.workdps(80):
+        a, b, c, d, x = (mpmath.mpf(v) for v in (quad.a, quad.b, quad.c, quad.d, x))
+        num, den = a ** x - b ** x, c ** x - d ** x
+        g = mpmath.log(num / den)
+        gp = ((a ** x * mpmath.log(a) - b ** x * mpmath.log(b)) / num
+              - (c ** x * mpmath.log(c) - d ** x * mpmath.log(d)) / den)
+        lead = (abs(mpmath.log(mpmath.log(a / b) / mpmath.log(c / d)))
+                + abs(x * mpmath.log(a * b / (c * d)) / 2))
+        return g, gp, lead
+
+
+def _mp_ln_ipow_ratio(quad, s):
+    """ln I(a^s, b^s) - ln I(c^s, d^s) in 80-digit mpmath, from
+    ln I(e^u, e^v) = (u - v e^(v-u)) / (1 - e^(v-u)) - 1 for u > v."""
+    def ln_i(u, v):
+        if u < v:
+            u, v = v, u
+        e = mpmath.exp(v - u)
+        return (u - v * e) / (1 - e) - 1
+
+    with mpmath.workdps(80):
+        ln = [s * mpmath.log(mpmath.mpf(v)) for v in (quad.a, quad.b, quad.c, quad.d)]
+        return ln_i(ln[0], ln[1]) - ln_i(ln[2], ln[3])
+
+
+def _rel(got, want, scale=None):
+    return float(abs(mpmath.mpf(got) - want) / abs(scale if scale is not None else want))
+
+
+class TestLambdaForm:
+    """ln r, (ln r)' and the Ipow ratio through lambda(w) = ln(sinh w / w) and
+    lambda', against 80-digit mpmath at the x where ln r once changed form:
+    +-1e-9, +-1e-7 (a first-order window ended there), both sides of
+    |x| max(h) = 0.03 (an odd series of (ln r)' ended there), and s ln(a/b) or
+    s ln(c/d) near +-300 (ln I of the powers was clamped there)."""
+
+    @pytest.mark.parametrize("bounds", [(1e-3, 1e3), (1e-12, 1e-6)])
+    def test_against_mpmath(self, bounds):
+        stream = SampleStream(2028, f"test/lambda/{bounds[0]}")
+        for i in range(300):
+            quad = sample_quad(stream, i, bounds=bounds)
+            edge = 0.03 / max(quad.h_ab, quad.h_cd)
+            for x in (1e-9, -1e-9, 1e-7, -1e-7, 0.999 * edge, -0.999 * edge,
+                      1.001 * edge, -1.001 * edge):
+                g, gp, lead = _mp_ratio_logs(quad, x)
+                # ln r has zeros, where no binary64 form of it is relatively
+                # accurate: its error is taken against its leading terms' size
+                assert _rel(log_ratio_value(quad, x), g, max(abs(g), lead)) <= 1e-12, (i, x)
+                assert _rel(log_ratio_derivative(quad, x), gp) <= 1e-12, (i, x)
+            for r in (quad.r_ab, quad.r_cd):
+                for s in (299.0 / r, 301.0 / r, -299.0 / r, -301.0 / r):
+                    want = _mp_ln_ipow_ratio(quad, s)
+                    assert _rel(ln_identric_ratio_pow(quad, s), want) <= 1e-12, (i, s)
+            assert log_secant_slope_gap(quad) > 0, i
