@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 # itself.  They keep the public names, which the benchmark's tracer wraps.
 from .means import (_finite_exponent, _ln_identric as ln_identric,
                     _logarithmic_mean as logarithmic_mean,
-                    _p_logarithmic_mean as p_logarithmic_mean, _scaled_pair, P_SNAP)
+                    _p_logarithmic_mean as p_logarithmic_mean, _scaled_pair)
 from .ratio import (DiscClass, OrderedQuad, ln_identric_ratio_pow,
                     log_secant_slope_gap)
 from .report import TOL_V, HypothesisViolation, build_report, check_finite_positive
@@ -49,6 +49,10 @@ __all__ = [
 #: EQ10's last member divides by ln(I(a,b)/b); the hypothesis keeps the ratio
 #: a/b off the equality manifold where that denominator vanishes.
 EQ10_MIN_RATIO = 1.0 + 1e-6
+
+#: The exponent hypothesis of EQ4 and EQ13: p and q stay at least this far
+#: from 0 and -1.
+P_SNAP = 1e-6
 
 #: Manifold-closeness used by equality predicates (distance parameters such
 #: as |p-q|, |a/b-1|, |ad-bc|/(ad+bc) below this count as "at equality").
@@ -69,7 +73,7 @@ def _require(cond, msg):
 
 
 def _generic_exponent(name, p):
-    """p as a finite float clear of 0 and -1, where Lp snaps to its limits."""
+    """p as a finite float at least P_SNAP away from 0 and -1."""
     p = _finite_exponent(p)
     if abs(p) <= P_SNAP or abs(p + 1.0) <= P_SNAP:
         raise HypothesisViolation(

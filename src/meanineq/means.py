@@ -6,18 +6,22 @@ identric (I) and p-logarithmic (Lp) means of two positive reals, a stable
 H <= G <= L <= I <= A.
 
 All functions are pure.  Equal arguments short-circuit to the common value,
-matching the limit definitions of L, I and Lp.  Near-equal arguments and
-exponents near the removable parameter points p = 0 and p = -1 go through
-series / expm1 forms, so the relative error stays at a few ulp instead of
-degrading like 1/|a-b| or 1/min(|p|, |p+1|).  L, I and Lp internally rescale
-by a power of two so intermediate sums and products cannot overflow and
-degree-1 homogeneity survives to a few ulp.
+matching the limit definitions of L, I and Lp.  Near-equal arguments go
+through series / log1p forms, so the relative error stays at a few ulp
+instead of degrading like 1/|a-b|.  L, I and Lp internally rescale by a power
+of two so intermediate sums and products cannot overflow and degree-1
+homogeneity survives to a few ulp.
+
+Lp runs on one kernel, lambda(w) = ln(sinh w / w) (``_ln_sinhc``): with
+h = ln(a/b)/2, ln Lp = ln G + [lambda((1+p) h) - lambda(h)] / p.  Near p = 0
+the difference is rewritten without cancellation, so Lp is continuous in p
+and tends to I and L at p = 0 and p = -1, where it returns them exactly.
 
 Each of L, ln L, I, ln I and Lp has one body, a private kernel that reads a
 *scaled pair* (``_scaled_pair``): the two arguments with their power-of-two
-rescaling and the quantities s and t that I and Lp share.  A caller that
-reads several means of one pair builds it once.  The public functions check
-their arguments, build the pair and call the same kernels.
+rescaling and the quantities s and t that I reads.  A caller that reads
+several means of one pair builds it once.  The public functions check their
+arguments, build the pair and call the same kernels.
 """
 
 from __future__ import annotations
@@ -30,13 +34,13 @@ __all__ = [
     "arithmetic_mean", "geometric_mean", "harmonic_mean",
     "logarithmic_mean", "identric_mean", "p_logarithmic_mean",
     "ln_identric", "ln_logarithmic", "mean_chain_slacks", "evaluate_mean",
-    "MEAN_IDS", "P_SNAP", "IDENTRIC_SERIES_T",
+    "MEAN_IDS", "IDENTRIC_SERIES_T",
 ]
 
-#: Exponents within this distance of 0 or -1 snap to the limit means I and L.
-P_SNAP = 1e-6
 #: Half-width |(a-b)/(a+b)| of the identric mean's series branch.
 IDENTRIC_SERIES_T = 1e-3
+
+_LN2 = math.log(2.0)
 
 MEAN_IDS = ("A", "G", "H", "L", "I", "Lp")
 
@@ -58,15 +62,22 @@ def _scaled_pair(a, b):
     hi >= lo are a and b sorted and divided by a power of two m, so their
     geometric mean is near 1; power-of-two scaling is exact, which keeps the
     means' homogeneity tight and removes overflow from intermediate sums and
-    products.  s = (hi + lo)/2 and t = (hi - lo)/(hi + lo), which I and Lp
-    both read, are formed from halves so the sum cannot overflow.  Equal
-    arguments are not scaled (m = 1, t = 0): every kernel returns their
-    common value before reading the rest.
+    products.  Where the pair spans nearly all of binary64, m's exponent is
+    clamped so that m, hi and lo stay finite and nonzero.  s = (hi + lo)/2
+    and t = (hi - lo)/(hi + lo), which I reads, are formed from halves so the
+    sum cannot overflow.  Equal arguments are not scaled (m = 1, t = 0):
+    every kernel returns their common value before reading the rest.
     """
     if a == b:
         return a, b, a, b, 1.0, a, 0.0
     hi, lo = (a, b) if a > b else (b, a)
-    m = math.ldexp(1.0, (math.frexp(hi)[1] + math.frexp(lo)[1]) >> 1)
+    k = (math.frexp(hi)[1] + math.frexp(lo)[1]) >> 1
+    if hi > 1e300 or lo < 1e-300:
+        # with e = frexp's exponent, hi / 2^k < 2^1024 needs k >= e(hi) - 1024,
+        # lo / 2^k >= 2^-1074 needs k <= e(lo) + 1073, and 2^k itself needs
+        # k <= 1023; inside [1e-300, 1e300] the midpoint k meets all three
+        k = min(max(k, math.frexp(hi)[1] - 1024), math.frexp(lo)[1] + 1073, 1023)
+    m = math.ldexp(1.0, k)
     hi /= m
     lo /= m
     s = 0.5 * hi + 0.5 * lo
@@ -187,31 +198,35 @@ def _ln_identric(pair):
 
 
 def _ln_sinhc(y):
-    """ln(sinh(y)/y) for any real y (even in y)."""
+    """lambda(y) = ln(sinh(y)/y) for any real y (even in y), to a few ulp
+    relative.
+
+    Below |y| = 1.5, where the direct form would keep only absolute accuracy,
+    log1p of the Taylor series sum y^2k / (2k+1)! of sinh(y)/y - 1 through
+    y^20: the first term it leaves out is under 1e-18 of the sum.
+    """
     y = abs(y)
-    if y < 1e-4:
+    if y < 1.5:
         yy = y * y
-        return yy * (1.0 / 6.0 - yy / 180.0)
+        return math.log1p(yy * (1.0 / 6.0 + yy * (1.0 / 120.0 + yy * (1.0 / 5040.0 + yy * (
+            1.0 / 362880.0 + yy * (1.0 / 39916800.0 + yy * (1.0 / 6227020800.0 + yy * (
+                1.0 / 1307674368000.0 + yy * (1.0 / 355687428096000.0 + yy * (
+                    1.0 / 121645100408832000.0 + yy * (1.0 / 51090942171709440000.0)))))))))))
     if y > 350.0:
-        return y - math.log(2.0 * y)
+        return y - math.log(y) - _LN2
     return math.log(math.sinh(y) / y)
-
-
-def _log_expm1(y):
-    """ln(e^y - 1) for y > 0."""
-    if y > 40.0:
-        return y + math.log1p(-math.exp(-y))
-    return math.log(math.expm1(y))
 
 
 def p_logarithmic_mean(a, b, p) -> float:
     """The p-logarithmic mean ((a^(p+1) - b^(p+1)) / ((p+1)(a-b)))^(1/p).
 
-    Exponents within P_SNAP of 0 return the identric mean, within P_SNAP of
-    -1 the logarithmic mean (their limits).  Elsewhere the closed form is
-    evaluated in the log domain through expm1/log1p so accuracy is uniform in
-    p; near p = -1 a sinh-based rearrangement removes the remaining
-    cancellation.
+    Lp is the Stolarsky mean S_{p+1}, continuous in p: p = 0 returns the
+    identric mean and p = -1 the logarithmic mean, their limits, and as
+    p -> +-inf it tends to max(a, b) and min(a, b).  With h = ln(a/b)/2 and
+    lambda(w) = ln(sinh w / w), ln Lp = ln G + [lambda((1+p) h) - lambda(h)]/p;
+    within 1/2 of p = 0 (and of p = -2, its mirror image in lambda) the
+    bracket is rewritten through expm1/log1p so nothing cancels and accuracy
+    is uniform in p.
     """
     a, b = _pair(a, b)
     p = _finite_exponent(p)
@@ -227,108 +242,31 @@ def _finite_exponent(p):
 
 def _p_logarithmic_mean(pair, p):
     """Lp of a scaled pair at a finite float exponent p."""
-    a, b, hi, lo, m, s, t = pair
+    a, b, hi, lo, m, _, _ = pair
     if a == b:
         return a
-    if abs(p) <= P_SNAP:
+    if abs(p) < 2.0 ** -60:
+        # |ln Lp - ln I| <= |p|/2: below an ulp of I, and p = 0 is I itself
         return _identric_mean(pair)
-    if abs(p + 1.0) <= P_SNAP:
-        return _logarithmic_mean(pair)              # the p = -1 limit
-    if t <= 0.1 and abs(p) <= 8.0:
-        # most accurate where it converges: a few ulp at any p in range
-        return m * _lp_series_form(s, t, p)
-    parts = _lp_beta(hi, lo, p)
-    if parts is not None:
-        beta, damage = parts
-        # damage estimates the roundoff amplification of ln Lp in ulps;
-        # the expm1 form is exact in the p -> 0 limit whenever it is mild
-        if damage <= 300.0:
-            return m * math.exp(math.log1p(beta) / p)
-    if abs(1.0 + p) <= 0.5 or t <= 0.025:
-        # |1/p| <= 2, or a near-equal pair whose sinhc terms are all small:
-        # the 1/p amplification cannot act on anything large
-        return m * _lp_sinhc_form(hi, lo, p)
-    return m * _lp_plain_form(hi, lo, p)
-
-
-def _lp_series_form(s, t, p):
-    # ln Lp = ln s + w * log1p(p w)/(p w) where w is the odd binomial tail of
-    # ((1+t)^{p+1} - (1-t)^{p+1}) / (2(p+1)t) with the leading p divided out
-    # term by term, so nothing is amplified as p -> 0:
-    #   w = sum_k c_{2k} t^{2k},  c_2 = (p-1)/6,
-    #   c_{2k+2} = c_{2k} (p-2k)(p-2k-1) / ((2k+2)(2k+3))
-    tt = t * t
-    c = (p - 1.0) / 6.0
-    term = c * tt
-    w = term
-    k = 1
-    while abs(term) > 1e-19 * max(abs(w), 1e-30) and k < 60:
-        c = c * (p - 2.0 * k) * (p - 2.0 * k - 1.0) / ((2.0 * k + 2.0) * (2.0 * k + 3.0))
-        k += 1
-        term = c * tt ** k
-        w += term
-    z = p * w
-    if abs(z) < 1e-8:
-        factor = 1.0 - 0.5 * z
-    else:
-        factor = math.log1p(z) / z
-    return s * math.exp(w * factor)
-
-
-def _lp_sinhc_form(hi, lo, p):
-    # ln Lp = (q*lnG + ln sinhc(q*r/2) - ln L) / p: an exact rearrangement of
-    # the closed form through (hi^q - lo^q)/q = e^{q m} * r * sinhc(q r / 2)
-    q = 1.0 + p
+    if p == -1.0:
+        return _logarithmic_mean(pair)
     ln_hi = math.log(hi)
     ln_lo = math.log(lo)
     d = (hi - lo) / lo
-    if math.isfinite(d):
-        r = math.log1p(d)
-        ln_l = ln_lo + math.log(d / r)
-    else:   # hi/lo past binary64: ln L from the difference, as _logarithmic_mean
-        r = ln_hi - ln_lo
-        ln_l = math.log(hi - lo) - math.log(r)
-    bracket = q * (0.5 * (ln_hi + ln_lo)) + _ln_sinhc(0.5 * q * r) - ln_l
-    return math.exp(bracket / p)
-
-
-def _lp_beta(hi, lo, p):
-    """(base - 1, damage) for base = (hi^q - lo^q)/(q (hi-lo)), or None.
-
-    ``damage`` bounds the roundoff amplification of ln Lp through this form:
-    eps * pieces / (|q| (hi-lo) |p| (1+beta)).  It blows up exactly where the
-    piece difference cancels (q -> 0, or nearly equal arguments).
-    """
-    ln_hi = math.log(hi)
-    ln_lo = math.log(lo)
-    if p * ln_hi >= 700.0 or p * ln_lo >= 700.0:
-        return None
-    e_hi = math.expm1(p * ln_hi)
-    e_lo = math.expm1(p * ln_lo)
-    num = hi * (e_hi - p) - lo * (e_lo - p)
-    q = 1.0 + p
-    beta = num / (q * (hi - lo))
-    if not math.isfinite(beta) or beta <= -1.0:
-        return None
-    # pre-cancellation magnitudes: roundoff enters at this scale, not |num|
-    pieces = hi * (abs(e_hi) + abs(p)) + lo * (abs(e_lo) + abs(p))
-    damage = pieces / (abs(q) * (hi - lo) * max(abs(p), 1e-300) * (1.0 + beta))
-    return beta, damage
-
-
-def _lp_plain_form(hi, lo, p):
-    # plain log-domain closed form; reached only with |p| bounded away from
-    # zero and well-separated arguments, where 1/p amplification is harmless
-    q = 1.0 + p
-    ln_hi = math.log(hi)
-    ln_lo = math.log(lo)
-    r = ln_hi - ln_lo
-    if q > 0.0:
-        ln_num = q * ln_lo + _log_expm1(q * r)
+    h = 0.5 * (math.log1p(d) if math.isfinite(d) else ln_hi - ln_lo)
+    # lambda is even, so lambda((1+p) h) = lambda((1+e) h) with e = |1+p| - 1
+    e = p if p > -1.0 else -2.0 - p
+    w = (1.0 + e) * h
+    if w == math.inf:
+        return max(a, b) if p > 0.0 else min(a, b)
+    if abs(e) <= 0.5:
+        # lambda((1+e) h) - lambda(h) with lambda(w) = w - ln 2w + ln(1 - e^-2w),
+        # the difference of the last terms taken as one log1p
+        u = math.exp(-2.0 * min(h, w)) * math.expm1(-2.0 * abs(e) * h) / math.expm1(-2.0 * h)
+        diff = e * h - math.log1p(e) + math.log1p(u if e > 0.0 else -u)
     else:
-        ln_num = q * ln_hi + _log_expm1(-q * r)
-    ln_base = ln_num - math.log(abs(q)) - math.log(hi - lo)
-    return math.exp(ln_base / p)
+        diff = _ln_sinhc(w) - _ln_sinhc(h)
+    return m * math.exp(0.5 * (ln_hi + ln_lo) + diff / p)
 
 
 def mean_chain_slacks(a, b):

@@ -51,7 +51,8 @@ def test_criterion_01_mean_chain():
 
 
 def test_criterion_02_limit_identities():
-    """Lp near p=0 tracks I, near p=-1 tracks L; snapped kinds are exact."""
+    """Lp near p=0 tracks I, near p=-1 tracks L; at p = 0 and -1 it is I and L
+    exactly, and near them it meets the oracle."""
     stream = SampleStream(20240802, "acc/limits")
     for i in range(1000):
         u = stream.floats(i, 2)
@@ -59,15 +60,22 @@ def test_criterion_02_limit_identities():
         a = b * (1.01 + (100.0 - 1.01) * u[1])
         i_val = means.identric_mean(a, b)
         l_val = means.logarithmic_mean(a, b)
+        assert means.p_logarithmic_mean(a, b, 0.0) == i_val
+        assert means.p_logarithmic_mean(a, b, -1.0) == l_val
         for p in (1e-6, -1e-6):
             got = means.p_logarithmic_mean(a, b, p)
-            assert got == i_val          # snapped: returns I exactly
+            assert abs(got - i_val) / i_val <= 1e-5
         for p in (-1.0 + 1e-6, -1.0 - 1e-6):
             got = means.p_logarithmic_mean(a, b, p)
             assert abs(got - l_val) / l_val <= 1e-5
         for p in (2e-6, -2e-6):
             got = means.p_logarithmic_mean(a, b, p)
             assert abs(got - i_val) / i_val <= 1e-5
+        if i % 10 == 0:
+            for p in (1e-6, -1e-6, -1.0 + 1e-6, -1.0 - 1e-6, 1e-9, -1e-9, 5e-324,
+                      -2.0 + 1e-7, -2.0 - 1e-7):
+                res = oracle_eval("Lp", {"a": a, "b": b, "p": p}, digits=40)
+                assert oracle_rel_err(means.p_logarithmic_mean(a, b, p), res) <= 1e-13
     _ok("criterion 2: limit identities on 1000 pairs at p = +/-1e-6 and -1 +/- 1e-6")
 
 
@@ -86,7 +94,12 @@ def test_criterion_03_derivative_consistency():
         assert abs(fd - an) <= 1e-6 * abs(an), (quad, x)
     # seam: r at the edge of the first-order window ln r once took around
     # x = 0, against the direct ln(e^y - 1) form of the power differences
-    from meanineq.means import _log_expm1
+    def _log_expm1(y):
+        """ln(e^y - 1) for y > 0."""
+        if y > 40.0:
+            return y + math.log1p(-math.exp(-y))
+        return math.log(math.expm1(y))
+
     seam_x = 1e-7
     worst = 0.0
     for i in range(1000):

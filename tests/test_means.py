@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,17 @@ E = math.e
 
 # log-uniform positive reals over the default verification range
 pos = st.floats(min_value=-3.0, max_value=3.0).map(lambda x: 10.0 ** x)
+
+#: Exponents next to Lp's removable points p = 0 and p = -1, below the cutoff
+#: where Lp returns I, and next to p = -2, where Lp is G
+NEAR_LIMIT_PS = (1e-6, -1e-6, -1.0 + 1e-6, -1.0 - 1e-6, 1e-9, -1e-9, 5e-324,
+                 -2.0 + 1e-7, -2.0 - 1e-7)
+
+
+def lp_oracle_err(a, b, p):
+    """Lp's relative error against the 40-digit oracle."""
+    res = oracle_eval("Lp", {"a": a, "b": b, "p": p}, digits=40)
+    return oracle_rel_err(p_logarithmic_mean(a, b, p), res)
 
 
 class TestWorkedValues:
@@ -52,10 +64,12 @@ class TestWorkedValues:
         assert p_logarithmic_mean(4, 2, -2.0) == pytest.approx(math.sqrt(8.0), rel=1e-12)
 
     def test_p_logarithmic_snap_kinds(self):
-        assert p_logarithmic_mean(4, 2, 1e-9) == identric_mean(4, 2)
-        assert p_logarithmic_mean(4, 2, -1.0 + 1e-9) == logarithmic_mean(4, 2)
+        assert p_logarithmic_mean(4, 2, 0.0) == identric_mean(4, 2)
+        assert p_logarithmic_mean(4, 2, -1.0) == logarithmic_mean(4, 2)
         assert p_logarithmic_mean(4, 2, 1e-9) == pytest.approx(2.9430355293715387,
                                                                rel=1e-6)
+        for p in NEAR_LIMIT_PS:
+            assert lp_oracle_err(4.0, 2.0, p) <= 1e-13, p
 
     def test_exponent_kinds(self):
         def snapped(p):
@@ -64,14 +78,13 @@ class TestWorkedValues:
             return {identric_mean(4, 2): "I", logarithmic_mean(4, 2): "L"}.get(value)
 
         assert snapped(0.5) is None
-        assert snapped(1e-6) == "I"
-        assert snapped(-1.0 - 1e-6) == "L"
         assert snapped(-1.0 - 2e-6) is None
-        for p in (0, 0.0, means.P_SNAP, -means.P_SNAP):
+        # below |p| = 2^-60, |ln Lp - ln I| <= |p|/2 is under an ulp of I
+        for p in (0, 0.0, -0.0, 1e-300, -5e-324):
             assert snapped(p) == "I", p
         for p in (-1, -1.0):
             assert snapped(p) == "L", p
-        for p in (2 * means.P_SNAP, -2 * means.P_SNAP, 0.5):
+        for p in (1e-6, -1e-6, -1.0 + 1e-6, -1.0 - 1e-6, 2e-6, -2e-6, 1e-9):
             assert snapped(p) is None, p
         for p in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"exponent must be finite, got {p!r}"):
@@ -149,13 +162,39 @@ class TestOracleAgreement:
 
     @pytest.mark.parametrize("a,b", [(1e200, 1e-200), (1.7e308, 1e-300), (1e155, 1e-160)])
     def test_lp_past_a_binary64_ratio(self, a, b):
-        # a/b overflows here, so the sinhc form cannot take ln L through
-        # log1p(a/b - 1); it read NaN at every p below -0.3
+        # a/b overflows here, so h = ln(a/b)/2 must come from ln a - ln b
         for p in (-1.5, -1.2, -0.9, -0.6674939363144201, -0.5, -0.3):
             value = p_logarithmic_mean(a, b, p)
             assert b <= value <= a, (p, value)
             res = oracle_eval("Lp", {"a": a, "b": b, "p": p}, digits=40)
             assert oracle_rel_err(value, res) < PUBLISHED_BOUNDS["Lp"], p
+
+    @pytest.mark.parametrize("a,b", [(1.7e308, 1.6e308), (1e308, 5e-324)])
+    def test_pairs_spanning_binary64(self, a, b):
+        # the scaled pair's power of two m, hi/m and lo/m must stay finite
+        # and nonzero here
+        cases = [("L", logarithmic_mean, {}), ("I", identric_mean, {})]
+        cases += [("Lp", lambda a, b, p=p: p_logarithmic_mean(a, b, p), {"p": p})
+                  for p in (-3.0, -1.5, -0.5, 0.5, 2.5)]
+        for op, fn, extra in cases:
+            value = fn(a, b)
+            assert b <= value <= a, (op, extra, value)
+            res = oracle_eval(op, {"a": a, "b": b, **extra}, digits=40)
+            assert oracle_rel_err(value, res) < PUBLISHED_BOUNDS[op], (op, extra)
+
+
+class TestLnSinhc:
+    def test_relative_accuracy(self):
+        # lambda(y) = ln(sinh y / y) on log-spaced y in [1e-10, 1e3]: relative
+        # accuracy also where lambda is small and its direct form cancels
+        worst = 0.0
+        with mpmath.workdps(60):
+            for k in range(2601):
+                y = 10.0 ** (-10.0 + 13.0 * k / 2600)
+                yy = mpmath.mpf(y)
+                exact = mpmath.log(mpmath.sinh(yy) / yy)
+                worst = max(worst, float(abs((means._ln_sinhc(y) - exact) / exact)))
+        assert worst <= 1e-15, worst
 
 
 class TestProperties:
@@ -220,6 +259,17 @@ class TestProperties:
         if abs(a / b - 1.0) > 1e-3:
             assert all(y > x for x, y in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("p", [1e20, -1e20, 1e300, -1e300, 1e308, -1e308,
+                                   1.7976931348623157e308, -1.7976931348623157e308])
+    def test_lp_at_huge_exponents(self, p):
+        # (1+p) h overflows for the wide pairs at the largest |p|: Lp is then
+        # its limit, max(a, b) as p -> inf and min(a, b) as p -> -inf
+        for a, b in [(1000.0, 0.001), (4.0, 2.0), (1.0 + 2.0 ** -52, 1.0), (1.7e308, 5e-324)]:
+            value = p_logarithmic_mean(a, b, p)
+            assert b <= value <= a, (a, b, value)
+            if abs(p) >= 1e308 and a / b > 10.0:
+                assert value == (a if p > 0.0 else b), (a, b, value)
+
     def test_limit_identities(self):
         # |Lp - I| and |Lp - L| near the removable exponents, ratio in [1.01, 100]
         import random
@@ -229,14 +279,14 @@ class TestProperties:
             a = b * rng.uniform(1.01, 100.0)
             i_val = identric_mean(a, b)
             l_val = logarithmic_mean(a, b)
+            assert p_logarithmic_mean(a, b, 0.0) == i_val
+            assert p_logarithmic_mean(a, b, -1.0) == l_val
             for p in (1e-6, -1e-6):
-                assert p_logarithmic_mean(a, b, p) == i_val  # snapped exactly
                 assert abs(p_logarithmic_mean(a, b, p) - i_val) / i_val <= 1e-5
             for p in (-1.0 + 1e-6, -1.0 - 1e-6):
-                # -1 + 1e-6 parses a hair outside the snap window; either way
-                # the value must sit within 1e-5 of the logarithmic mean
                 assert abs(p_logarithmic_mean(a, b, p) - l_val) / l_val <= 1e-5
-            assert p_logarithmic_mean(a, b, -1.0 - 1e-6) == l_val   # snapped exactly
+            for p in NEAR_LIMIT_PS:
+                assert lp_oracle_err(a, b, p) <= 1e-13, (a, b, p)
             for p in (2e-6, -2e-6):
                 assert abs(p_logarithmic_mean(a, b, p) - i_val) / i_val <= 1e-5
             for p in (-1.0 + 2e-6, -1.0 - 2e-6):
@@ -260,28 +310,25 @@ class TestBranchSeams:
             direct = (v * math.log(v) - u * math.log(u)) / (v - u) - 1.0
             assert abs(series - direct) <= 1e-12
 
-    @pytest.mark.parametrize("p", [1e-3, -1e-3, -1.0 + 1e-3, -1.0 - 1e-3])
-    def test_lp_stabilized_vs_plain_at_boundary(self, p):
-        for (a, b) in [(4.0, 2.0), (9.0, 5.5), (1.9, 1.1)]:
-            hi, lo, m = means._scaled_pair(a, b)[2:5]
-            stabilized = p_logarithmic_mean(a, b, p)
-            plain = m * means._lp_plain_form(hi, lo, p)
-            assert abs(stabilized - plain) <= 1e-12 * plain, (a, b, p)
-
-    def test_lp_sinhc_vs_expm1_at_window_edge(self):
-        for (a, b) in [(4.0, 2.0), (1.9, 1.1)]:
-            hi, lo, m = means._scaled_pair(a, b)[2:5]
-            for p in (-1.0 + 1e-3, -1.0 - 1e-3):
-                v1 = m * means._lp_sinhc_form(hi, lo, p)
-                beta, _ = means._lp_beta(hi, lo, p)
-                v2 = m * math.exp(math.log1p(beta) / p)
-                assert abs(v1 - v2) <= 1e-12 * v1
+    def test_lp_seam_at_half(self):
+        # within |e| <= 1/2 of p = 0 (e = p) or of p = -2 (e = -2 - p) Lp takes
+        # its expm1/log1p form, past it the difference of two lambda values:
+        # one ulp of p apart, the two forms agree and both meet the oracle
+        for (a, b) in [(4.0, 2.0), (9.0, 5.5), (1.9, 1.1), (1.0 + 1e-9, 1.0), (1e3, 1e-3)]:
+            for p, outward in ((0.5, math.inf), (-0.5, -math.inf), (-1.5, math.inf),
+                               (-2.5, -math.inf)):
+                inner = p_logarithmic_mean(a, b, p)
+                outer = p_logarithmic_mean(a, b, math.nextafter(p, outward))
+                assert abs(inner - outer) <= 1e-14 * inner, (a, b, p)
+                assert lp_oracle_err(a, b, p) <= 1e-13, (a, b, p)
+                assert lp_oracle_err(a, b, math.nextafter(p, outward)) <= 1e-13, (a, b, p)
 
 
 def _kernel_grid():
     """Seeded pairs and exponents that reach every branch of the L, I and Lp
     kernels: pairs near a/b = 1, past a/b = 2^1023 and near both ends of the
-    binary64 range, and exponents in every Lp form and near p = 0 and -1."""
+    binary64 range, and exponents in both Lp forms, at p = 0 and -1 and
+    near them."""
     rng = random.Random(27)
     pairs = [(2.0, 2.0), (1.7e308, 1.7e308), (5e-324, 5e-324),
              (1.7e308, 1e-300), (1e308, 5e-324), (2.0 ** 1000, 2.0 ** -100),
@@ -295,7 +342,7 @@ def _kernel_grid():
         pairs.append((y, x) if rng.random() < 0.5 else (x, y))
     ps = [1e-7, -1e-7, 1e-6, -1e-6, 1.1e-6, 1e-5, -1e-5, -1.0 + 1e-7, -1.0 - 1e-7,
           -1.0 + 1.1e-6, -1.0 - 1e-5, -0.6, -1.4, 0.5, -0.5, 2.0, -3.0, 8.0, 9.0, -9.0,
-          100.0, -100.0, 700.0, 1e5, -1e5]
+          100.0, -100.0, 700.0, 1e5, -1e5, 0.0, -1.0, 1e-300]
     ps += [rng.uniform(-12.0, 12.0) for _ in range(15)]
     return pairs, ps
 
@@ -309,12 +356,13 @@ def _outcome(fn, *args):
 
 class TestScaledPairKernels:
     """Each mean's kernel, read from one scaled pair per argument pair, gives
-    its public function's value bit for bit, and so did the public functions
-    before the kernels took scaled pairs (``PUBLIC_SHA``)."""
+    its public function's value bit for bit, and the public functions' values
+    are pinned (``PUBLIC_SHA``)."""
 
-    #: sha256 of the public functions' outcomes over ``_kernel_grid``, from
-    #: before the kernels read scaled pairs.
-    PUBLIC_SHA = "a2bd476a8c99ee2b905d6dcc2a9eb80ebb7a34934fe4f5ccf6bad509ad26f4c0"
+    #: sha256 of the public functions' outcomes over ``_kernel_grid``.  Each
+    #: outcome that moved when it was last pinned was checked against the
+    #: oracle (``CHANGES.md``).
+    PUBLIC_SHA = "c7bb9fa48661d076f8a9fa8ee587acfc369b649a90338e9da61cc0d4e12a382a"
 
     @staticmethod
     def public_outcomes(a, b, ps):
@@ -322,39 +370,14 @@ class TestScaledPairKernels:
                                              identric_mean, ln_identric)]
                 + [_outcome(p_logarithmic_mean, a, b, p) for p in ps])
 
-    def test_kernels_match_public_functions(self, monkeypatch):
+    def test_kernels_match_public_functions(self):
         reached = set()
-
-        def seen(name, fn):
-            def wrapper(*args):
-                reached.add(name)
-                return fn(*args)
-            monkeypatch.setattr(means, f"_lp_{name}_form", wrapper)
-
-        for name in ("series", "sinhc", "plain"):
-            seen(name, getattr(means, f"_lp_{name}_form"))
-        real_beta = means._lp_beta
-
-        def beta(hi, lo, p):
-            parts = real_beta(hi, lo, p)
-            if parts is None and p * math.log(hi) >= 700.0:
-                reached.add("beta_700")
-            elif parts is not None and parts[1] <= 300.0:
-                reached.add("beta")
-            return parts
-        monkeypatch.setattr(means, "_lp_beta", beta)
-
         pairs, ps = _kernel_grid()
         digest = hashlib.sha256()
         for a, b in pairs:
             public = self.public_outcomes(a, b, ps)
             digest.update(repr(public).encode())
-            try:
-                pair = means._scaled_pair(a, b)
-            except OverflowError:   # both past 2^1023: the public functions raise alike
-                assert set(public) == {"OverflowError"}, (a, b)
-                reached.add("overflow")
-                continue
+            pair = means._scaled_pair(a, b)
             kernels = ([_outcome(f, pair) for f in (means._logarithmic_mean,
                                                     means._ln_logarithmic,
                                                     means._identric_mean, means._ln_identric)]
@@ -371,8 +394,10 @@ class TestScaledPairKernels:
                 reached.add("I_u_zero")
             else:
                 reached.add("I_direct")
+        for p in ps:
+            e = p if p > -1.0 else -2.0 - p      # Lp's distance |1+p| - 1 from p = 0
+            reached.add("Lp_I" if abs(p) < 2.0 ** -60 else "Lp_L" if p == -1.0
+                        else "Lp_expm1" if abs(e) <= 0.5 else "Lp_lambda")
         assert digest.hexdigest() == self.PUBLIC_SHA
-        assert reached == {"series", "beta", "beta_700", "sinhc", "plain", "overflow", "equal",
-                           "L_finite", "L_nonfinite", "I_series", "I_u_zero", "I_direct"}
-        assert any(abs(p) <= means.P_SNAP for p in ps)
-        assert any(abs(p + 1.0) <= means.P_SNAP for p in ps)
+        assert reached == {"equal", "L_finite", "L_nonfinite", "I_series", "I_u_zero",
+                           "I_direct", "Lp_I", "Lp_L", "Lp_expm1", "Lp_lambda"}
