@@ -323,6 +323,36 @@ class TestBranchSeams:
                 assert lp_oracle_err(a, b, p) <= 1e-13, (a, b, p)
                 assert lp_oracle_err(a, b, math.nextafter(p, outward)) <= 1e-13, (a, b, p)
 
+    @pytest.mark.parametrize("p", [1e-3, -1e-3, -1.0 + 1e-3, -1.0 - 1e-3])
+    def test_lp_stabilized_vs_plain_at_boundary(self, p):
+        # the plain log-domain closed form ((hi^q - lo^q)/(q (hi-lo)))^(1/p),
+        # q = 1+p, loses only a few digits this far from p = 0 and p = -1
+        for (a, b) in [(4.0, 2.0), (9.0, 5.5), (1.9, 1.1)]:
+            hi, lo, m = means._scaled_pair(a, b)[2:5]
+            q = 1.0 + p
+            r = math.log(hi) - math.log(lo)
+            if q > 0.0:
+                ln_num = q * math.log(lo) + math.log(math.expm1(q * r))
+            else:
+                ln_num = q * math.log(hi) + math.log(math.expm1(-q * r))
+            ln_base = ln_num - math.log(abs(q)) - math.log(hi - lo)
+            plain = m * math.exp(ln_base / p)
+            stabilized = p_logarithmic_mean(a, b, p)
+            assert abs(stabilized - plain) <= 1e-12 * plain, (a, b, p)
+
+    def test_lp_sinhc_vs_expm1_at_window_edge(self):
+        # at p = -1 -+ 1e-3 (|e| > 1/2) Lp takes the lambda-difference form; the
+        # expm1 form of its base, beta = (hi^q - lo^q)/(q (hi-lo)) - 1, agrees
+        for (a, b) in [(4.0, 2.0), (1.9, 1.1)]:
+            hi, lo, m = means._scaled_pair(a, b)[2:5]
+            for p in (-1.0 + 1e-3, -1.0 - 1e-3):
+                v1 = p_logarithmic_mean(a, b, p)
+                e_hi = math.expm1(p * math.log(hi))
+                e_lo = math.expm1(p * math.log(lo))
+                beta = (hi * (e_hi - p) - lo * (e_lo - p)) / ((1.0 + p) * (hi - lo))
+                v2 = m * math.exp(math.log1p(beta) / p)
+                assert abs(v1 - v2) <= 1e-12 * v1, (a, b, p)
+
 
 def _kernel_grid():
     """Seeded pairs and exponents that reach every branch of the L, I and Lp
