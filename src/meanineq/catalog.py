@@ -18,10 +18,10 @@ sweep calls ``InequalityEntry.row`` itself and judges its output through
 a report.  The inputs a report shows, and a sweep echoes, come from one
 function per arity (``ARITY_ECHO``); a keyed entry's report adds the
 discriminant class.  A sweep evaluates every quad-arity row on one shared
-quad per sample, and every sequence row on one shared n; the means several
-of their rows read are kept in the quad's ``memo``, so each is computed
-once per quad, and so are the scaled pairs those means read and the
-exponents EQ4 and EQ13 check.
+quad per sample, and every sequence row on one shared n.  The quad rows read
+the L, I and Lp ratios in logs, as pieces of ln r, never the means; these and
+the exponents EQ4 and EQ13 check are kept in the quad's ``memo``, so each is
+computed once per quad.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ import numbers
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-# The means' unchecked kernels, which read scaled pairs: every coordinate
-# reaching them is a float already checked, by OrderedQuad or by a pair entry
-# itself.  They keep the public names, which the benchmark's tracer wraps.
-from .means import (_finite_exponent, _ln_identric as ln_identric,
+# The means' unchecked kernels, for checked floats, under the public names the
+# benchmark's tracer wraps: ``p_logarithmic_mean`` is the Lp bracket the quad
+# rows read, L and ln I read the scaled pair of EQ6's and EQ10's (a, b).
+from .means import (_finite_exponent, _ln_identric as ln_identric, _ln_sinhc as _lam,
                     _logarithmic_mean as logarithmic_mean,
-                    _p_logarithmic_mean as p_logarithmic_mean, _scaled_pair)
-from .ratio import (DiscClass, OrderedQuad, ln_identric_ratio_pow,
+                    _lp_bracket as p_logarithmic_mean, _scaled_pair)
+from .ratio import (DiscClass, OrderedQuad, _dlam, ln_identric_ratio_pow,
                     log_secant_slope_gap)
 from .report import TOL_V, HypothesisViolation, build_report, check_finite_positive
 
@@ -66,6 +66,10 @@ SEQ_EQUALITY_N = 10 ** 3
 #: Enum members bound once for the hot paths, as ``ratio`` binds them.
 _ZERO, _NEGATIVE = DiscClass.ZERO, DiscClass.NEGATIVE
 
+#: ln(DBL_MAX), past which exp and expm1 overflow, and 1 - ln 2, the limit
+#: of ln(A/I) of a pair as its ratio grows.
+_LN_DBL_MAX, _ONE_MINUS_LN2 = 709.782712893384, 1.0 - math.log(2.0)
+
 
 def _require(cond, msg):
     if not cond:
@@ -81,44 +85,34 @@ def _generic_exponent(name, p):
     return p
 
 
-def _ln_lp_ratio(ab, cd, p):
-    return math.log(p_logarithmic_mean(ab, p)) - math.log(p_logarithmic_mean(cd, p))
+# --- the quad's mean ratios in logs, pieces of ln r (``ratio``) ---------------
 
-
-# --- means shared by several rows, computed once per quad ---------------------
-#
-# A sweep judges every quad-arity id on one quad per sample, so each of these
-# keeps its value in ``quad.memo`` the first time a row reads it, and so do
-# the scaled pairs (a, b) and (c, d) that the means read.  Each calls the
-# means by this module's names, which the benchmark's tracer wraps.
-
-def _pairs(quad):
-    """The scaled pairs of (a, b) and (c, d)."""
-    memo = quad.memo
-    out = memo.get("pairs")
+def _lam_context(quad):
+    """(g, lambda(h_ab), lambda(h_cd), ln L-ratio, L-ratio - 1, ln I-ratio), kept
+    in ``quad.memo``, with g = ln(G(a,b)/G(c,d)) and lambda(w) = ln(sinh w / w):
+    ln L-ratio = g + lambda(h_ab) - lambda(h_cd), the L ratio +inf where it
+    leaves binary64, and ln I-ratio = (ln r)'(1)."""
+    out = quad.memo.get("lam")
     if out is None:
-        out = memo["pairs"] = (_scaled_pair(quad.a, quad.b), _scaled_pair(quad.c, quad.d))
+        g, lam_ab, lam_cd = quad.log_g_ratio(), _lam(quad.h_ab), _lam(quad.h_cd)
+        ln_lr = g + (lam_ab - lam_cd)
+        out = quad.memo["lam"] = (g, lam_ab, lam_cd, ln_lr,
+                                  math.inf if ln_lr > _LN_DBL_MAX else math.expm1(ln_lr),
+                                  ln_identric_ratio_pow(quad, 1.0))
     return out
 
 
-def _l_means(quad):
-    """(L(a,b), L(c,d))."""
-    memo = quad.memo
-    out = memo.get("L")
-    if out is None:
-        ab, cd = _pairs(quad)
-        out = memo["L"] = (logarithmic_mean(ab), logarithmic_mean(cd))
-    return out
-
-
-def _ln_i_ratio(quad):
-    """ln(I(a,b)/I(c,d))."""
-    memo = quad.memo
-    out = memo.get("I")
-    if out is None:
-        ab, cd = _pairs(quad)
-        out = memo["I"] = ln_identric(ab) - ln_identric(cd)
-    return out
+def _ln_lp_ratio(quad, p):
+    """ln(Lp(a,b)/Lp(c,d)) = g + [B(h_ab, p) - B(h_cd, p)]/p at a checked p, with
+    Lp's bracket B(h, p) = lambda((1+p) h) - lambda(h).  Where (1+p) h overflows,
+    B/p is at its limit, h for p > 0 and -h for p < 0: Lp is max(a, b), min(a, b)."""
+    g, lam_ab, lam_cd = _lam_context(quad)[:3]
+    b_ab = p_logarithmic_mean(quad.h_ab, p, lam_ab)
+    b_cd = p_logarithmic_mean(quad.h_cd, p, lam_cd)
+    if b_ab == math.inf or b_cd == math.inf:
+        return g + ((math.copysign(quad.h_ab, p) if b_ab == math.inf else b_ab / p)
+                    - (math.copysign(quad.h_cd, p) if b_cd == math.inf else b_cd / p))
+    return g + (b_ab - b_cd) / p
 
 
 def _tangent_logs(quad, p, q):
@@ -134,8 +128,7 @@ def _tangent_logs(quad, p, q):
     if out is None:
         p = _generic_exponent("p", p)
         q = _generic_exponent("q", q)
-        ab, cd = _pairs(quad)
-        out = memo[p, q] = (p, q, _ln_lp_ratio(ab, cd, p), _ln_lp_ratio(ab, cd, q),
+        out = memo[p, q] = (p, q, _ln_lp_ratio(quad, p), _ln_lp_ratio(quad, q),
                             ln_identric_ratio_pow(quad, q + 1.0))
     return out
 
@@ -168,10 +161,9 @@ def _eq4(quad: OrderedQuad, p, q):
 def _eq5(quad: OrderedQuad):
     """exp(1 - L(c,d)/L(a,b)) < I(a,b)/I(c,d) < exp(L(a,b)/L(c,d) - 1), in logs."""
     quad.require_strict()
-    lab, lcd = _l_means(quad)
-    ln_ir = _ln_i_ratio(quad)
-    s_lower = ln_ir - (1.0 - lcd / lab)
-    s_upper = (lab / lcd - 1.0) - ln_ir
+    ln_lr, l_ratio_m1, ln_ir = _lam_context(quad)[3:]
+    s_lower = ln_ir + math.expm1(-ln_lr)
+    s_upper = l_ratio_m1 - ln_ir
     return (s_lower, s_upper), TOL_V, quad.degeneracy <= EQ_MANIFOLD_DIST
 
 
@@ -191,23 +183,19 @@ def _eq6(a, b):
 def _eq8(quad: OrderedQuad):
     """L(a,b)/L(c,d) > 1 + ln(G(a,b)/G(c,d)) > 2ab/(ab + cd)."""
     quad.require_strict()
-    lab, lcd = _l_means(quad)
-    l_ratio = lab / lcd
-    ln_gr = quad.log_g_ratio()
+    ln_gr, _, _, _, l_ratio_m1, _ = _lam_context(quad)
     # 2ab/(ab+cd) = 2/(1 + cd/ab), overflow-safe through logs
     third = 2.0 / (1.0 + math.exp((quad.ln_c + quad.ln_d) - (quad.ln_a + quad.ln_b)))
-    return ((l_ratio - 1.0 - ln_gr, 1.0 + ln_gr - third), TOL_V * max(l_ratio, 1.0),
+    return ((l_ratio_m1 - ln_gr, 1.0 + ln_gr - third), TOL_V * max(1.0 + l_ratio_m1, 1.0),
             quad.degeneracy <= EQ_MANIFOLD_DIST)
 
 
 def _eq9(quad: OrderedQuad):
     """L(a,b)/L(c,d) > ln(G(a,b)/G(c,d)) / ln(I(a,b)/I(c,d))."""
     quad.require_strict()
-    lab, lcd = _l_means(quad)
-    l_ratio = lab / lcd
-    ln_gr = quad.log_g_ratio()
-    rhs = ln_gr / _ln_i_ratio(quad)
-    return ((l_ratio - rhs,), TOL_V * max(l_ratio, 1.0),
+    ln_gr, _, _, _, l_ratio_m1, ln_ir = _lam_context(quad)
+    l_ratio = 1.0 + l_ratio_m1
+    return ((l_ratio - ln_gr / ln_ir,), TOL_V * max(l_ratio, 1.0),
             quad.degeneracy <= EQ_MANIFOLD_DIST)
 
 
@@ -266,14 +254,18 @@ def _eq13(quad: OrderedQuad, p, q):
 
 def _ln_mean_ratios(quad):
     """ln of the five mean ratios (H, G, L, I, A) across (a,b) vs (c,d)."""
-    a, b, c, d = quad.a, quad.b, quad.c, quad.d
-    ln_ar = math.log(a + b) - math.log(c + d)
-    ln_gr = quad.log_g_ratio()
-    ln_hr = 2.0 * ln_gr - ln_ar  # H = G^2 / A
-    ln_lab = math.log(a) if a == b else math.log(a - b) - math.log(quad.r_ab)
-    ln_lcd = math.log(c) if c == d else math.log(c - d) - math.log(quad.r_cd)
-    ln_lr = ln_lab - ln_lcd
-    return ln_hr, ln_gr, ln_lr, _ln_i_ratio(quad), ln_ar
+    ln_gr, _, _, ln_lr, _, ln_ir = _lam_context(quad)
+    ln_ar = math.log(quad.a + quad.b) - math.log(quad.c + quad.d)
+    return 2.0 * ln_gr - ln_ar, ln_gr, ln_lr, ln_ir, ln_ar  # H = G^2 / A
+
+
+def _ln_a_over_i(h):
+    """ln(A/I) of the pair (e^h, e^-h), h >= 0: ln cosh h - (h coth h - 1); past
+    h = 1, its limit 1 - ln 2 plus log1p(x) - 2h x/(1 - x), x = e^-2h, in full."""
+    if h < 1.0:
+        return 0.5 * math.log1p(math.sinh(h) ** 2) - h * _dlam(h)
+    x = math.exp(-2.0 * h)
+    return _ONE_MINUS_LN2 + (math.log1p(x) - 2.0 * h * x / (1.0 - x))
 
 
 def _eq14(quad: OrderedQuad):
@@ -283,8 +275,11 @@ def _eq14(quad: OrderedQuad):
     for zero.  Accepts the relaxed ordering a >= b >= c >= d > 0.  Slacks are
     the oriented log-ratio gaps of consecutive members.
     """
-    ln_hr, ln_gr, ln_lr, ln_ir, ln_ar = _ln_mean_ratios(quad)
-    raw = (ln_gr - ln_hr, ln_lr - ln_gr, ln_ir - ln_lr, ln_ar - ln_ir)
+    ln_hr, ln_gr, ln_lr, ln_ir, _ = _ln_mean_ratios(quad)
+    # I to A pair by pair: where b/a and d/c are below an ulp, both ratios
+    # are a/c in binary64, and their gap, of order e^-2h, is below their ulps
+    raw = (ln_gr - ln_hr, ln_lr - ln_gr, ln_ir - ln_lr,
+           _ln_a_over_i(quad.h_ab) - _ln_a_over_i(quad.h_cd))
     disc_class = quad.disc_class
     if disc_class is _NEGATIVE:
         # negated, not written as ln_hr - ln_gr ...: y - x is +0.0 where -(x - y) is -0.0

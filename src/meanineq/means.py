@@ -13,9 +13,9 @@ of two so intermediate sums and products cannot overflow and degree-1
 homogeneity survives to a few ulp.
 
 Lp runs on one kernel, lambda(w) = ln(sinh w / w) (``_ln_sinhc``): with
-h = ln(a/b)/2, ln Lp = ln G + [lambda((1+p) h) - lambda(h)] / p.  Near p = 0
-the difference is rewritten without cancellation, so Lp is continuous in p
-and tends to I and L at p = 0 and p = -1, where it returns them exactly.
+h = ln(a/b)/2, ln Lp = ln G + B(h, p)/p, where the bracket B(h, p) =
+lambda((1+p) h) - lambda(h) (``_lp_bracket``, which the catalog reads too) does
+not cancel near p = 0, so Lp is continuous in p and returns I and L at p = 0, -1.
 
 Each of L, ln L, I, ln I and Lp has one body, a private kernel that reads a
 *scaled pair* (``_scaled_pair``): the two arguments with their power-of-two
@@ -222,11 +222,10 @@ def p_logarithmic_mean(a, b, p) -> float:
 
     Lp is the Stolarsky mean S_{p+1}, continuous in p: p = 0 returns the
     identric mean and p = -1 the logarithmic mean, their limits, and as
-    p -> +-inf it tends to max(a, b) and min(a, b).  With h = ln(a/b)/2 and
-    lambda(w) = ln(sinh w / w), ln Lp = ln G + [lambda((1+p) h) - lambda(h)]/p;
-    within 1/2 of p = 0 (and of p = -2, its mirror image in lambda) the
-    bracket is rewritten through expm1/log1p so nothing cancels and accuracy
-    is uniform in p.
+    p -> +-inf it tends to max(a, b) and min(a, b).  ln Lp = ln G + B(h, p)/p
+    with h = ln(a/b)/2 and the bracket B of ``_lp_bracket``, which is taken
+    through expm1/log1p within 1/2 of p = 0 (and of p = -2, its mirror image
+    in lambda), so nothing cancels and accuracy is uniform in p.
     """
     a, b = _pair(a, b)
     p = _finite_exponent(p)
@@ -253,20 +252,27 @@ def _p_logarithmic_mean(pair, p):
     ln_hi = math.log(hi)
     ln_lo = math.log(lo)
     d = (hi - lo) / lo
-    h = 0.5 * (math.log1p(d) if math.isfinite(d) else ln_hi - ln_lo)
+    diff = _lp_bracket(0.5 * (math.log1p(d) if math.isfinite(d) else ln_hi - ln_lo), p)
+    if diff == math.inf:
+        return max(a, b) if p > 0.0 else min(a, b)
+    return m * math.exp(0.5 * (ln_hi + ln_lo) + diff / p)
+
+
+def _lp_bracket(h, p, lam_h=None):
+    """B(h, p) = lambda((1+p) h) - lambda(h), h > 0, p finite, lam_h = lambda(h)
+    if the caller has it: ln Lp = ln G + B/p at h = ln(a/b)/2.  +inf where
+    (1+p) h overflows, where B/p tends to h for p > 0 and to -h for p < 0."""
     # lambda is even, so lambda((1+p) h) = lambda((1+e) h) with e = |1+p| - 1
     e = p if p > -1.0 else -2.0 - p
     w = (1.0 + e) * h
     if w == math.inf:
-        return max(a, b) if p > 0.0 else min(a, b)
+        return w
     if abs(e) <= 0.5:
         # lambda((1+e) h) - lambda(h) with lambda(w) = w - ln 2w + ln(1 - e^-2w),
         # the difference of the last terms taken as one log1p
         u = math.exp(-2.0 * min(h, w)) * math.expm1(-2.0 * abs(e) * h) / math.expm1(-2.0 * h)
-        diff = e * h - math.log1p(e) + math.log1p(u if e > 0.0 else -u)
-    else:
-        diff = _ln_sinhc(w) - _ln_sinhc(h)
-    return m * math.exp(0.5 * (ln_hi + ln_lo) + diff / p)
+        return e * h - math.log1p(e) + math.log1p(u if e > 0.0 else -u)
+    return _ln_sinhc(w) - (_ln_sinhc(h) if lam_h is None else lam_h)
 
 
 def mean_chain_slacks(a, b):

@@ -64,9 +64,9 @@ class OrderedQuad:
     so is ``is_strict``, which ``require_strict`` reads.  ``degeneracy`` is
     (a - d)/(a + d), the quad's relative spread, which the catalog's
     equality predicates read.
-    ``memo`` starts empty: the catalog's rows fill it with the means they
-    share, each the first time a row reads it, so rows judged on one quad
-    compute each shared mean once.
+    ``memo`` starts empty: the catalog's rows fill it with the mean ratios
+    they share, the first time a row reads them, so rows judged on one quad
+    compute each shared ratio once.
     """
 
     __slots__ = ("a", "b", "c", "d", "relaxed", "is_strict",

@@ -98,9 +98,17 @@ def judge(slacks, tolerance, on_equality_manifold) -> tuple:
     return margin, HOLDS if margin >= 0.0 else VIOLATED
 
 
-#: ``json.dumps(obj, sort_keys=True, allow_nan=False)`` without building a
-#: new encoder on every call.
-_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+def _make_encode():
+    """``json.dumps(obj, sort_keys=True, allow_nan=False)`` with the C encoder
+    built once, where ``JSONEncoder.encode`` builds one per call; without the
+    circular check, whose markers a non-finite float would leave set."""
+    enc, make = json.JSONEncoder(sort_keys=True, allow_nan=False), json.encoder.c_make_encoder
+    c_encode = make and make(None, enc.default, json.encoder.encode_basestring_ascii, None,
+                             ": ", ", ", True, False, False)
+    return enc.encode if c_encode is None else lambda obj: "".join(c_encode(obj, 0))
+
+
+_encode = _make_encode()
 
 
 def dumps(obj) -> str:

@@ -1,9 +1,10 @@
+import json
 import math
 import pickle
 
 import pytest
 
-from meanineq import catalog, sweep
+from meanineq import catalog, report, sweep
 from meanineq.report import (EQUALITY, HOLDS, VIOLATED, SlackReport, build_report, dumps,
                              judge)
 
@@ -128,3 +129,36 @@ class TestStrictJson:
         assert dumps([math.inf, -math.inf, math.nan]) == '["inf", "-inf", "nan"]'
         assert (dumps({"b": (1.5, math.inf), "a": {"x": -math.inf}})
                 == '{"a": {"x": "-inf"}, "b": [1.5, "inf"]}')
+
+    #: Objects whose bytes ``dumps`` must keep: nested, unsorted, escaped,
+    #: extreme floats, and non-finite ones.
+    SAMPLES = ({"d": 1e-17, "a": 4.123456789, "c": 2.5, "b": 3e-300},
+               {"x": [1.5, 'q"\\é\n', None, True, {"z": 1, "a": [2, 1.7976931348623157e308]}]},
+               "plain", -0.0, 10 ** 30, [], (1, 2.0), {1: 2, 3: {}},
+               {"id": "EQ4", "slacks": [math.inf], "inputs": {"a": 5e-324}})
+
+    @staticmethod
+    def _reference(obj):
+        try:
+            return json.dumps(obj, sort_keys=True, allow_nan=False)
+        except ValueError:
+            return json.dumps(report._finite(obj), sort_keys=True, allow_nan=False)
+
+    def test_same_bytes_as_json_dumps(self):
+        for obj in self.SAMPLES:
+            assert dumps(obj) == self._reference(obj), obj
+        # the encoder built once keeps no state from a non-finite float that raised
+        assert dumps({"a": [1.0, {"b": math.nan}]}) == '{"a": [1.0, {"b": "nan"}]}'
+        assert dumps({"a": [1.0, {"b": 2.0}]}) == '{"a": [1.0, {"b": 2.0}]}'
+        with pytest.raises(TypeError):
+            dumps({"a": object()})
+
+    def test_without_the_c_encoder(self, monkeypatch):
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        encode = report._make_encode()
+        for obj in self.SAMPLES:
+            try:
+                got = encode(obj)
+            except ValueError:
+                got = encode(report._finite(obj))
+            assert got == self._reference(obj), obj

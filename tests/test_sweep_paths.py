@@ -223,7 +223,7 @@ def test_argmin_inputs_reproduce_min_margin(seed, sign):
 
 @pytest.mark.parametrize("seed", [1, 42])
 def test_violation_echoes_reproduce_their_margins(seed):
-    # at 1e+-30 EQ13 and EQ14 lose their smallest slacks to rounding
+    # at 1e+-30 EQ13 loses its smallest slacks to rounding
     rep = run_sweep(SweepConfig(ids=("EQ13", "EQ14"), samples=2000, seed=seed,
                                 bounds=(1e-30, 1e30)))
     assert rep["total_violations"] > 0
