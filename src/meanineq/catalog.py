@@ -21,7 +21,8 @@ discriminant class.  A sweep evaluates every quad-arity row on one shared
 quad per sample, and every sequence row on one shared n.  The quad rows read
 the L, I and Lp ratios in logs, as pieces of ln r, never the means; these and
 the exponents EQ4 and EQ13 check are kept in the quad's ``memo``, so each is
-computed once per quad.
+computed once per quad.  EQ6 and EQ10 read L/b and I/b the same way, from
+h = ln(a/b)/2 alone.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ import numbers
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-# The means' unchecked kernels, for checked floats, under the public names the
-# benchmark's tracer wraps: ``p_logarithmic_mean`` is the Lp bracket the quad
-# rows read, L and ln I read the scaled pair of EQ6's and EQ10's (a, b).
-from .means import (_finite_exponent, _ln_identric as ln_identric, _ln_sinhc as _lam,
-                    _logarithmic_mean as logarithmic_mean,
-                    _lp_bracket as p_logarithmic_mean, _scaled_pair)
-from .ratio import (DiscClass, OrderedQuad, _dlam, ln_identric_ratio_pow,
+# The means' kernels on the centred pair (e^w, e^-w), under the public names the
+# benchmark's tracer wraps: ``logarithmic_mean`` is lambda(w) = ln L(e^w, e^-w),
+# ``ln_identric`` is w lambda'(w) = ln I(e^w, e^-w) and ``p_logarithmic_mean``
+# is the Lp bracket B(h, p).
+from .means import (_finite_exponent, _ln_sinhc as logarithmic_mean,
+                    _lp_bracket as p_logarithmic_mean, _w_dlam as ln_identric)
+from .ratio import (DiscClass, OrderedQuad, _ln_ratio, ln_identric_ratio_pow,
                     log_secant_slope_gap)
 from .report import TOL_V, HypothesisViolation, build_report, check_finite_positive
 
@@ -46,8 +47,8 @@ __all__ = [
     "UnknownIdError", "evaluate", "lookup", "sequence_link_values", "SEQUENCE_LINK_NAMES",
 ]
 
-#: EQ10's last member divides by ln(I(a,b)/b); the hypothesis keeps the ratio
-#: a/b off the equality manifold where that denominator vanishes.
+#: EQ10's hypothesis a/b >= EQ10_MIN_RATIO keeps the pair off the equality
+#: manifold, where its last member ln(a/b) / (2 ln(I(a,b)/b)) is 0/0.
 EQ10_MIN_RATIO = 1.0 + 1e-6
 
 #: The exponent hypothesis of EQ4 and EQ13: p and q stay at least this far
@@ -87,6 +88,11 @@ def _generic_exponent(name, p):
 
 # --- the quad's mean ratios in logs, pieces of ln r (``ratio``) ---------------
 
+def _expm1_or_inf(x):
+    """e^x - 1, +inf past ln(DBL_MAX) where expm1 would raise."""
+    return math.inf if x > _LN_DBL_MAX else math.expm1(x)
+
+
 def _lam_context(quad):
     """(g, lambda(h_ab), lambda(h_cd), ln L-ratio, L-ratio - 1, ln I-ratio), kept
     in ``quad.memo``, with g = ln(G(a,b)/G(c,d)) and lambda(w) = ln(sinh w / w):
@@ -94,10 +100,10 @@ def _lam_context(quad):
     leaves binary64, and ln I-ratio = (ln r)'(1)."""
     out = quad.memo.get("lam")
     if out is None:
-        g, lam_ab, lam_cd = quad.log_g_ratio(), _lam(quad.h_ab), _lam(quad.h_cd)
+        g, h_ab, h_cd = quad.log_g_ratio(), quad.h_ab, quad.h_cd
+        lam_ab, lam_cd = logarithmic_mean(h_ab), logarithmic_mean(h_cd)
         ln_lr = g + (lam_ab - lam_cd)
-        out = quad.memo["lam"] = (g, lam_ab, lam_cd, ln_lr,
-                                  math.inf if ln_lr > _LN_DBL_MAX else math.expm1(ln_lr),
+        out = quad.memo["lam"] = (g, lam_ab, lam_cd, ln_lr, _expm1_or_inf(ln_lr),
                                   ln_identric_ratio_pow(quad, 1.0))
     return out
 
@@ -168,16 +174,16 @@ def _eq5(quad: OrderedQuad):
 
 
 def _eq6(a, b):
-    """exp(1 - b/L(a,b)) < I(a,b)/b < exp(L(a,b)/b - 1) for a > b > 0, in logs."""
+    """exp(1 - b/L(a,b)) < I(a,b)/b < exp(L(a,b)/b - 1) for a > b > 0, in logs:
+    with h = ln(a/b)/2, ln(L/b) = h + lambda(h) and ln(I/b) = h + h lambda'(h)."""
     a = check_finite_positive("a", a)
     b = check_finite_positive("b", b)
     _require(a > b, "EQ6 requires a > b > 0")
-    ab = _scaled_pair(a, b)
-    l_over_b = logarithmic_mean(ab) / b
-    ln_i_over_b = ln_identric(ab) - math.log(b)
-    s_lower = ln_i_over_b - (1.0 - 1.0 / l_over_b)
-    s_upper = (l_over_b - 1.0) - ln_i_over_b
-    return (s_lower, s_upper), TOL_V, (a - b) / b <= EQ_MANIFOLD_DIST
+    h = 0.5 * _ln_ratio(a, b)
+    ln_l = h + logarithmic_mean(h)
+    ln_i = h + ln_identric(h)
+    return ((ln_i + math.expm1(-ln_l), _expm1_or_inf(ln_l) - ln_i), TOL_V,
+            (a - b) / b <= EQ_MANIFOLD_DIST)
 
 
 def _eq8(quad: OrderedQuad):
@@ -200,20 +206,18 @@ def _eq9(quad: OrderedQuad):
 
 
 def _eq10(a, b):
-    """L/b > 1 + ln(a/b)/2 > 2a/(a+b) > ln(a/b) / (2 ln(I/b)) for a/b above the floor."""
+    """L/b > 1 + ln(a/b)/2 > 2a/(a+b) > ln(a/b) / (2 ln(I/b)) for a/b above the floor:
+    e^(h + lambda(h)) > 1 + h > 1 + tanh h > 1/(1 + lambda'(h)) at h = ln(a/b)/2."""
     a = check_finite_positive("a", a)
     b = check_finite_positive("b", b)
     if not (a > b and a / b >= EQ10_MIN_RATIO):
         raise HypothesisViolation(
             f"EQ10 requires a/b >= {EQ10_MIN_RATIO} (last member divides by ln(I/b))")
-    lr = math.log(a) - math.log(b)
-    ab = _scaled_pair(a, b)
-    m1 = logarithmic_mean(ab) / b
-    m2 = 1.0 + 0.5 * lr
-    m3 = 2.0 / (1.0 + b / a)
-    m4 = lr / (2.0 * (ln_identric(ab) - math.log(b)))
-    return ((m1 - m2, m2 - m3, m3 - m4), TOL_V * max(m1, 1.0),
-            (a - b) / b <= EQ_MANIFOLD_DIST)
+    h = 0.5 * _ln_ratio(a, b)
+    m1_minus_1 = _expm1_or_inf(h + logarithmic_mean(h))
+    dlam = ln_identric(h) / h
+    return ((m1_minus_1 - h, _half_log_minus_tanh(2.0 * h), math.tanh(h) + dlam / (1.0 + dlam)),
+            TOL_V * (1.0 + m1_minus_1), (a - b) / b <= EQ_MANIFOLD_DIST)
 
 
 def _half_log_minus_tanh(delta):
@@ -263,7 +267,7 @@ def _ln_a_over_i(h):
     """ln(A/I) of the pair (e^h, e^-h), h >= 0: ln cosh h - (h coth h - 1); past
     h = 1, its limit 1 - ln 2 plus log1p(x) - 2h x/(1 - x), x = e^-2h, in full."""
     if h < 1.0:
-        return 0.5 * math.log1p(math.sinh(h) ** 2) - h * _dlam(h)
+        return 0.5 * math.log1p(math.sinh(h) ** 2) - ln_identric(h)
     x = math.exp(-2.0 * h)
     return _ONE_MINUS_LN2 + (math.log1p(x) - 2.0 * h * x / (1.0 - x))
 
@@ -478,8 +482,9 @@ REGISTRY = {e.id: e for e in (
                     "L ratio vs ln G ratio / ln I ratio", True),
     InequalityEntry("EQ10", _eq10, "pair",
                     ("L_vs_halflog", "halflog_vs_ratio", "ratio_vs_logquotient"), "additive",
-                    "L/b vs 1 + ln(a/b)/2 vs 2a/(a+b) vs log quotient", True,
-                    min_ratio=EQ10_MIN_RATIO),
+                    "L/b vs 1 + ln(a/b)/2 vs 2a/(a+b) vs log quotient; the second link is"
+                    " t/2 - tanh(t/2) at t = ln(a/b), as EQ8's second link, EQ11 and EQ12",
+                    True, min_ratio=EQ10_MIN_RATIO),
     InequalityEntry("EQ11", _eq11, "quad", ("G_vs_fraction",), "additive",
                     "ln G ratio vs (ab-cd)/(ab+cd): t/2 - tanh(t/2) at t = ln(ab/cd), as"
                     " EQ8's second link and EQ12 at x=ab, y=cd", True),

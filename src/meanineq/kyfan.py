@@ -8,9 +8,9 @@ complements 1 - x_i, then evaluates:
 * EQ19  A' - G' <= A - G              (additive analogue)
 * EQ20  A^n - G^n <= A'^n - G'^n      (power analogue; identity for n <= 2)
 * EQ21 .. EQ31: refinements and inverses, expanded link by link in the log
-  domain with the identric and logarithmic pieces delegated to the means
-  module's kernels on the scaled pairs of (A', G') and (A, G), each pair
-  built once per sample.
+  domain.  (A, G) is sqrt(AG) (e^w, e^-w) with w = ln(A/G)/2, so ln I(A, G)
+  and ln L(A, G) are ln sqrt(AG) plus the means module's kernels w lambda'(w)
+  and lambda(w) on the centred pair; likewise for (A', G').
 
 Strict chains (EQ23 .. EQ31) require a not-all-equal sample; EQ21/EQ22 are
 non-strict and collapse to equality on constant samples.  Everything is a
@@ -37,9 +37,10 @@ import math
 import sys
 from typing import NamedTuple
 
-# The means' unchecked kernels, under the names the benchmark's tracer wraps;
-# ``_rows`` says why their arguments need no check.
-from .means import _ln_identric as ln_identric, _ln_logarithmic as ln_logarithmic, _scaled_pair
+# The means' kernels on the centred pair (e^w, e^-w), under the names the
+# benchmark's tracer wraps: ``ln_logarithmic`` is lambda(w) = ln L(e^w, e^-w)
+# and ``ln_identric`` is w lambda'(w) = ln I(e^w, e^-w).
+from .means import _ln_sinhc as ln_logarithmic, _w_dlam as ln_identric
 from .ratio import OrderedQuad, log_ratio_value, ratio_value
 from .report import TOL_V, HypothesisViolation, build_report
 
@@ -112,9 +113,10 @@ class KyFanSample(_KyFanSampleFields):
 class KyFanStats(NamedTuple):
     """Derived means: A, G of the sample, A', G' of the complements, plus logs.
 
-    ``r`` and ``r_prime`` are ln(A/G) and ln(A'/G') computed through log1p on
-    the mean values, which keeps full relative accuracy when a sample is
-    nearly constant and the two means almost coincide.
+    ``r`` and ``r_prime`` are ln(A/G) and ln(A'/G'), log1p of the relative gap
+    of the float means.  Each mean carries rounding of order eps A, so where
+    A - G is that small r keeps few digits: at (1e-7, 2e-7), r' = 1.2212e-15
+    where the sample's exact r' is 1.2500e-15.
     """
 
     n: int
@@ -219,12 +221,8 @@ def _rows(stats: KyFanStats) -> list:
     secant = dp / d                                # (A'-G')/(A-G)
     dl = (ln_ap + stats.ln_g_prime) - (ln_a + stats.ln_g)   # ln(A'G'/(AG)) > 0
     ln_s = 0.5 * dl                                # ln sqrt(A'G'/(AG))
-    # the means' kernels take no check: compute_stats forms A, A' as means of
-    # values in (0, 1/2] and [1/2, 1) and G, G' as exp of means of their logs,
-    # so all four are finite and positive, and past the guard above A > G and
-    # A' > G'.  Each pair is scaled once, for ln I and ln L both.
-    pair, pair_p = _scaled_pair(a, g), _scaled_pair(ap, gp)
-    ln_ir = ln_identric(pair_p) - ln_identric(pair)
+    # ln I(A', G') - ln I(A, G): ln_s plus the centred pairs' w lambda'(w)
+    ln_ir = ln_s + (ln_identric(0.5 * rp) - ln_identric(0.5 * r))
     ln_pd = _ln_pow_diff(ln_a, r, n)
     ln_pdp = _ln_pow_diff(ln_ap, rp, n)
     # each log once; the sums keep the grouping that fixes their rounding
@@ -280,7 +278,7 @@ def _rows(stats: KyFanStats) -> list:
     eq30 = (ln_e1 - rp, r - ln_e1)
 
     # EQ31: AG/(A'G') < min{ (L(A,G)/L(A',G'))^2, powered analogue } < 1
-    v1a = 2.0 * (ln_logarithmic(pair) - ln_logarithmic(pair_p))
+    v1a = 2.0 * ((ln_logarithmic(0.5 * r) - ln_logarithmic(0.5 * rp)) - ln_s)
     v1b = (2.0 / n) * (ln_rp_r + (ln_pd - ln_pdp))
     mn31 = min(v1a, v1b)
     eq31 = (mn31 + dl, -mn31)
@@ -319,7 +317,7 @@ def bridge_slacks(stats: KyFanStats) -> dict:
     the Ky Fan formulas on the stats versus the inequality catalog on the
     quadruple (A', G', A, G).  Used to certify the two stay within 1e-12.
     """
-    from . import catalog    # only this check reads the catalog
+    from . import catalog, means    # only this check reads the catalog
     quad = _stats_quad(stats)
     n = stats.n
     links = {entry.id: slacks for entry, (slacks, _, _) in zip(TABLE, _rows(stats))}
@@ -330,8 +328,9 @@ def bridge_slacks(stats: KyFanStats) -> dict:
     secant = (stats.a_prime - stats.g_prime) / (stats.a - stats.g)
     ln_lr = math.log(secant) + math.log(stats.r) - math.log(stats.r_prime)
     ln_gr = 0.5 * ((stats.ln_a_prime + stats.ln_g_prime) - (stats.ln_a + stats.ln_g))
-    ln_ir = (ln_identric(_scaled_pair(stats.a_prime, stats.g_prime))
-             - ln_identric(_scaled_pair(stats.a, stats.g)))
+    # the public ln I, not _rows' kernel, which the catalog's EQ14 reads too
+    ln_ir = (means.ln_identric(stats.a_prime, stats.g_prime)
+             - means.ln_identric(stats.a, stats.g))
     ln_ar = (math.log(stats.a_prime + stats.g_prime) - math.log(stats.a + stats.g))
     ln_hr = 2.0 * ln_gr - ln_ar
     ky14 = (ln_hr - ln_gr, ln_gr - ln_lr, ln_lr - ln_ir, ln_ir - ln_ar)

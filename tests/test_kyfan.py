@@ -7,7 +7,7 @@ import sys
 import mpmath
 import pytest
 
-from meanineq import catalog, sweep
+from meanineq import catalog, kyfan, ratio, sweep
 from meanineq.cli import main
 from meanineq.kyfan import (KYFAN_IDS, SPREAD_EQUALITY, TABLE, KyFanSample, _rows, all_slacks,
                             bridge_slacks, complement_ratio_probe, compute_stats)
@@ -209,6 +209,23 @@ class TestProbeAndBridge:
             for name, (kv, cv) in bridge_slacks(stats).items():
                 assert abs(kv - cv) <= 1e-12 * max(1.0, abs(kv)), (name, kv, cv)
 
+    def test_bridge_sees_a_faulty_identric_kernel(self, monkeypatch):
+        # the bridge reads ln I through the public means, so a fault in the
+        # centred kernel w lambda'(w), which _rows and the catalog both read,
+        # shows as a disagreement: the bridge is a second path, not a copy
+        kernel = kyfan.ln_identric
+        for mod in (catalog, kyfan, ratio):
+            monkeypatch.setattr(mod, "ln_identric", lambda w: kernel(w) * (1.0 + 1e-9))
+        stream = SampleStream(43, "test/bridge")
+        nstream = SampleStream(43, "test/bridge-n")
+        disagree = 0
+        for i in range(300):
+            n = 2 + nstream.words(i, 1)[0] % 19
+            stats = compute_stats(KyFanSample(sample_kyfan_values(stream, i, n)))
+            disagree += sum(abs(kv - cv) > 1e-12 * max(1.0, abs(kv))
+                            for kv, cv in bridge_slacks(stats).values())
+        assert disagree >= 300
+
     def test_contraction_to_mean_collapses_slacks(self):
         base = [0.1, 0.2, 0.4]
         mean = sum(base) / 3.0
@@ -367,10 +384,10 @@ class TestMarginsMatchReports:
 
 
 #: sha256 of ``kyfan-sweep --samples 3000 --seed 42``: the report less
-#: wall_time_s as ``report.dumps`` writes it, and the CSV, from before the
-#: sweep folded margins instead of reports.
-SWEEP_REPORT_SHA = "a34c1330409db125b55a5c625bcf1bce64a1015d920c94f2e4f70aedd7dd7ad5"
-SWEEP_CSV_SHA = "9a236335aace7beadb0686b887af548d7549a62031f153d4c9f2898359096250"
+#: wall_time_s as ``report.dumps`` writes it, and the CSV, re-pinned when the
+#: rows took ln I and ln L through the centred pairs' kernels.
+SWEEP_REPORT_SHA = "ec10f8cc2651c1e25ef7ee04869d2c60a391d206926115f2814b27e44abf3629"
+SWEEP_CSV_SHA = "82e63c95043fe64102d1ebd0938f4672a2702fd3a96ab01eee05e5925bcbd059"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -384,11 +401,12 @@ def test_sweep_bytes_pinned(tmp_path, workers):
 
 
 #: sha256 of ``kyfan-check --x X`` stdout: every link name and slack of every
-#: id, pinned from before the reports were built from the shared rows.
+#: id, pinned from before the reports were built from the shared rows; the
+#: first and third re-pinned with the sweep's pins above.
 CHECK_SHA = {
-    "0.1,0.2,0.35": "b979710c592a26522cedddfa3cca88cd0171d529d2f05b11afb30d89635ef1de",
+    "0.1,0.2,0.35": "e418f7cda38b835ffe3e2faf4f4941150197d1550ffa1cebf223882b74b58323",
     "0.25,0.2500001,0.25": "3a18f3f8691462f5bea2a61e095292debcb32c8bf36ff6b48734424dae070e1f",
-    "[1e-300, 0.5, 0.4]": "336bbaf08bd4dbb587af8a96f58b6db5e5549f86506d1dc3dd1d95c1ff2048de",
+    "[1e-300, 0.5, 0.4]": "fa38a2b743eadcbfcb653fa6e39af67b6f8e88cbb60879c2605989e7150d94ef",
     # constant samples: EQ21/EQ22 print a slack of 0.0, never -0.0
     "0.5": "756238e9b25468d057bbf704e6df2c62df5d8a86d418e6e544d9af0d235d1c67",
     "0.37,0.37,0.37": "a2022a008dc66117121d286ec9f1fa69e50b0e26eaaa5a1e135199878c61783e",
