@@ -100,7 +100,7 @@ def _lam_context(quad):
     leaves binary64, and ln I-ratio = (ln r)'(1)."""
     out = quad.memo.get("lam")
     if out is None:
-        g, h_ab, h_cd = quad.log_g_ratio(), quad.h_ab, quad.h_cd
+        g, h_ab, h_cd = quad.ln_g_ratio, quad.h_ab, quad.h_cd
         lam_ab, lam_cd = logarithmic_mean(h_ab), logarithmic_mean(h_cd)
         ln_lr = g + (lam_ab - lam_cd)
         out = quad.memo["lam"] = (g, lam_ab, lam_cd, ln_lr, _expm1_or_inf(ln_lr),

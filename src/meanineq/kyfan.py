@@ -139,7 +139,8 @@ class KyFanStats(NamedTuple):
 
 
 def compute_stats(sample: KyFanSample) -> KyFanStats:
-    """A, A' by exact summation; G, G' through means of logarithms."""
+    """A, A' by exact summation; G, G' through means of logarithms.  The tuple
+    is built by tuple.__new__, as _make builds it, without a Python frame."""
     if not isinstance(sample, KyFanSample):
         sample = KyFanSample(sample)
     xs = sample.values
@@ -148,18 +149,17 @@ def compute_stats(sample: KyFanSample) -> KyFanStats:
     if width <= 0.0:
         x = xs[0]
         ln_x, ln_comp = math.log(x), math.log1p(-x)
-        return KyFanStats(n, x, x, 1.0 - x, 1.0 - x, ln_x, ln_x, ln_comp, ln_comp,
-                          0.0, 0.0, True, 0.0)
+        return tuple.__new__(KyFanStats, (n, x, x, 1.0 - x, 1.0 - x, ln_x, ln_x,
+                                          ln_comp, ln_comp, 0.0, 0.0, True, 0.0))
     a = math.fsum(xs) / n
     ln_g = math.fsum(map(math.log, xs)) / n
     a_prime = math.fsum([1.0 - x for x in xs]) / n
     ln_g_prime = math.fsum([math.log1p(-x) for x in xs]) / n
     g = math.exp(ln_g)
     g_prime = math.exp(ln_g_prime)
-    return KyFanStats(n, a, g, a_prime, g_prime,
-                      math.log(a), ln_g, math.log(a_prime), ln_g_prime,
-                      math.log1p((a - g) / g), math.log1p((a_prime - g_prime) / g_prime),
-                      False, width / a)
+    return tuple.__new__(KyFanStats, (
+        n, a, g, a_prime, g_prime, math.log(a), ln_g, math.log(a_prime), ln_g_prime,
+        math.log1p((a - g) / g), math.log1p((a_prime - g_prime) / g_prime), False, width / a))
 
 
 def _ln_pow_diff(ln_u, r, k):
@@ -167,9 +167,11 @@ def _ln_pow_diff(ln_u, r, k):
     return k * ln_u + math.log(-math.expm1(-k * r))
 
 
-def _pow_diff(ln_u, r, k):
-    """U^k - V^k computed as exp(k ln U) * (1 - exp(-k r)), r = ln(U/V)."""
-    return math.exp(k * ln_u) * (-math.expm1(-k * r))
+def _ln_i_and_l(ln_s, r, rp):
+    """ln(I(A',G')/I(A,G)) and EQ31's L term 2 ln(L(A,G)/L(A',G')), from
+    ln_s = ln sqrt(A'G'/(AG)) and the centred pairs' kernels at r/2 and r'/2."""
+    return (ln_s + (ln_identric(0.5 * rp) - ln_identric(0.5 * r)),
+            2.0 * ((ln_logarithmic(0.5 * r) - ln_logarithmic(0.5 * rp)) - ln_s))
 
 
 def _rows(stats: KyFanStats) -> list:
@@ -182,18 +184,18 @@ def _rows(stats: KyFanStats) -> list:
     not constant but whose means coincide in binary64 raises
     HypothesisViolation.
     """
-    n, r, rp = stats.n, stats.r, stats.r_prime
-    a, g, ap, gp = stats.a, stats.g, stats.a_prime, stats.g_prime
-    ln_a, ln_ap = stats.ln_a, stats.ln_a_prime
-    eq = stats.all_equal or stats.spread <= SPREAD_EQUALITY
+    n, a, g, ap, gp, ln_a, ln_g, ln_ap, ln_gp, r, rp, all_equal, spread = stats
+    eq = all_equal or spread <= SPREAD_EQUALITY
     d, dp = a - g, ap - gp
+    # 1 - (G/A)^n and 1 - (G'/A')^n, for EQ20 and the logs of EQ25 .. EQ31
+    gap, gap_p = -math.expm1(-n * r), -math.expm1(-n * rp)
     # A^n, G^n below the binary64 range make EQ20's additive slack vacuous
     underflow = n * ln_a < -700.0
-    if stats.all_equal or underflow:
+    if all_equal or underflow:
         pd = pdp = 0.0
     else:
-        pd = _pow_diff(ln_a, r, n)
-        pdp = _pow_diff(ln_ap, rp, n)
+        pd = math.exp(n * ln_a) * gap
+        pdp = math.exp(n * ln_ap) * gap_p
     # the A'-G' subtraction injects absolute noise ~ n*eps into the power
     # difference, so the tolerance carries that floor (the n <= 2 identity
     # evaluates to pure roundoff of exactly this size)
@@ -210,7 +212,7 @@ def _rows(stats: KyFanStats) -> list:
         # EQ22: (A'/G')^(A-G) <= (A/G)^(A'-G')
         ((dp * r - d * rp,), TOL_V, eq),
     ]
-    if stats.all_equal:
+    if all_equal:
         return rows
     if r <= 0.0 or rp <= 0.0:                      # false for NaN, which the rows carry
         raise HypothesisViolation(
@@ -219,12 +221,11 @@ def _rows(stats: KyFanStats) -> list:
 
     # every slack from here on is in the log domain
     secant = dp / d                                # (A'-G')/(A-G)
-    dl = (ln_ap + stats.ln_g_prime) - (ln_a + stats.ln_g)   # ln(A'G'/(AG)) > 0
+    dl = (ln_ap + ln_gp) - (ln_a + ln_g)           # ln(A'G'/(AG)) > 0
     ln_s = 0.5 * dl                                # ln sqrt(A'G'/(AG))
-    # ln I(A', G') - ln I(A, G): ln_s plus the centred pairs' w lambda'(w)
-    ln_ir = ln_s + (ln_identric(0.5 * rp) - ln_identric(0.5 * r))
-    ln_pd = _ln_pow_diff(ln_a, r, n)
-    ln_pdp = _ln_pow_diff(ln_ap, rp, n)
+    ln_ir, v1a = _ln_i_and_l(ln_s, r, rp)
+    ln_pd = n * ln_a + math.log(gap)               # ln(A^n - G^n)
+    ln_pdp = n * ln_ap + math.log(gap_p)
     # each log once; the sums keep the grouping that fixes their rounding
     ln_rp, ln_r = math.log(rp), math.log(r)
     ln_rp_r = ln_rp - ln_r                         # ln(R'/R)
@@ -278,7 +279,6 @@ def _rows(stats: KyFanStats) -> list:
     eq30 = (ln_e1 - rp, r - ln_e1)
 
     # EQ31: AG/(A'G') < min{ (L(A,G)/L(A',G'))^2, powered analogue } < 1
-    v1a = 2.0 * ((ln_logarithmic(0.5 * r) - ln_logarithmic(0.5 * rp)) - ln_s)
     v1b = (2.0 / n) * (ln_rp_r + (ln_pd - ln_pdp))
     mn31 = min(v1a, v1b)
     eq31 = (mn31 + dl, -mn31)
@@ -336,6 +336,12 @@ def bridge_slacks(stats: KyFanStats) -> dict:
     ky14 = (ln_hr - ln_gr, ln_gr - ln_lr, ln_lr - ln_ir, ln_ir - ln_ar)
     for name, k, c in zip(("H_to_G", "G_to_L", "L_to_I", "I_to_A"), ky14, cat14.slacks):
         out[f"eq14_{name}"] = (k, c)
+
+    # _rows' ln I-ratio and EQ31's L term vs the catalog's lambda context on the quad
+    ky_ir, ky_l = _ln_i_and_l(ln_gr, stats.r, stats.r_prime)
+    ctx = catalog._lam_context(quad)
+    out["ln_i_ratio_vs_context"] = (ky_ir, ctx[5])
+    out["eq31_l_term_vs_context"] = (ky_l, -2.0 * ctx[3])
 
     # EQ23 first link equals R' times the first EQ8 slack on the quadruple
     cat8 = catalog.REGISTRY["EQ8"].report(quad)

@@ -61,7 +61,8 @@ class OrderedQuad:
     The strict form is the domain of the ratio functions; the relaxed form is
     accepted only by the mean-ratio chain check that tolerates ties.  Logs and
     log-ratios of the pairs are cached because every consumer needs them, and
-    so is ``is_strict``, which ``require_strict`` reads.  ``degeneracy`` is
+    so are ``ln_g_ratio`` = ln(G(a,b)/G(c,d)), which every piece of ln r
+    reads, and ``is_strict``, which ``require_strict`` reads.  ``degeneracy`` is
     (a - d)/(a + d), the quad's relative spread, which the catalog's
     equality predicates read.
     ``memo`` starts empty: the catalog's rows fill it with the mean ratios
@@ -71,7 +72,8 @@ class OrderedQuad:
 
     __slots__ = ("a", "b", "c", "d", "relaxed", "is_strict",
                  "ln_a", "ln_b", "ln_c", "ln_d",
-                 "r_ab", "r_cd", "h_ab", "h_cd", "disc_class", "degeneracy", "memo")
+                 "r_ab", "r_cd", "h_ab", "h_cd", "ln_g_ratio", "disc_class", "degeneracy",
+                 "memo")
 
     def __init__(self, a, b, c, d, relaxed=False):
         # four floats already in strict order, as the sampler draws them, pass
@@ -87,13 +89,15 @@ class OrderedQuad:
         self.memo = {}
         log = math.log
         self.ln_a = log(a)
-        self.ln_b = log(b)
+        self.ln_b = ln_b = log(b)
         self.ln_c = log(c)
-        self.ln_d = log(d)
+        self.ln_d = ln_d = log(d)
         self.r_ab = r_ab = _ln_ratio(a, b)
         self.r_cd = r_cd = _ln_ratio(c, d)
-        self.h_ab = 0.5 * r_ab
-        self.h_cd = 0.5 * r_cd
+        self.h_ab = h_ab = 0.5 * r_ab
+        self.h_cd = h_cd = 0.5 * r_cd
+        # accurate also for nearly proportional pairs
+        self.ln_g_ratio = (ln_b - ln_d) + (h_ab - h_cd)
         self.degeneracy = (a - d) / (a + d)
         # scale-free discriminant classification of ad - bc: both sides are
         # divided by max(a, b, c, d), which is a, so (a / a) * d is d
@@ -110,10 +114,6 @@ class OrderedQuad:
         if not self.is_strict:
             raise HypothesisViolation(
                 "ratio functions require the strict ordering a > b >= c > d > 0")
-
-    def log_g_ratio(self) -> float:
-        """ln( G(a,b) / G(c,d) ), accurate also for nearly proportional pairs."""
-        return (self.ln_b - self.ln_d) + (self.h_ab - self.h_cd)
 
     def scaled(self, lam) -> "OrderedQuad":
         return OrderedQuad(self.a * lam, self.b * lam, self.c * lam, self.d * lam,
@@ -160,7 +160,7 @@ def ln_identric_ratio_pow(quad: OrderedQuad, s: float) -> float:
     """
     w_ab = s * quad.h_ab
     w_cd = s * quad.h_cd
-    return s * quad.log_g_ratio() + ln_identric(w_ab) - ln_identric(w_cd)
+    return s * quad.ln_g_ratio + ln_identric(w_ab) - ln_identric(w_cd)
 
 
 def log_ratio_value(quad: OrderedQuad, x: float) -> float:
@@ -174,7 +174,7 @@ def _log_ratio_value(quad, x):
     # ln r(0) = ln(h_ab/h_cd), through log1p when the pairs are nearly proportional
     rr = (quad.r_ab - quad.r_cd) / quad.r_cd
     ln_r0 = math.log1p(rr) if abs(rr) <= 0.5 else math.log(quad.r_ab / quad.r_cd)
-    return x * quad.log_g_ratio() + ln_r0 + _lam(x * quad.h_ab) - _lam(x * quad.h_cd)
+    return x * quad.ln_g_ratio + ln_r0 + _lam(x * quad.h_ab) - _lam(x * quad.h_cd)
 
 
 def ratio_value(quad: OrderedQuad, x: float) -> float:
@@ -192,7 +192,7 @@ def log_ratio_derivative(quad: OrderedQuad, x: float) -> float:
     x = float(x)
     h_ab = quad.h_ab
     h_cd = quad.h_cd
-    return quad.log_g_ratio() + h_ab * _dlam(x * h_ab) - h_cd * _dlam(x * h_cd)
+    return quad.ln_g_ratio + h_ab * _dlam(x * h_ab) - h_cd * _dlam(x * h_cd)
 
 
 def ratio_derivative(quad: OrderedQuad, x: float) -> float:
@@ -245,7 +245,7 @@ def log_secant_slope_gap(quad: OrderedQuad) -> float:
     """
     quad.require_strict()
     a, b, c, d = quad.a, quad.b, quad.c, quad.d
-    g, h_ab, h_cd = quad.log_g_ratio(), quad.h_ab, quad.h_cd
+    g, h_ab, h_cd = quad.ln_g_ratio, quad.h_ab, quad.h_cd
     lam_a = _lam(a * h_ab) - _lam(a * h_cd)
     lam_b = _lam(b * h_ab) - _lam(b * h_cd)
     lam_c = _lam(c * h_ab) - _lam(c * h_cd)

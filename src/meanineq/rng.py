@@ -5,7 +5,8 @@ sample of a stream never depends on how many samples were drawn before it, so
 sweeps can be sharded across any number of workers and still reproduce
 bit-identical results.  Randomness comes from BLAKE2b over the packed
 (seed, stream, index, salt, block) tuple, which is stable across platforms
-and Python versions.
+and Python versions; a stream copies one state pre-fed (seed, stream) per
+block, which hashes the same bytes, so gives the same words.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ __all__ = ["SampleStream", "SamplingError", "sample_quad", "sample_pair",
 
 _MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
-_PACK_KEY = struct.Struct("<QQQQQ").pack
+_PACK_HEAD = struct.Struct("<QQ").pack
+_PACK_TAIL = struct.Struct("<QQQ").pack
 _UNPACK_BLOCK = struct.Struct("<QQQQ").unpack
 _blake2b = hashlib.blake2b
 
@@ -49,22 +51,32 @@ def _stream_id(label: str) -> int:
 
 
 class SampleStream:
-    """A named, seeded stream of deterministic uniform draws."""
+    """A named, seeded stream of deterministic uniform draws.  Its BLAKE2b
+    state, fed (seed, stream) once, does not pickle: a copy or an unpickled
+    stream rebuilds it from ``seed`` and ``stream``."""
 
     def __init__(self, seed: int, label: str):
-        self.seed = int(seed) & _MASK
-        self.stream = _stream_id(label)
+        self.__setstate__((int(seed) & _MASK, _stream_id(label)))
+
+    def __getstate__(self):
+        return self.seed, self.stream
+
+    def __setstate__(self, state):
+        self.seed, self.stream = state
+        self._head = _blake2b(_PACK_HEAD(*state), digest_size=32)
 
     def words(self, index: int, count: int, salt: int = 0):
         index = int(index) & _MASK
         salt = int(salt) & _MASK
         if 0 < count <= 4:                  # one digest, the common case
-            msg = _PACK_KEY(self.seed, self.stream, index, salt, 0)
-            return list(_UNPACK_BLOCK(_blake2b(msg, digest_size=32).digest())[:count])
+            h = self._head.copy()
+            h.update(_PACK_TAIL(index, salt, 0))
+            return list(_UNPACK_BLOCK(h.digest())[:count])
         out = []
         for blk in range((count + 3) // 4):
-            msg = _PACK_KEY(self.seed, self.stream, index, salt, blk)
-            out += _UNPACK_BLOCK(_blake2b(msg, digest_size=32).digest())
+            h = self._head.copy()
+            h.update(_PACK_TAIL(index, salt, blk))
+            out += _UNPACK_BLOCK(h.digest())
         return out[:count]
 
     def floats(self, index: int, count: int, salt: int = 0):

@@ -56,6 +56,7 @@ import os
 import shutil
 import tempfile
 import time
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from .report import HOLDS, VIOLATED, dumps, judge
@@ -172,9 +173,9 @@ def _echo_kyfan(n, values):
 class _Agg:
     """One id's counts, minimum margin and echoed violations over its samples.
 
-    A chunk keeps each id's count and running minimum in its own locals and
-    writes them here once, at its end; it calls ``note`` only for samples
-    judged violated or equality.
+    A chunk keeps each id's running minimum in its own locals, counts its
+    samples from their row counts and writes both here once, at its end; it
+    calls ``note`` only for samples judged violated or equality.
     """
 
     __slots__ = ("echo", "count", "samples_run", "equality_cases", "min_margin",
@@ -306,11 +307,13 @@ def _run_chunk(task):
     A task is ``(kind, config, group position, first index, part path or
     None)``, plain data that pickles, so the chunk runs the same here or in a
     worker process.  Each row is judged here, through ``report.judge``.  An
-    id's count, running minimum and argmin sit in lists at its position in
-    the group and reach its ``_Agg`` at the end.  Indices only grow, so only
-    a strictly lower margin moves the minimum: the lowest index wins a tie,
-    and a NaN, which compares false, is never the minimum.  A Ky Fan sample
-    has rows for a prefix of the ids, so each id counts its own samples.
+    id's running minimum and argmin sit in lists at its position in the
+    group and reach its ``_Agg`` at the end.  Indices only grow, so only a
+    strictly lower margin moves the minimum: the lowest index wins a tie,
+    and a NaN, which compares false, is never the minimum.  A sample has
+    rows for a prefix of the ids (a constant Ky Fan sample for EQ18..EQ22
+    only), so the chunk counts samples by their number of rows, and an id's
+    count is the suffix sum past its position, taken at the end.
 
     Each CSV row is formatted as text, byte for byte what ``csv.writer``
     writes (minimal quoting, CRLF): ids, indices, float reprs and verdicts
@@ -321,14 +324,16 @@ def _run_chunk(task):
     group = _group(kind, config, pos)
     ids, draw, evaluate = group.ids, group.draw, group.evaluate
     aggs = [_Agg(*group.echoes[id]) for id in ids]
-    counts, mins, argmins = [0] * len(ids), [math.inf] * len(ids), [-1] * len(ids)
+    mins, argmins = [math.inf] * len(ids), [-1] * len(ids)
+    by_rows = [0] * (len(ids) + 1)      # samples by their number of rows
     with open(part, "w", newline="") if part else contextlib.nullcontext() as fh:
         for index in range(start, min(start + _CHUNK, config.samples)):
             args = draw(index)
+            rows = evaluate(args)
+            by_rows[len(rows)] += 1
             texts = {}                  # one quoted echo per echo function
-            for k, (slacks, tolerance, on_equality_manifold) in enumerate(evaluate(args)):
+            for k, (slacks, tolerance, on_equality_manifold) in enumerate(rows):
                 margin, verdict = judge(slacks, tolerance, on_equality_manifold)
-                counts[k] += 1
                 if margin < mins[k]:
                     mins[k] = margin
                     argmins[k] = index
@@ -341,6 +346,8 @@ def _run_chunk(task):
                         text = dumps(echo(*args[:count]))
                         text = texts[echo] = '"' + text.replace('"', '""') + '"'
                     fh.write(f"{ids[k]},{index},{text},{margin!r},{verdict}\r\n")
+    # id k ran on every sample with more than k rows: by_rows' suffix sums
+    counts = list(accumulate(by_rows[:0:-1]))[::-1]
     for agg, count, low, at in zip(aggs, counts, mins, argmins):
         agg.samples_run, agg.min_margin, agg.argmin_index = count, low, at
     return dict(zip(ids, aggs))

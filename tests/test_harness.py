@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 
 import pytest
 
@@ -34,6 +36,16 @@ class TestStreams:
         fo = s.floats_open(0, 1000)
         assert all(0.0 < f <= 1.0 for f in fo)
 
+    def test_survives_pickle_and_copy(self):
+        # the stream keeps a hash state that does not pickle; it is rebuilt
+        # from the seed and the stream id
+        s = SampleStream(7, "pickled")
+        for other in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+            assert (other.seed, other.stream) == (s.seed, s.stream)
+            for index in (0, 5, -1):
+                for count in (1, 4, 5, 20):
+                    assert other.words(index, count, salt=3) == s.words(index, count, salt=3)
+
 
 def _quad_state(q):
     return (q.a, q.b, q.c, q.d, q.ln_a, q.ln_b, q.ln_c, q.ln_d, q.r_ab, q.r_cd,
@@ -52,8 +64,8 @@ def _contract_draws():
             draws[f"quad/{sign}/{tag}"] = (
                 lambda i, s=s, sign=sign, bounds=bounds:
                 _quad_state(sample_quad(s, i, sign=sign, bounds=bounds)))
-    s_pair, s_n, s_int, s_kf, s_words = (stream(label) for label in
-                                          ("pair", "n", "int", "kyfan", "words"))
+    s_pair, s_n, s_int, s_kf, s_words, s_edges = (
+        stream(label) for label in ("pair", "n", "int", "kyfan", "words", "words/edges"))
     draws["pair"] = lambda i: sample_pair(s_pair, i, min_ratio=catalog.EQ10_MIN_RATIO)
     for salt0 in (1, 2):
         s = stream(f"exponent/{salt0}")
@@ -65,6 +77,12 @@ def _contract_draws():
     draws["words"] = lambda i: [s_words.words(i, count, salt=i % 3)
                                 for count in (0, 1, 2, 3, 4, 5, 8, 9)]
     draws["floats"] = lambda i: (s_words.floats(i, 3), s_words.floats_open(i, 6, 1))
+    # indices past 64 bits either way, a redraw's salt salt0 + 7919 * attempt
+    # up to the last attempt, and Ky Fan's counts of four and five blocks
+    draws["words/edges"] = lambda i: [
+        s_edges.words(index, count, salt=salt0 + 7919 * attempt)
+        for index in (-1 - i, 2 ** 64 + 5 + i)
+        for count, salt0, attempt in ((1, 1, 39 * i), (16, 2, 9999 - i), (20, 0, i))]
     return draws
 
 
@@ -93,6 +111,7 @@ class TestSamplingContract:
         "kyfan": "f76f2bf7a390c131",
         "words": "295a5c7a55b84271",
         "floats": "80accb1834c19578",
+        "words/edges": "7730fa442f79b7f9",
     }
 
     def test_every_sampler_is_frozen(self):

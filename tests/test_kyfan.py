@@ -226,6 +226,23 @@ class TestProbeAndBridge:
                             for kv, cv in bridge_slacks(stats).values())
         assert disagree >= 300
 
+    @pytest.mark.parametrize("kernel", ["ln_identric", "ln_logarithmic"])
+    def test_bridge_sees_a_faulty_rows_kernel(self, monkeypatch, kernel):
+        # _rows' ln I-ratio and EQ31's L term are read against the catalog's
+        # lambda context, so a fault in this module's binding of either
+        # kernel alone shows as a disagreement (244 and 212 of 300 samples)
+        fn = getattr(kyfan, kernel)
+        monkeypatch.setattr(kyfan, kernel, lambda w: fn(w) * (1.0 + 1e-9))
+        stream = SampleStream(43, "test/bridge")
+        nstream = SampleStream(43, "test/bridge-n")
+        disagree = 0
+        for i in range(300):
+            n = 2 + nstream.words(i, 1)[0] % 19
+            stats = compute_stats(KyFanSample(sample_kyfan_values(stream, i, n)))
+            disagree += sum(abs(kv - cv) > 1e-12 * max(1.0, abs(kv))
+                            for kv, cv in bridge_slacks(stats).values())
+        assert disagree >= 150
+
     def test_contraction_to_mean_collapses_slacks(self):
         base = [0.1, 0.2, 0.4]
         mean = sum(base) / 3.0
@@ -381,6 +398,26 @@ class TestMarginsMatchReports:
                         fn(stats)
                 raised += 1
         assert 0 < raised < 6000
+
+
+#: sha256 of every KyFanStats field and every ``_rows`` slack, tolerance and
+#: flag, as reprs, over 600 seeded samples with n in 1..20, every fifth made
+#: constant: the statistics and rows beneath the reports' margins.
+INTERMEDIATES_SHA = "4b36bc9c9b5b27f5c44feb36e05fa57951e33e869f49ad98d7be13efb20f5988"
+
+
+def test_intermediates_pinned():
+    stream = SampleStream(5, "test/intermediates")
+    nstream = SampleStream(5, "test/intermediates-n")
+    h = hashlib.sha256()
+    for i in range(600):
+        n = 1 + nstream.words(i, 1)[0] % 20
+        values = sample_kyfan_values(stream, i, n)
+        if i % 5 == 0:
+            values = [values[0]] * n
+        stats = stats_of(values)
+        h.update(repr((tuple(stats), _rows(stats))).encode() + b"\n")
+    assert h.hexdigest() == INTERMEDIATES_SHA
 
 
 #: sha256 of ``kyfan-sweep --samples 3000 --seed 42``: the report less
