@@ -139,8 +139,7 @@ class KyFanStats(NamedTuple):
 
 
 def compute_stats(sample: KyFanSample) -> KyFanStats:
-    """A, A' by exact summation; G, G' through means of logarithms.  The tuple
-    is built by tuple.__new__, as _make builds it, without a Python frame."""
+    """A, A' by exact summation, G, G' through means of logs; built by tuple.__new__."""
     if not isinstance(sample, KyFanSample):
         sample = KyFanSample(sample)
     xs = sample.values
@@ -168,8 +167,7 @@ def _ln_pow_diff(ln_u, r, k):
 
 
 def _ln_i_and_l(ln_s, r, rp):
-    """ln(I(A',G')/I(A,G)) and EQ31's L term 2 ln(L(A,G)/L(A',G')), from
-    ln_s = ln sqrt(A'G'/(AG)) and the centred pairs' kernels at r/2 and r'/2."""
+    """ln(I(A',G')/I(A,G)) and EQ31's L term 2 ln(L(A,G)/L(A',G')), w = r/2, r'/2."""
     return (ln_s + (ln_identric(0.5 * rp) - ln_identric(0.5 * r)),
             2.0 * ((ln_logarithmic(0.5 * r) - ln_logarithmic(0.5 * rp)) - ln_s))
 
@@ -187,8 +185,7 @@ def _rows(stats: KyFanStats) -> list:
     n, a, g, ap, gp, ln_a, ln_g, ln_ap, ln_gp, r, rp, all_equal, spread = stats
     eq = all_equal or spread <= SPREAD_EQUALITY
     d, dp = a - g, ap - gp
-    # 1 - (G/A)^n and 1 - (G'/A')^n, for EQ20 and the logs of EQ25 .. EQ31
-    gap, gap_p = -math.expm1(-n * r), -math.expm1(-n * rp)
+    gap, gap_p = -math.expm1(-n * r), -math.expm1(-n * rp)   # 1 - (G/A)^n, 1 - (G'/A')^n
     # A^n, G^n below the binary64 range make EQ20's additive slack vacuous
     underflow = n * ln_a < -700.0
     if all_equal or underflow:
@@ -319,33 +316,31 @@ def bridge_slacks(stats: KyFanStats) -> dict:
     """
     from . import catalog, means    # only this check reads the catalog
     quad = _stats_quad(stats)
-    n = stats.n
+    n, a, g, ap, gp, ln_a, ln_g, ln_ap, ln_gp, r, rp = stats[:11]
     links = {entry.id: slacks for entry, (slacks, _, _) in zip(TABLE, _rows(stats))}
     out = {}
 
     # mean-ratio chain on the quadruple: catalog EQ14 vs stats-level formulas
     cat14 = catalog.REGISTRY["EQ14"].report(quad)  # negative discriminant: descending chain
-    secant = (stats.a_prime - stats.g_prime) / (stats.a - stats.g)
-    ln_lr = math.log(secant) + math.log(stats.r) - math.log(stats.r_prime)
-    ln_gr = 0.5 * ((stats.ln_a_prime + stats.ln_g_prime) - (stats.ln_a + stats.ln_g))
+    ln_lr = math.log((ap - gp) / (a - g)) + math.log(r) - math.log(rp)
+    ln_gr = 0.5 * ((ln_ap + ln_gp) - (ln_a + ln_g))
     # the public ln I, not _rows' kernel, which the catalog's EQ14 reads too
-    ln_ir = (means.ln_identric(stats.a_prime, stats.g_prime)
-             - means.ln_identric(stats.a, stats.g))
-    ln_ar = (math.log(stats.a_prime + stats.g_prime) - math.log(stats.a + stats.g))
+    ln_ir = means.ln_identric(ap, gp) - means.ln_identric(a, g)
+    ln_ar = math.log(ap + gp) - math.log(a + g)
     ln_hr = 2.0 * ln_gr - ln_ar
     ky14 = (ln_hr - ln_gr, ln_gr - ln_lr, ln_lr - ln_ir, ln_ir - ln_ar)
     for name, k, c in zip(("H_to_G", "G_to_L", "L_to_I", "I_to_A"), ky14, cat14.slacks):
         out[f"eq14_{name}"] = (k, c)
 
     # _rows' ln I-ratio and EQ31's L term vs the catalog's lambda context on the quad
-    ky_ir, ky_l = _ln_i_and_l(ln_gr, stats.r, stats.r_prime)
+    ky_ir, ky_l = _ln_i_and_l(ln_gr, r, rp)
     ctx = catalog._lam_context(quad)
     out["ln_i_ratio_vs_context"] = (ky_ir, ctx[5])
     out["eq31_l_term_vs_context"] = (ky_l, -2.0 * ctx[3])
 
     # EQ23 first link equals R' times the first EQ8 slack on the quadruple
     cat8 = catalog.REGISTRY["EQ8"].report(quad)
-    out["eq23_first_vs_eq8"] = (links["EQ23"][0], stats.r_prime * cat8.slacks[0])
+    out["eq23_first_vs_eq8"] = (links["EQ23"][0], rp * cat8.slacks[0])
 
     # EQ25 slack equals ln r(0) - ln r(-n) of the ratio on the quadruple
     g0 = log_ratio_value(quad, 0.0)
@@ -353,12 +348,10 @@ def bridge_slacks(stats: KyFanStats) -> dict:
     out["eq25_vs_ratio_probe"] = (links["EQ25"][0], g0 - gmn)
 
     # EQ26 first max-member vs the G-to-L link of EQ14 on the powered quadruple
-    qn = OrderedQuad(math.exp(n * stats.ln_a_prime), math.exp(n * stats.ln_g_prime),
-                     math.exp(n * stats.ln_a), math.exp(n * stats.ln_g))
+    qn = OrderedQuad(*(math.exp(n * ln_x) for ln_x in (ln_ap, ln_gp, ln_a, ln_g)))
     cat14n = catalog.REGISTRY["EQ14"].report(qn)
-    m1 = math.log(stats.r_prime) - math.log(stats.r)
-    m0a = (_ln_pow_diff(stats.ln_a_prime, stats.r_prime, n)
-           - _ln_pow_diff(stats.ln_a, stats.r, n)
-           + 0.5 * n * ((stats.ln_a + stats.ln_g) - (stats.ln_a_prime + stats.ln_g_prime)))
+    m1 = math.log(rp) - math.log(r)
+    m0a = (_ln_pow_diff(ln_ap, rp, n) - _ln_pow_diff(ln_a, r, n)
+           + 0.5 * n * ((ln_a + ln_g) - (ln_ap + ln_gp)))
     out["eq26_lower_vs_powered_eq14"] = (m1 - m0a, cat14n.slacks[1])
     return out

@@ -3,10 +3,9 @@
 Every draw is a pure function of (seed, stream label, sample index): the i-th
 sample of a stream never depends on how many samples were drawn before it, so
 sweeps can be sharded across any number of workers and still reproduce
-bit-identical results.  Randomness comes from BLAKE2b over the packed
-(seed, stream, index, salt, block) tuple, which is stable across platforms
-and Python versions; a stream copies one state pre-fed (seed, stream) per
-block, which hashes the same bytes, so gives the same words.
+bit-identical results.  Words are BLAKE2b of the packed (seed, stream, index,
+salt, block), stable across platforms and Python versions, from a state
+pre-fed (seed, stream) once per stream: the same bytes, so the same words.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = ["SampleStream", "SamplingError", "sample_quad", "sample_pair",
 
 _MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
-_PACK_HEAD = struct.Struct("<QQ").pack
 _PACK_TAIL = struct.Struct("<QQQ").pack
 _UNPACK_BLOCK = struct.Struct("<QQQQ").unpack
 _blake2b = hashlib.blake2b
@@ -51,19 +49,17 @@ def _stream_id(label: str) -> int:
 
 
 class SampleStream:
-    """A named, seeded stream of deterministic uniform draws.  Its BLAKE2b
-    state, fed (seed, stream) once, does not pickle: a copy or an unpickled
-    stream rebuilds it from ``seed`` and ``stream``."""
+    """A named, seeded stream of deterministic uniform draws from a pre-fed BLAKE2b state."""
 
     def __init__(self, seed: int, label: str):
         self.__setstate__((int(seed) & _MASK, _stream_id(label)))
 
-    def __getstate__(self):
+    def __getstate__(self):         # a hash state does not pickle: it is rebuilt
         return self.seed, self.stream
 
     def __setstate__(self, state):
         self.seed, self.stream = state
-        self._head = _blake2b(_PACK_HEAD(*state), digest_size=32)
+        self._head = _blake2b(struct.pack("<QQ", *state), digest_size=32)
 
     def words(self, index: int, count: int, salt: int = 0):
         index = int(index) & _MASK

@@ -310,10 +310,8 @@ def _run_chunk(task):
     id's running minimum and argmin sit in lists at its position in the
     group and reach its ``_Agg`` at the end.  Indices only grow, so only a
     strictly lower margin moves the minimum: the lowest index wins a tie,
-    and a NaN, which compares false, is never the minimum.  A sample has
-    rows for a prefix of the ids (a constant Ky Fan sample for EQ18..EQ22
-    only), so the chunk counts samples by their number of rows, and an id's
-    count is the suffix sum past its position, taken at the end.
+    and a NaN, which compares false, is never the minimum.  A Ky Fan sample
+    has rows for a prefix of the ids: a count is a suffix sum of row counts.
 
     Each CSV row is formatted as text, byte for byte what ``csv.writer``
     writes (minimal quoting, CRLF): ids, indices, float reprs and verdicts
@@ -346,8 +344,7 @@ def _run_chunk(task):
                         text = dumps(echo(*args[:count]))
                         text = texts[echo] = '"' + text.replace('"', '""') + '"'
                     fh.write(f"{ids[k]},{index},{text},{margin!r},{verdict}\r\n")
-    # id k ran on every sample with more than k rows: by_rows' suffix sums
-    counts = list(accumulate(by_rows[:0:-1]))[::-1]
+    counts = list(accumulate(by_rows[:0:-1]))[::-1]     # id k: samples with > k rows
     for agg, count, low, at in zip(aggs, counts, mins, argmins):
         agg.samples_run, agg.min_margin, agg.argmin_index = count, low, at
     return dict(zip(ids, aggs))
