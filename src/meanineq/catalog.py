@@ -190,10 +190,9 @@ def _eq8(quad: OrderedQuad):
     """L(a,b)/L(c,d) > 1 + ln(G(a,b)/G(c,d)) > 2ab/(ab + cd)."""
     quad.require_strict()
     ln_gr, _, _, _, l_ratio_m1, _ = _lam_context(quad)
-    # 2ab/(ab+cd) = 2/(1 + cd/ab), overflow-safe through logs
-    third = 2.0 / (1.0 + math.exp((quad.ln_c + quad.ln_d) - (quad.ln_a + quad.ln_b)))
-    return ((l_ratio_m1 - ln_gr, 1.0 + ln_gr - third), TOL_V * max(1.0 + l_ratio_m1, 1.0),
-            quad.degeneracy <= EQ_MANIFOLD_DIST)
+    # 1 + ln_gr - 2ab/(ab+cd) is t/2 - tanh(t/2) at t = ln(ab/cd) = 2 ln_gr
+    return ((l_ratio_m1 - ln_gr, _half_log_minus_tanh(2.0 * ln_gr)),
+            TOL_V * max(1.0 + l_ratio_m1, 1.0), quad.degeneracy <= EQ_MANIFOLD_DIST)
 
 
 def _eq9(quad: OrderedQuad):
@@ -221,8 +220,13 @@ def _eq10(a, b):
 
 
 def _half_log_minus_tanh(delta):
-    # delta = ln(x/y); slack of (1/2)ln(x/y) > (x/y - 1)/(x/y + 1) = tanh(delta/2)
-    return 0.5 * delta - math.tanh(0.5 * delta)
+    """h - tanh h at h = delta/2 = ln(x/y)/2, the slack of (1/2) ln(x/y) > (x/y - 1)/(x/y + 1).
+    Below h = 0.3 it is h u/(1 + u), u = h lambda'(h), as tanh h = h/(1 + u): no cancellation."""
+    h = 0.5 * delta
+    if abs(h) >= 0.3:
+        return h - math.tanh(h)
+    u = ln_identric(h)
+    return h * u / (1.0 + u)
 
 
 def _eq11(quad: OrderedQuad):
@@ -476,8 +480,8 @@ REGISTRY = {e.id: e for e in (
                     "two-sided exp bounds of I(a,b)/b via L(a,b)/b", True),
     InequalityEntry("EQ8", _eq8, "quad", ("L_vs_G", "G_vs_product"),
                     "additive", "L ratio vs 1 + ln G ratio vs 2ab/(ab+cd); the second link"
-                    " is t/2 - tanh(t/2) at t = ln(ab/cd), as EQ11 and EQ12 at x=ab, y=cd",
-                    True),
+                    " is t/2 - tanh(t/2) at t = ln(ab/cd), as EQ10's second link, EQ11 and"
+                    " EQ12 at x=ab, y=cd", True),
     InequalityEntry("EQ9", _eq9, "quad", ("L_vs_logquotient",), "additive",
                     "L ratio vs ln G ratio / ln I ratio", True),
     InequalityEntry("EQ10", _eq10, "pair",
@@ -487,10 +491,10 @@ REGISTRY = {e.id: e for e in (
                     True, min_ratio=EQ10_MIN_RATIO),
     InequalityEntry("EQ11", _eq11, "quad", ("G_vs_fraction",), "additive",
                     "ln G ratio vs (ab-cd)/(ab+cd): t/2 - tanh(t/2) at t = ln(ab/cd), as"
-                    " EQ8's second link and EQ12 at x=ab, y=cd", True),
+                    " EQ8's and EQ10's second links and EQ12 at x=ab, y=cd", True),
     InequalityEntry("EQ12", _eq12, "xy", ("halflog_vs_fraction",), "additive",
                     "half-log of x/y vs (x/y-1)/(x/y+1): t/2 - tanh(t/2) at t = ln(x/y), as"
-                    " EQ11 and EQ8's second link at x=ab, y=cd", True),
+                    " EQ10's second link, and EQ11 and EQ8's at x=ab, y=cd", True),
     InequalityEntry("EQ13", _eq13, "quad_pq", ("tangent",), "log_ratio",
                     "log tangent bound, direction keyed to sign(ad-bc)", True, keyed=True),
     InequalityEntry("EQ14", _eq14, "quad",

@@ -134,17 +134,18 @@ CONTRACT_SAMPLES = 2100
 #: quad group in ``sweep --ids all --samples 2100``.  EQ6 and EQ10 keep the
 #: draws sampling contract 1 gave them on their own streams, with the slacks
 #: of their rows in h = ln(a/b)/2; EQ12 (its own (x, y) stream) and EQ15..EQ17
-#: (one n per sample) carry contract 3's.
+#: (one n per sample) carry contract 3's.  EQ10 and EQ12 re-pinned when
+#: t/2 - tanh(t/2) took h u/(1 + u), u = h lambda'(h), below h = 0.3.
 OWN_STREAM_PINS = {
     1: {"EQ6": "3d7c9a579a04898d6dcb71c35bbd5dafd064cac2ac3021646044b0ea5202fb08",
-        "EQ10": "f944ce98fbacc3f32be46d745ed0696778a77393cec383929bbca3aa100a7782",
-        "EQ12": "eb70e96e087bdba39f208e12fb7c6297e13f57a5718d120e0f17c53a63244401",
+        "EQ10": "95bff4919cd791301a2b534839ad2a6338421502db3b734cc8924b45cf17476d",
+        "EQ12": "667d9909bbe7279ef9b94952fbd6d359c1d6c085ae9993f4ad200b347ea125df",
         "EQ15": "ce08e6a126e6207aaa332c5ad6ff9b0e5f24e651c0bf259b887443eca3f317c0",
         "EQ16": "f18abebfd3cae589cfa36323f69a690e625b8ef3204df259526a081a06cbf7fa",
         "EQ17": "f4a6f3b3269f25603cff27abd0cf114eb30eb963c7998a2a82d7fda7af5ac1ff"},
     42: {"EQ6": "690c75738b34adf6644712d89e809cacd4d233ac415771cd9fc1a43bfc73a76b",
-         "EQ10": "512d99f23ff88d3a23ca1bef3f7a45a1804dbed2a357369a1965a6a0b6749c5b",
-         "EQ12": "00428327037c3ff6d4defdefff4d199e4f7cdddbc5668da0d111c0137cc1da5a",
+         "EQ10": "ade3f0b73903ef14260b660897288e96f0b27b9d7f7cbeaf66c73e30e33e6a02",
+         "EQ12": "8fa265ea67badce3b7875d3fc7b8387b15ed7c72f07e2cc71857681cda92d019",
          "EQ15": "7e12bc70a754737ee8f426b2132bc84c1d79db8b18fd23367ccf54e984dfbef5",
          "EQ16": "1242be512624133038b2d8b2cf745a6e1d20901a8bb4e5f7a24c240b3888037c",
          "EQ17": "41b19a8bc4a81e4d237eb40f9f58ef16fc585f77f3cf2ffd65bfef2d0cdb1b3d"},
