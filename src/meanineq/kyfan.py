@@ -139,7 +139,7 @@ class KyFanStats(NamedTuple):
 
 
 def compute_stats(sample: KyFanSample) -> KyFanStats:
-    """A, A' by exact summation, G, G' through means of logs; built by tuple.__new__."""
+    """A, A' by exact summation, G, G' through means of logs; tuple.__new__ skips a frame."""
     if not isinstance(sample, KyFanSample):
         sample = KyFanSample(sample)
     xs = sample.values
@@ -167,7 +167,7 @@ def _ln_pow_diff(ln_u, r, k):
 
 
 def _ln_i_and_l(ln_s, r, rp):
-    """ln(I(A',G')/I(A,G)) and EQ31's L term 2 ln(L(A,G)/L(A',G')), w = r/2, r'/2."""
+    """ln(I(A',G')/I(A,G)) and 2 ln(L(A,G)/L(A',G')) from ln_s and the kernels at r/2, r'/2."""
     return (ln_s + (ln_identric(0.5 * rp) - ln_identric(0.5 * r)),
             2.0 * ((ln_logarithmic(0.5 * r) - ln_logarithmic(0.5 * rp)) - ln_s))
 
